@@ -48,12 +48,11 @@ fuzz-short:
 
 # coverage-floor holds the safety-critical packages to statement-coverage
 # thresholds: the sampling tool (a bookkeeping slip means phantom reports
-# or double-watched lines), the serving fleet (its error paths —
+# or double-watched lines) and the serving fleet (its error paths —
 # admission rejects, retries, panic isolation, drains — are exactly the
-# code that only runs when something is already wrong), and the snapshot
-# store (a restore or taint slip silently corrupts every warm run).
+# code that only runs when something is already wrong).
 coverage-floor:
-	./scripts/coverage_floor.sh ./internal/sampletool 85 ./internal/fleet 80 ./internal/snapshot 85
+	./scripts/coverage_floor.sh ./internal/sampletool 85 ./internal/fleet 80
 
 # serve-smoke is the serving-stack end-to-end gate: a full safemem-serve
 # stack (fleet + observability plane on one listener) driven over real
@@ -73,9 +72,10 @@ check: build vet test race fuzz-short campaign storm bench-check
 # ci is the continuous-integration gate (.github/workflows/ci.yml): the
 # full build + vet + test sweep, a shuffled re-run of the order-sensitive
 # new packages, the coverage floors, a race-detector pass over the
-# concurrent serving/observability/telemetry layers plus the sample-tool
-# campaign and the snapshot-on campaign equivalence leg (cheap enough for
-# every push, unlike `make race`), the serving-stack chaos smoke, a
+# concurrent serving/observability/telemetry layers, the sample-tool
+# campaign and the pooled machine-reuse path (recycle equivalence, the
+# never-repool taint rule, the machine package) — cheap enough for every
+# push, unlike `make race` — the serving-stack chaos smoke, a
 # one-shard fleet-bench + bench_compare.sh smoke, and the
 # throughput/campaign regression gates.
 ci: build vet test
@@ -83,8 +83,8 @@ ci: build vet test
 	$(MAKE) coverage-floor
 	$(GO) test -race ./internal/obsrv/... ./internal/telemetry/... ./internal/fleet
 	$(GO) test -race -run 'TestSampleCampaign|TestSampleRateOne$$' ./internal/campaign
-	$(GO) test -race -count=1 ./internal/snapshot
-	$(GO) test -race -count=1 -run 'TestSnapshot' ./internal/campaign
+	$(GO) test -race -count=1 -run 'TestRecycleEquivalence|NeverRepooled|TestCleanRunRepooled' ./internal/campaign ./internal/bench
+	$(GO) test -race -count=1 ./internal/machine
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-check
@@ -115,9 +115,10 @@ bench-check:
 
 # bench-campaign refreshes the tracked campaign-throughput baseline
 # (BENCH_campaign.json): per tool config, scenario batches wall-clocked
-# cold (fresh machine per scenario) and warm (snapshot restore per
-# scenario), plus a snapshot-backed fleet jobs/sec leg. Simulated work is
-# identical on both paths; the speedup columns describe this machine.
+# cold (fresh machine per scenario) and warm (pooled machine reset by its
+# pristine-image restore), plus the same for a fleet jobs/sec leg.
+# Simulated work is identical on both paths; the speedup columns describe
+# this machine.
 bench-campaign:
 	$(GO) run ./cmd/safemem-bench -experiment campaign
 

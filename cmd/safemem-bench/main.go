@@ -300,9 +300,9 @@ func main() {
 			fmt.Println(f.Render())
 		}
 	}
-	// campaign wall-clocks cold-vs-warm executor throughput under the
-	// snapshot layer, so it only runs when requested explicitly (not under
-	// -experiment all).
+	// campaign wall-clocks cold (fresh machine) versus warm (pooled
+	// machine) executor throughput, so it only runs when requested
+	// explicitly (not under -experiment all).
 	if *experiment == "campaign" {
 		opts := campbench.DefaultOptions()
 		if *campaignScenarios > 0 {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	safemem-serve [-addr :9090] [-workers N] [-queue N] [-snapshots]
+//	safemem-serve [-addr :9090] [-workers N] [-queue N]
 //	              [-deadline 30s] [-watchdog 2s] [-max-attempts 3]
 //	              [-quota-rate R] [-quota-burst N]
 //	              [-chaos] [-chaos-panic-every N] [-chaos-slow-every N]
@@ -36,11 +36,9 @@
 // for exercising the degradation paths against a live server. Chaos
 // fates key on the job spec, so results remain reproducible.
 //
-// -snapshots turns on the copy-on-write machine-snapshot layer (DESIGN.md
-// §4.11): workers serve repeat configurations from warmed, restored
-// machines instead of rebuilding per job. Job results are byte-identical
-// either way (pinned by the snapshot equivalence suites); watch the
-// amortization live via the safemem_snapshot_* gauges on /metrics.
+// Workers reuse pooled machines, each reset by restoring its pristine
+// image (DESIGN.md §4.11); watch reuse live via the safemem_pool_* gauges
+// on /metrics, where safemem_pool_built counts cold machine builds.
 package main
 
 import (
@@ -54,7 +52,6 @@ import (
 	"safemem/internal/obsrv"
 	"safemem/internal/obsrv/buildinfo"
 	"safemem/internal/obsrv/logging"
-	"safemem/internal/snapshot"
 )
 
 func main() {
@@ -66,7 +63,6 @@ func main() {
 	maxAttempts := flag.Int("max-attempts", 3, "retry budget: total attempts per job before terminal failure")
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant admission tokens per second (0 disables quotas)")
 	quotaBurst := flag.Int("quota-burst", 10, "per-tenant token-bucket burst size")
-	snapshots := flag.Bool("snapshots", false, "serve repeat configurations from warmed machine snapshots (byte-identical results, amortized warmup)")
 	chaos := flag.Bool("chaos", false, "inject worker panics, stalls and transient failures (see -chaos-*)")
 	chaosPanic := flag.Int("chaos-panic-every", 20, "with -chaos: ~1/N jobs panic mid-simulation")
 	chaosSlow := flag.Int("chaos-slow-every", 20, "with -chaos: ~1/N jobs stall for -chaos-slow-for")
@@ -104,10 +100,6 @@ func main() {
 		}
 		log.Warn("chaos injection enabled",
 			"panic_every", *chaosPanic, "slow_every", *chaosSlow, "fail_every", *chaosFail)
-	}
-	if *snapshots {
-		snapshot.SetEnabled(true)
-		log.Info("snapshot layer enabled")
 	}
 	fl := fleet.Start(cfg)
 

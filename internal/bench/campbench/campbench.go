@@ -1,16 +1,16 @@
 // Package campbench is the campaign-throughput experiment behind
 // `safemem-bench -experiment campaign`: how many campaign scenarios per
-// host second the executor sustains with the warmup rebuilt per run (cold:
-// machine construction, heap creation, tool attachment — the unamortized
-// cost every new shard or fleet worker pays, so the cold pass runs with
-// machine pooling off) versus served from the snapshot layer (warm,
-// internal/snapshot), per tool configuration, plus the same before/after
-// for fleet scenario jobs. The short-scenario tail — the shortest quartile
-// by op count, where warmup dominates the run — is reported separately; it
-// is the population the snapshot layer exists for, and the tracked
-// BENCH_campaign.json baseline pins its speedup.
+// host second the executor sustains on a freshly built machine per run
+// (cold: machine construction plus heap creation and tool attachment — the
+// unamortized cost every new shard or fleet worker pays) versus on a pooled
+// machine reset by restoring its pristine image (warm), per tool
+// configuration, plus the same before/after for fleet scenario jobs. The
+// short-scenario tail — the shortest quartile by op count, where warmup
+// dominates the run — is reported separately; it is the population machine
+// reuse exists for, and the tracked BENCH_campaign.json baseline pins its
+// speedup.
 //
-// Simulated results are identical on both passes (the snapshot equivalence
+// Simulated results are identical on both passes (the recycle equivalence
 // tests pin that byte-for-byte); only host wall-clock differs, so like the
 // throughput and fleet baselines the host columns are indicative, not
 // golden.
@@ -28,7 +28,6 @@ import (
 
 	"safemem/internal/campaign"
 	"safemem/internal/fleet"
-	"safemem/internal/snapshot"
 	"safemem/internal/stats"
 )
 
@@ -40,8 +39,7 @@ type Options struct {
 	Scenarios int
 	// FleetJobs is how many scenario jobs the fleet leg runs per pass.
 	FleetJobs int
-	// Workers is the fleet leg's concurrency (capped at the snapshot
-	// store's per-key capacity so the warm pass is served from the pool).
+	// Workers is the fleet leg's concurrency.
 	Workers int
 	// WarmReps is how many times each warm pass repeats; the best (minimum
 	// total time) repetition is reported. Warm batches complete in
@@ -53,10 +51,9 @@ type Options struct {
 
 // DefaultOptions returns the tracked-baseline configuration.
 func DefaultOptions() Options {
-	w := runtime.GOMAXPROCS(0)
-	if w > snapshot.DefaultCapacity {
-		w = snapshot.DefaultCapacity
-	}
+	// At most 4 workers, so the fleet leg measures the same concurrency
+	// on any larger host.
+	w := min(runtime.GOMAXPROCS(0), 4)
 	return Options{Seed: 42, Scenarios: 32, FleetJobs: 32, Workers: w, WarmReps: 8}
 }
 
@@ -66,7 +63,7 @@ type Row struct {
 	// Scenarios is the per-pass scenario count.
 	Scenarios int `json:"scenarios"`
 	// ColdNS / WarmNS are summed per-scenario host wall-clock (warmup +
-	// run) for the unpooled rebuild and snapshot passes; the warm figure
+	// run) for the fresh-machine and pooled-machine passes; the warm figure
 	// is the best of Options.WarmReps repetitions.
 	ColdNS int64 `json:"cold_ns"`
 	WarmNS int64 `json:"warm_ns"`
@@ -76,7 +73,7 @@ type Row struct {
 	// Speedup is WarmPerSec / ColdPerSec.
 	Speedup float64 `json:"speedup"`
 	// The short-scenario tail: the shortest quartile by op count, where
-	// warmup dominates and the snapshot layer pays off most.
+	// warmup dominates and machine reuse pays off most.
 	TailScenarios  int     `json:"tail_scenarios"`
 	TailColdNS     int64   `json:"tail_cold_ns"`
 	TailWarmNS     int64   `json:"tail_warm_ns"`
@@ -137,9 +134,74 @@ func note(done, total int) {
 	}
 }
 
-// Run executes the experiment. The snapshot kill switch is flipped per pass
-// and restored to its entry state afterwards; idle pooled runners are
-// flushed on exit so the experiment leaves no warmed machines pinned.
+// drainPool empties the executor machine pool so the next run builds a
+// fresh machine: a sync.Pool drops every idle object that sits unused
+// through two garbage collections.
+func drainPool() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// scenarioPass runs every scenario once under cfg and returns the summed
+// host nanoseconds over all scenarios and over the tail. A cold pass drains
+// the machine pool (untimed) before each scenario, so every timed run pays
+// a fresh machine build.
+func scenarioPass(scenarios []*campaign.Scenario, tail map[int]bool, cfg campaign.ToolConfig, cold bool) (ns, tailNS int64, err error) {
+	for i, s := range scenarios {
+		if cold {
+			drainPool()
+		}
+		start := time.Now()
+		res, err := campaign.ExecuteEnv(s, cfg, campaign.Env{})
+		dt := time.Since(start).Nanoseconds()
+		if err != nil {
+			return 0, 0, fmt.Errorf("campaign: %s seed %d: %w", cfg, s.Seed, err)
+		}
+		if res.Err != nil {
+			return 0, 0, fmt.Errorf("campaign: %s seed %d run: %w", cfg, s.Seed, res.Err)
+		}
+		ns += dt
+		if tail[i] {
+			tailNS += dt
+		}
+	}
+	return ns, tailNS, nil
+}
+
+// fleetJobs runs fleet scenario jobs first..end-1 on up to workers
+// goroutines and returns the batch's wall-clock nanoseconds.
+func fleetJobs(seed uint64, first, end, workers int) (int64, error) {
+	errs := make([]error, end-first)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < min(workers, end-first); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				spec := fleet.JobSpec{Seed: seed + uint64(i), Tool: "both"}
+				if _, err := fleet.Execute(context.Background(), spec, nil); err != nil {
+					errs[i-first] = fmt.Errorf("campaign: fleet job seed %d: %w", spec.Seed, err)
+				}
+			}
+		}()
+	}
+	for i := first; i < end; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	wall := time.Since(start).Nanoseconds()
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	return wall, nil
+}
+
+// Run executes the experiment.
 func Run(opts Options) (*Campaign, error) {
 	if opts.Scenarios < 4 {
 		opts.Scenarios = 4
@@ -153,11 +215,6 @@ func Run(opts Options) (*Campaign, error) {
 	if opts.WarmReps < 1 {
 		opts.WarmReps = 1
 	}
-	wasEnabled := snapshot.Enabled()
-	defer func() {
-		snapshot.SetEnabled(wasEnabled)
-		campaign.FlushSnapshots()
-	}()
 
 	scenarios := make([]*campaign.Scenario, opts.Scenarios)
 	for i := range scenarios {
@@ -180,68 +237,44 @@ func Run(opts Options) (*Campaign, error) {
 	total := len(campaign.AllConfigs)*2 + 2
 	done := 0
 
-	pass := func(cfg campaign.ToolConfig, warm bool, row *Row) error {
-		snapshot.SetEnabled(warm)
-		// The cold pass measures the true per-scenario warmup a new shard
-		// or worker pays: a freshly built machine every run, no pooling.
-		defer campaign.SetMachinePooling(campaign.SetMachinePooling(warm))
-		reps := 1
-		if warm {
-			// Prime the pool: the one-time warmup build is the cost the
-			// campaign amortises across a whole shard, so it is excluded
-			// from the steady-state rate (and included in the cold pass,
-			// which pays it per scenario).
-			if _, err := campaign.ExecuteEnv(scenarios[0], cfg, campaign.Env{}); err != nil {
-				return err
-			}
-			reps = opts.WarmReps
+	warmPass := func(cfg campaign.ToolConfig, row *Row) error {
+		// Prime the pool: the one-time machine build is the cost the
+		// campaign amortises across a whole shard, so it is excluded from
+		// the steady-state rate (and included in the cold pass, which pays
+		// it per scenario).
+		if _, err := campaign.ExecuteEnv(scenarios[0], cfg, campaign.Env{}); err != nil {
+			return err
 		}
 		// The cold pass sheds hundreds of megabytes of dead machines; a
 		// concurrent collection digesting them would tax the millisecond
-		// warm windows with allocation assists. Start every timed pass on
-		// a collected heap (testing.B does the same between benchmarks).
+		// warm windows with allocation assists. Start every timed warm pass
+		// on a collected heap (testing.B does the same between benchmarks);
+		// one collection leaves the primed machine in the pool.
 		runtime.GC()
-		var bestNS, bestTailNS int64
-		for r := 0; r < reps; r++ {
-			var ns, tailNS int64
-			for i, s := range scenarios {
-				start := time.Now()
-				res, err := campaign.ExecuteEnv(s, cfg, campaign.Env{})
-				dt := time.Since(start).Nanoseconds()
-				if err != nil {
-					return fmt.Errorf("campaign: %s seed %d: %w", cfg, s.Seed, err)
-				}
-				if res.Err != nil {
-					return fmt.Errorf("campaign: %s seed %d run: %w", cfg, s.Seed, res.Err)
-				}
-				ns += dt
-				if tail[i] {
-					tailNS += dt
-				}
+		for r := 0; r < opts.WarmReps; r++ {
+			ns, tailNS, err := scenarioPass(scenarios, tail, cfg, false)
+			if err != nil {
+				return err
 			}
-			if r == 0 || ns < bestNS {
-				bestNS = ns
+			if r == 0 || ns < row.WarmNS {
+				row.WarmNS = ns
 			}
-			if r == 0 || tailNS < bestTailNS {
-				bestTailNS = tailNS
+			if r == 0 || tailNS < row.TailWarmNS {
+				row.TailWarmNS = tailNS
 			}
-		}
-		if warm {
-			row.WarmNS, row.TailWarmNS = bestNS, bestTailNS
-		} else {
-			row.ColdNS, row.TailColdNS = bestNS, bestTailNS
 		}
 		return nil
 	}
 
 	for _, cfg := range campaign.AllConfigs {
 		row := Row{Tool: cfg.String(), Scenarios: opts.Scenarios, TailScenarios: len(tail)}
-		if err := pass(cfg, false, &row); err != nil {
+		var err error
+		if row.ColdNS, row.TailColdNS, err = scenarioPass(scenarios, tail, cfg, true); err != nil {
 			return nil, err
 		}
 		done++
 		note(done, total)
-		if err := pass(cfg, true, &row); err != nil {
+		if err := warmPass(cfg, &row); err != nil {
 			return nil, err
 		}
 		done++
@@ -259,75 +292,38 @@ func Run(opts Options) (*Campaign, error) {
 	c.Total.fillRates()
 
 	// The fleet leg: the same jobs/sec measurement the serving plane sees.
-	// The warm batch finishes in milliseconds, so like the scenario passes
-	// it repeats and keeps the best wall clock.
+	// The cold pass runs the jobs in waves of one job per worker, each wave
+	// on a drained pool, so every job builds its machine; the summed wave
+	// wall-clocks are its time. The warm batch finishes in milliseconds, so
+	// like the scenario passes it repeats and keeps the best wall clock.
 	c.FleetJobs, c.FleetWorkers = opts.FleetJobs, opts.Workers
-	fleetPass := func(warm bool) (int64, error) {
-		snapshot.SetEnabled(warm)
-		defer campaign.SetMachinePooling(campaign.SetMachinePooling(warm))
-		reps := 1
-		if warm {
-			// Prime one runner per worker (the store serves concurrent
-			// workers from its per-key pool).
-			var wg sync.WaitGroup
-			for w := 0; w < opts.Workers; w++ {
-				wg.Add(1)
-				go func(seed uint64) {
-					defer wg.Done()
-					fleet.Execute(context.Background(), fleet.JobSpec{Seed: seed, Tool: "both"}, nil)
-				}(opts.Seed + uint64(w))
-			}
-			wg.Wait()
-			// The fleet batch is one wall-clock window, not a sum of
-			// per-scenario slices, so it gets half the averaging the
-			// scenario passes do per rep — double the rep count to keep
-			// the minimum equally robust.
-			reps = 2 * opts.WarmReps
+	for first := 0; first < opts.FleetJobs; first += opts.Workers {
+		drainPool()
+		wall, err := fleetJobs(opts.Seed, first, min(first+opts.Workers, opts.FleetJobs), opts.Workers)
+		if err != nil {
+			return nil, err
 		}
-		runtime.GC() // same clean-heap start as the scenario passes
-		var best int64
-		for r := 0; r < reps; r++ {
-			errs := make([]error, opts.FleetJobs)
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			start := time.Now()
-			for w := 0; w < opts.Workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						spec := fleet.JobSpec{Seed: opts.Seed + uint64(i), Tool: "both"}
-						if _, err := fleet.Execute(context.Background(), spec, nil); err != nil {
-							errs[i] = fmt.Errorf("campaign: fleet job seed %d: %w", spec.Seed, err)
-						}
-					}
-				}()
-			}
-			for i := 0; i < opts.FleetJobs; i++ {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-			wall := time.Since(start).Nanoseconds()
-			for _, err := range errs {
-				if err != nil {
-					return 0, err
-				}
-			}
-			if r == 0 || wall < best {
-				best = wall
-			}
-		}
-		return best, nil
-	}
-	var err error
-	if c.FleetColdNS, err = fleetPass(false); err != nil {
-		return nil, err
+		c.FleetColdNS += wall
 	}
 	done++
 	note(done, total)
-	if c.FleetWarmNS, err = fleetPass(true); err != nil {
+	// Prime one machine per worker, then start on a collected heap like the
+	// scenario passes. The fleet batch is one wall-clock window, not a sum
+	// of per-scenario slices, so it gets half the averaging the scenario
+	// passes do per rep — double the rep count to keep the minimum equally
+	// robust.
+	if _, err := fleetJobs(opts.Seed, 0, opts.Workers, opts.Workers); err != nil {
 		return nil, err
+	}
+	runtime.GC()
+	for r := 0; r < 2*opts.WarmReps; r++ {
+		wall, err := fleetJobs(opts.Seed, 0, opts.FleetJobs, opts.Workers)
+		if err != nil {
+			return nil, err
+		}
+		if r == 0 || wall < c.FleetWarmNS {
+			c.FleetWarmNS = wall
+		}
 	}
 	done++
 	note(done, total)
@@ -346,7 +342,7 @@ func Run(opts Options) (*Campaign, error) {
 // Render formats the report as a table plus the fleet aggregate line.
 func (c *Campaign) Render() string {
 	tab := stats.NewTable(
-		fmt.Sprintf("Campaign throughput (%d scenarios per tool, cold unpooled rebuild vs warm snapshot)", c.Scenarios),
+		fmt.Sprintf("Campaign throughput (%d scenarios per tool, cold fresh machine vs warm pooled machine)", c.Scenarios),
 		"Tool", "Cold /s", "Warm /s", "Speedup", "Tail cold /s", "Tail warm /s", "Tail speedup")
 	rows := append(append([]Row{}, c.Rows...), c.Total)
 	for _, r := range rows {
@@ -393,8 +389,8 @@ func Read(path string) (*Campaign, error) {
 // slower fails); per-tool rows use double that, because each row sums a
 // fifth of the aggregate's samples and single-digit-millisecond windows on
 // a loaded host jitter past 25% without any code change — while the
-// regression class this gate exists for (the snapshot restore path falling
-// back to rebuild work) costs 10-100x and trips either threshold. Rows
+// regression class this gate exists for (the pooled reset path falling back
+// to rebuild work) costs 10-100x and trips either threshold. Rows
 // present only on one side are skipped, so adding a tool configuration does
 // not fail the gate until the baseline is regenerated.
 func (c *Campaign) CheckAgainst(base *Campaign, tolerance float64) error {

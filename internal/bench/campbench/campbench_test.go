@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"safemem/internal/campaign"
 )
 
 // gateFixture builds a healthy run/baseline pair the tolerance cases below
@@ -122,5 +124,27 @@ func TestReadRejectsMalformed(t *testing.T) {
 	}
 	if _, err := Read(path); err == nil {
 		t.Error("malformed baseline read succeeded")
+	}
+}
+
+// TestColdPassBuildsFreshMachines pins the cold pass's pool drain: with no
+// pooling switch to turn off, the two garbage collections before each cold
+// scenario must empty the executor pool, so every timed cold run pays
+// exactly one machine build.
+func TestColdPassBuildsFreshMachines(t *testing.T) {
+	scenarios := make([]*campaign.Scenario, 4)
+	for i := range scenarios {
+		scenarios[i] = campaign.Generate(42 + uint64(i))
+	}
+	// Leave a recycled machine in the pool, as a preceding pass would.
+	if _, err := campaign.ExecuteEnv(scenarios[0], campaign.CfgNone, campaign.Env{}); err != nil {
+		t.Fatal(err)
+	}
+	before := campaign.PoolBuilt()
+	if _, _, err := scenarioPass(scenarios, nil, campaign.CfgNone, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := campaign.PoolBuilt() - before; got != uint64(len(scenarios)) {
+		t.Fatalf("cold pass built %d machines for %d scenarios", got, len(scenarios))
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"safemem/internal/apps"
+	"safemem/internal/machine"
+	"safemem/internal/telemetry"
 )
 
 // TestPanickedMachineNeverRepooled pins the bench-side crash-safety
@@ -49,5 +51,27 @@ func TestCleanRunRepooled(t *testing.T) {
 	}
 	if d1 != d0 {
 		t.Fatalf("clean run dropped %d machine(s), want 0", d1-d0)
+	}
+}
+
+// TestTelemetryRunNotPooled pins that a run carrying its own telemetry
+// registry never touches the pools: the registry is that run's output, and
+// Recycle keeps a machine's registry, so the machine must not be reused.
+func TestTelemetryRunNotPooled(t *testing.T) {
+	mcfg := machine.DefaultConfig()
+	mcfg.Telemetry = telemetry.NewRegistry("ypserv1/none", telemetry.Config{})
+	r0, d0 := PoolStats()
+	b0 := PoolBuilt()
+	res, err := RunWithMachine("ypserv1", ToolNone, apps.Config{Seed: 1, Scale: 1}, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Registry != mcfg.Telemetry {
+		t.Fatal("run did not report into its own registry")
+	}
+	r1, d1 := PoolStats()
+	if r1 != r0 || d1 != d0 || PoolBuilt() != b0 {
+		t.Fatalf("telemetry run moved the pool counters: released %d, dropped %d, built %d",
+			r1-r0, d1-d0, PoolBuilt()-b0)
 	}
 }

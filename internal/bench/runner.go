@@ -24,7 +24,6 @@ import (
 	"safemem/internal/purify"
 	"safemem/internal/sampletool"
 	"safemem/internal/simtime"
-	"safemem/internal/snapshot"
 	"safemem/internal/telemetry"
 )
 
@@ -252,7 +251,9 @@ type Result struct {
 	FaultEvents uint64
 
 	// Registry is the run's telemetry registry (always non-nil; shared with
-	// the package-level Session when one is installed).
+	// the package-level Session when one is installed). Without a Session
+	// it is the pooled machine's quiet registry, which the next run on that
+	// machine reuses.
 	Registry *telemetry.Registry
 }
 
@@ -277,66 +278,67 @@ func Run(appName string, tool Tool, cfg apps.Config) (*Result, error) {
 	return RunWithMachine(appName, tool, cfg, machine.DefaultConfig())
 }
 
-// machinePools recycles bench machines, one pool per machine configuration.
+// machinePools reuses bench machines, one pool per machine configuration.
 // Building a 64 MiB machine costs tens of host milliseconds of arena
 // zeroing, which dominates the short apps; a recycled machine is
-// observationally identical to a fresh one (Machine.Recycle's contract,
-// pinned by TestMachineRecycleEquivalence and the golden tables), so reuse
-// changes host wall-clock only. Machines carrying a per-run telemetry
-// registry or the direct-ECC capability are never pooled: the registry is
-// part of the run's output, and Recycle deliberately revokes controller
-// capabilities.
-var machinePools sync.Map // machine.Config → *sync.Pool
+// observationally identical to a fresh one (pinned by
+// TestMachineRecycleEquivalence and the golden tables), so reuse changes
+// host wall-clock only.
+var machinePools sync.Map // machine.Config → *machine.Pool
 
-// poolReleased / poolDropped count machines recycled into versus withheld
-// from the pools — the crash-safety pin that a run which errored or
-// panicked never reaches sync.Pool.Put (TestPanickedMachineNeverRepooled).
-var poolReleased, poolDropped atomic.Uint64
-
-// PoolStats reports (released, dropped) machine counts since process start.
+// PoolStats reports (released, dropped) machine counts since process start,
+// summed over every configuration's pool — the crash-safety pin that a run
+// which errored or panicked is never repooled
+// (TestPanickedMachineNeverRepooled).
 func PoolStats() (released, dropped uint64) {
-	return poolReleased.Load(), poolDropped.Load()
+	st := poolTotals()
+	return st.Released, st.Dropped
+}
+
+// PoolBuilt reports how many pooled-configuration machines were built cold
+// since process start, summed over every configuration's pool.
+func PoolBuilt() uint64 { return poolTotals().Built }
+
+func poolTotals() machine.PoolStats {
+	var sum machine.PoolStats
+	machinePools.Range(func(_, p any) bool {
+		st := p.(*machine.Pool).Stats()
+		sum.Released += st.Released
+		sum.Dropped += st.Dropped
+		sum.Built += st.Built
+		return true
+	})
+	return sum
 }
 
 // runHook, when non-nil, runs inside the simulated program just before the
 // app body — test-only instrumentation for pinning the panic-discard path.
 var runHook func()
 
-func poolable(mcfg machine.Config) bool {
-	return mcfg.Telemetry == nil && !mcfg.DirectECCAccess
-}
-
-func acquireMachine(mcfg machine.Config) (*machine.Machine, error) {
-	if poolable(mcfg) {
-		p, _ := machinePools.LoadOrStore(mcfg, new(sync.Pool))
-		if v := p.(*sync.Pool).Get(); v != nil {
-			return v.(*machine.Machine), nil
-		}
+// acquireMachine returns a pristine machine for mcfg and the pool it goes
+// back to. A configuration carrying a per-run telemetry registry is never
+// pooled — the registry is part of that run's output — so its machine is
+// built fresh and comes with a nil pool, whose Done does nothing.
+func acquireMachine(mcfg machine.Config) (*machine.Machine, *machine.Pool, error) {
+	if mcfg.Telemetry != nil {
+		m, err := machine.New(mcfg)
+		return m, nil, err
 	}
-	return machine.New(mcfg)
-}
-
-// releaseMachine recycles a machine whose run terminated normally back into
-// its pool; machines that panicked mid-run are dropped instead.
-func releaseMachine(mcfg machine.Config, m *machine.Machine) {
-	if !poolable(mcfg) {
-		return
+	p, ok := machinePools.Load(mcfg)
+	if !ok {
+		p, _ = machinePools.LoadOrStore(mcfg, machine.NewPool(mcfg))
 	}
-	m.Recycle()
-	p, _ := machinePools.LoadOrStore(mcfg, new(sync.Pool))
-	p.(*sync.Pool).Put(m)
-	poolReleased.Add(1)
+	pool := p.(*machine.Pool)
+	m, err := pool.Get()
+	return m, pool, err
 }
 
 // RunWithMachine is Run with an explicit machine configuration — used to
 // evaluate hardware variants such as the Section 2.2.3 direct-ECC
 // interface.
 //
-// With the snapshot layer enabled (snapshot.SetEnabled), runs whose machine
-// is poolable and whose tool stack supports checkpoint/restore are served
-// from a per-⟨tool, machine⟩ pool of warmed runners instead of rebuilding
-// heap and tools per run; per-run state is then applied in exactly the
-// rebuild order, so results are byte-identical (TestSnapshotBenchEquivalence).
+// The machine goes back to its pool only when the run terminated normally;
+// a run that errored, failed setup or panicked drops it.
 func RunWithMachine(appName string, tool Tool, cfg apps.Config, mcfg machine.Config) (*Result, error) {
 	app, ok := apps.Get(appName)
 	if !ok {
@@ -345,22 +347,12 @@ func RunWithMachine(appName string, tool Tool, cfg apps.Config, mcfg machine.Con
 	if mcfg.Telemetry == nil && Telemetry != nil {
 		mcfg.Telemetry = Telemetry.NewRegistry(appName + "/" + tool.String())
 	}
-	if snapshot.Enabled() && poolable(mcfg) && snapshotTool(tool) {
-		return runSnapshot(appName, app, tool, cfg, mcfg)
-	}
-	m, err := acquireMachine(mcfg)
+	m, pool, err := acquireMachine(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	// Crash-safety accounting: a machine that is not cleanly recycled —
-	// setup failure, program error, or a panic unwinding out of this frame
-	// into a recovering caller — is counted dropped and never repooled.
-	recycled := false
-	defer func() {
-		if !recycled {
-			poolDropped.Add(1)
-		}
-	}()
+	clean := false
+	defer func() { pool.Done(m, clean) }()
 	sseed := SampleSeed
 	if sseed == 0 {
 		sseed = uint64(cfg.Seed) ^ sampleSeedSalt
@@ -370,16 +362,13 @@ func RunWithMachine(appName string, tool Tool, cfg apps.Config, mcfg machine.Con
 		return nil, err
 	}
 	res := runBench(appName, app, tool, cfg, w)
-	if res.Err == nil {
-		releaseMachine(mcfg, m)
-		recycled = true
-	}
+	clean = res.Err == nil
 	return res, nil
 }
 
 // benchWarmup is the warmed object set of one bench run: the machine plus
-// the heap and tool stack attached to it. It is what a snapshot runner
-// pools. Only the attached tool's pointer is non-nil.
+// the heap and tool stack attached to it. Only the attached tool's pointer
+// is non-nil.
 type benchWarmup struct {
 	m       *machine.Machine
 	alloc   *heap.Allocator
@@ -428,10 +417,9 @@ func attachBench(m *machine.Machine, tool Tool, rate int, sseed uint64) (*benchW
 }
 
 // runBench executes one app on an already-warmed machine and collects the
-// result. Shared verbatim by the rebuild and snapshot paths: everything
-// per-run — resilience policy, fault process, scrub daemon, the run itself —
-// happens here, in one order, so the two paths cannot drift. Pool and
-// snapshot-store handling stay with the caller.
+// result: everything per-run — resilience policy, fault process, scrub
+// daemon, the run itself — happens here. Pool handling stays with the
+// caller.
 func runBench(appName string, app *apps.App, tool Tool, cfg apps.Config, w *benchWarmup) *Result {
 	m, alloc := w.m, w.alloc
 	res := &Result{App: appName, Tool: tool, Cfg: cfg}
@@ -516,118 +504,6 @@ func runBench(appName string, app *apps.App, tool Tool, cfg apps.Config, w *benc
 	return res
 }
 
-// benchStore pools snapshot-checkpointed bench runners per ⟨tool, machine⟩
-// configuration.
-var benchStore = snapshot.NewStore(0)
-
-// SnapshotStats returns the bench snapshot store's counters, for telemetry
-// export and the equivalence tests.
-func SnapshotStats() snapshot.Stats { return benchStore.Stats() }
-
-// FlushSnapshots discards every idle pooled bench runner (tests; memory
-// pressure).
-func FlushSnapshots() { benchStore.Flush() }
-
-// snapshotTool reports whether the tool stack supports checkpoint/restore.
-// Purify, pageprot and MMP keep monitor state without capture support, so
-// they stay on the rebuild path — correct, just not accelerated.
-func snapshotTool(tool Tool) bool {
-	switch tool {
-	case ToolNone, ToolSafeMemML, ToolSafeMemMC, ToolSafeMemBoth, ToolSample:
-		return true
-	}
-	return false
-}
-
-// benchKey identifies one warmup configuration: everything attachBench bakes
-// into the checkpoint. Per-run knobs (workload seeds, fault knobs, the
-// sampling-decision seed) are deliberately absent — they are applied after
-// restore, in rebuild order. The sampling rate is baked in (it is part of
-// the captured tool options), so it is in the key; 0 for non-sample tools
-// keeps SampleRate changes from splitting their pools.
-func benchKey(tool Tool, mcfg machine.Config, rate int) string {
-	return fmt.Sprintf("bench|%s|mem=%d|cache=%+v|rate=%d", tool, mcfg.MemBytes, mcfg.Cache, rate)
-}
-
-// runSnapshot is RunWithMachine's snapshot fast path: acquire a checkpointed
-// warmed runner for the ⟨tool, machine⟩ pair (building one on a cold miss),
-// reseed its sampler for this workload, and run. Clean runs release the
-// runner — restored back to its checkpoint — for the next run; a run that
-// errored or panicked drops it, warmup and all.
-func runSnapshot(appName string, app *apps.App, tool Tool, cfg apps.Config, mcfg machine.Config) (*Result, error) {
-	rate := 0
-	if tool == ToolSample {
-		rate = SampleRate
-	}
-	key := benchKey(tool, mcfg, rate)
-	r, err := benchStore.Acquire(key, func() (*snapshot.Runner, error) {
-		m, err := machine.New(mcfg)
-		if err != nil {
-			return nil, err
-		}
-		// The warmup seed is a placeholder: every acquisition reseeds the
-		// sampler for its workload, exactly like a fresh attach with that
-		// seed (Reseed resets the whole decision stream).
-		w, err := attachBench(m, tool, rate, 0)
-		if err != nil {
-			return nil, err
-		}
-		aimg := w.alloc.CaptureImage()
-		var timg *safemem.Image
-		if w.smTool != nil {
-			if timg, err = w.smTool.CaptureImage(); err != nil {
-				return nil, err
-			}
-		}
-		var simg *sampletool.Image
-		if w.sampler != nil {
-			if simg, err = w.sampler.CaptureImage(); err != nil {
-				return nil, err
-			}
-		}
-		return &snapshot.Runner{
-			Machine: m,
-			Snap:    m.Snapshot(),
-			Payload: w,
-			Reset: func() {
-				w.alloc.RestoreImage(aimg)
-				if w.smTool != nil {
-					w.smTool.RestoreImage(timg)
-				}
-				if w.sampler != nil {
-					w.sampler.RestoreImage(simg)
-				}
-			},
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	w := r.Payload.(*benchWarmup)
-	// Taint accounting mirrors the machine pool's: a runner is released
-	// exactly once on a clean run; any other exit — error result, panic
-	// unwinding through this frame — drops it.
-	released := false
-	defer func() {
-		if !released {
-			benchStore.Drop(r)
-		}
-	}()
-	if w.sampler != nil {
-		sseed := SampleSeed
-		if sseed == 0 {
-			sseed = uint64(cfg.Seed) ^ sampleSeedSalt
-		}
-		w.sampler.Reseed(sseed)
-	}
-	res := runBench(appName, app, tool, cfg, w)
-	if res.Err == nil {
-		benchStore.Release(key, r)
-		released = true
-	}
-	return res, nil
-}
-
 // RunWithOptions is Run with an explicit SafeMem configuration (used by the
 // Table 5 pruning ablation). Only SafeMem tool kinds are supported.
 func RunWithOptions(appName string, opts safemem.Options, cfg apps.Config) (*Result, error) {
@@ -639,16 +515,12 @@ func RunWithOptions(appName string, opts safemem.Options, cfg apps.Config) (*Res
 	if Telemetry != nil {
 		mcfg.Telemetry = Telemetry.NewRegistry(appName + "/custom")
 	}
-	m, err := acquireMachine(mcfg)
+	m, pool, err := acquireMachine(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	recycled := false
-	defer func() {
-		if !recycled {
-			poolDropped.Add(1)
-		}
-	}()
+	clean := false
+	defer func() { pool.Done(m, clean) }()
 	ho := safemem.HeapOptions(opts.DetectCorruption || opts.DetectUninitRead)
 	ho.Limit = 48 << 20
 	alloc, err := heap.New(m, ho)
@@ -678,10 +550,7 @@ func RunWithOptions(appName string, opts safemem.Options, cfg apps.Config) (*Res
 	res.SafeMemStats = smTool.Stats()
 	res.Groups = smTool.Groups()
 	m.Telemetry.Finish()
-	if res.Err == nil {
-		releaseMachine(mcfg, m)
-		recycled = true
-	}
+	clean = res.Err == nil
 	return res, nil
 }
 
@@ -698,16 +567,12 @@ func RunSample(appName string, rate int, seed uint64, cfg apps.Config) (*Result,
 	if Telemetry != nil {
 		mcfg.Telemetry = Telemetry.NewRegistry(appName + "/sample")
 	}
-	m, err := acquireMachine(mcfg)
+	m, pool, err := acquireMachine(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	recycled := false
-	defer func() {
-		if !recycled {
-			poolDropped.Add(1)
-		}
-	}()
+	clean := false
+	defer func() { pool.Done(m, clean) }()
 	ho := safemem.HeapOptions(true)
 	ho.Limit = 48 << 20
 	alloc, err := heap.New(m, ho)
@@ -742,10 +607,7 @@ func RunSample(appName string, rate int, seed uint64, cfg apps.Config) (*Result,
 	res.SafeMemStats = sampler.SafeMemStats()
 	res.Groups = sampler.Inner().Groups()
 	m.Telemetry.Finish()
-	if res.Err == nil {
-		releaseMachine(mcfg, m)
-		recycled = true
-	}
+	clean = res.Err == nil
 	return res, nil
 }
 

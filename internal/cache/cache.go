@@ -97,15 +97,17 @@ type Cache struct {
 	tr    *telemetry.Tracer
 
 	// filled logs the global way index of every miss fill since the last
-	// CaptureImage/RestoreImage/Recycle. Restoring a pristine image then
-	// re-zeroes only these ways instead of all Sets×Ways of them — every
-	// other way mutation (hit LRU stamps, LineRef stores, flushes) can only
-	// touch a way some fill put there first. The log is capacity-bounded
-	// (one entry per way); refill-heavy runs that overflow it set
-	// fillSpill, and the restore falls back to the full copy. Appends stay
-	// allocation-free: the backing array is preallocated and never grows.
+	// CaptureImage/RestoreImage, whose image logBase records. Restoring that
+	// image, when pristine, then re-zeroes only these ways instead of all
+	// Sets×Ways of them — every other way mutation (hit LRU stamps, LineRef
+	// stores, flushes) can only touch a way some fill put there first. The
+	// log is capacity-bounded (one entry per way); refill-heavy runs that
+	// overflow it set fillSpill, and the restore falls back to the full
+	// copy. Appends stay allocation-free: the backing array is preallocated
+	// and never grows.
 	filled    []int32
 	fillSpill bool
+	logBase   *Image
 }
 
 // New builds a cache over ctrl with the given configuration.
@@ -139,24 +141,6 @@ func MustNew(ctrl *memctrl.Controller, clock *simtime.Clock, cfg Config) *Cache 
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Recycle resets the cache to its freshly-created state without
-// reallocating the way arrays. The ways are fully zeroed rather than
-// generation-invalidated: victim selection consults way 0's LRU stamp even
-// when invalid, so a stale stamp could change eviction order relative to a
-// fresh cache. Part of the pooled machine reset path.
-func (c *Cache) Recycle() {
-	for i := range c.ways {
-		c.ways[i] = way{}
-	}
-	clear(c.tags)
-	c.gen = 1
-	c.epoch++
-	c.tick = 0
-	c.stats = Stats{}
-	c.filled = c.filled[:0]
-	c.fillSpill = false
-}
 
 // ResetStats zeroes the counters and, when a sampling registry is attached,
 // immediately re-samples the gauges — otherwise exported time-series would
@@ -521,9 +505,8 @@ func (c *Cache) Epoch() uint64 { return c.epoch }
 
 // Image is a checkpoint of the cache's simulated state (ways, tags, LRU
 // clock, counters), taken with CaptureImage. A pristine image — captured
-// from a cache that has never been filled since creation or recycling —
-// stores no way copies at all, and restoring it costs O(fills since
-// capture) via the fill log.
+// from a cache that holds no lines — stores no way copies at all, and
+// restoring it costs O(fills since capture) via the fill log.
 type Image struct {
 	c        *Cache
 	pristine bool
@@ -551,20 +534,22 @@ func (c *Cache) CaptureImage() *Image {
 	}
 	c.filled = c.filled[:0]
 	c.fillSpill = false
+	c.logBase = img
 	return img
 }
 
 // RestoreImage puts the cache back into the captured state and counts one
 // residency mutation (epoch bump), like any other invalidation. For a
-// pristine image with an intact fill log only the ways filled since capture
-// are re-zeroed; otherwise every way is rewritten from the image (or zeroed,
-// for a pristine image after log overflow) — slower, never wrong.
+// pristine image whose capture or restore the fill log started from, with
+// the log intact, only the ways filled since are re-zeroed; otherwise every
+// way is rewritten from the image (or zeroed, for a pristine image) —
+// slower, never wrong.
 func (c *Cache) RestoreImage(img *Image) {
 	if img.c != c {
 		panic("cache: RestoreImage with an image captured from a different cache")
 	}
 	switch {
-	case img.pristine && !c.fillSpill:
+	case img.pristine && !c.fillSpill && c.logBase == img:
 		empty := way{}
 		for _, gi := range c.filled {
 			c.ways[gi] = empty
@@ -585,4 +570,5 @@ func (c *Cache) RestoreImage(img *Image) {
 	c.epoch++
 	c.filled = c.filled[:0]
 	c.fillSpill = false
+	c.logBase = img
 }

@@ -3,8 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	safemem "safemem/internal/core"
 	"safemem/internal/faultmodel"
@@ -14,7 +12,6 @@ import (
 	"safemem/internal/machine"
 	"safemem/internal/sampletool"
 	"safemem/internal/simtime"
-	"safemem/internal/snapshot"
 	"safemem/internal/vm"
 )
 
@@ -202,65 +199,32 @@ type ExecResult struct {
 // execMemBytes is the simulated DRAM size of every executor machine.
 const execMemBytes = 32 << 20
 
-// machinePool recycles executor machines across scenario runs. A campaign
-// builds several machines per scenario (the baseline plus every judged
+// execPool reuses executor machines across scenario runs. A campaign builds
+// several machines per scenario (the baseline plus every judged
 // configuration), and at 32 MiB of simulated DRAM each, constructing them
 // dominates short scenarios. Recycled machines are observationally
-// identical to fresh ones — Machine.Recycle resets every component to its
-// just-constructed state, pinned by TestMachineRecycleEquivalence in
+// identical to fresh ones — pinned by TestMachineRecycleEquivalence in
 // internal/machine and TestRecycleEquivalence here — so pooling changes
 // host time only, never simulated results.
-var machinePool sync.Pool
+var execPool = machine.NewPool(machine.Config{MemBytes: execMemBytes})
 
-// poolMachines lets tests force every run onto a fresh machine.
+// poolMachines is the test seam for TestRecycleEquivalence's fresh
+// reference leg: false serves every run from a throwaway pool, so every
+// machine is freshly built.
 var poolMachines = true
 
-// SetMachinePooling turns executor machine pooling on or off, returning the
-// previous setting. Off forces every rebuild-path run onto a freshly built
-// machine — the true cold-start cost a new shard or fleet worker pays. The
-// campaign-throughput experiment uses it for its cold pass; results are
-// unaffected either way (pooling is host-side only).
-func SetMachinePooling(on bool) (prev bool) {
-	prev = poolMachines
-	poolMachines = on
-	return prev
-}
-
-// poolReleased / poolDropped count machines recycled into versus withheld
-// from the pool. Host-side observability only — but they are also the
+// PoolStats reports (released, dropped) executor machine counts since
+// process start. Host-side observability only — but they are also the
 // crash-safety pin: TestPanickedMachineNeverRepooled asserts that a run
-// which panicked or errored advances only the dropped counter. A machine
-// abandoned mid-panic (its frames unwound before any release call) counts
-// as dropped too, via the deferred accounting in ExecuteEnv.
-var poolReleased, poolDropped atomic.Uint64
-
-// PoolStats reports (released, dropped) machine counts since process start.
+// which panicked or errored advances only the dropped counter.
 func PoolStats() (released, dropped uint64) {
-	return poolReleased.Load(), poolDropped.Load()
+	st := execPool.Stats()
+	return st.Released, st.Dropped
 }
 
-// execMachine draws a machine from the pool or builds a fresh one. Pooled
-// machines were recycled on release, so they arrive clean.
-func execMachine() (*machine.Machine, error) {
-	if poolMachines {
-		if v := machinePool.Get(); v != nil {
-			return v.(*machine.Machine), nil
-		}
-	}
-	return machine.New(machine.Config{MemBytes: execMemBytes})
-}
-
-// releaseMachine recycles a machine back into the pool. Only machines whose
-// run terminated normally are released; a machine that panicked mid-access
-// or failed setup is dropped, trading a reallocation for certainty.
-func releaseMachine(m *machine.Machine) {
-	if !poolMachines {
-		return
-	}
-	m.Recycle()
-	machinePool.Put(m)
-	poolReleased.Add(1)
-}
+// PoolBuilt reports how many executor machines were built cold since
+// process start: every run the pool could not serve from a recycled one.
+func PoolBuilt() uint64 { return execPool.Stats().Built }
 
 type slotState struct {
 	addr      vm.VAddr
@@ -290,45 +254,31 @@ func Execute(s *Scenario, cfg ToolConfig, sabotage bool) (*ExecResult, error) {
 // retirement instead of panicking. The fault process derives its stream
 // from the scenario seed, so runs stay deterministic at any shard count.
 //
-// With the snapshot layer enabled (snapshot.SetEnabled), the warmup —
-// machine construction, heap creation, tool attachment — is served from a
-// per-configuration pool of checkpointed runners instead of being rebuilt;
-// per-run state (sampler seed, injector, fault model, scrub daemon) is then
-// set up in exactly the rebuild order, so results are byte-identical
-// (pinned by TestSnapshotExecEquivalence).
+// The machine comes from the executor pool and goes back to it only when
+// the run terminated normally; a run that errored, failed setup or panicked
+// drops it (machine.Pool's taint rule).
 func ExecuteEnv(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
-	if snapshot.Enabled() {
-		return executeSnapshot(s, cfg, env)
+	pool := execPool
+	if !poolMachines {
+		pool = machine.NewPool(machine.Config{MemBytes: execMemBytes})
 	}
-	m, err := execMachine()
+	m, err := pool.Get()
 	if err != nil {
 		return nil, err
 	}
-	// Crash-safety accounting: every acquired machine is either recycled
-	// into the pool exactly once or counted as dropped — including when a
-	// panic unwinds straight out of this frame (the fleet's per-worker
-	// recover then owns the goroutine, and the machine must never be seen
-	// by sync.Pool.Put again).
-	recycled := false
-	defer func() {
-		if !recycled {
-			poolDropped.Add(1)
-		}
-	}()
+	clean := false
+	defer func() { pool.Done(m, clean) }()
 	w, err := attachTools(m, cfg, env.Sabotage, effectiveRate(cfg, env), sampleSeed(s, env))
 	if err != nil {
 		return nil, err
 	}
 	res := runWarmed(s, cfg, env, w)
-	if res.Err == nil {
-		releaseMachine(m)
-		recycled = true
-	}
+	clean = res.Err == nil
 	return res, nil
 }
 
 // execWarmup is the warmed object set of one executor: the machine plus the
-// heap and tool stack attached to it. It is what a snapshot runner pools.
+// heap and tool stack attached to it.
 type execWarmup struct {
 	m       *machine.Machine
 	alloc   *heap.Allocator
@@ -386,10 +336,9 @@ func attachTools(m *machine.Machine, cfg ToolConfig, sabotage bool, rate int, ss
 	return w, nil
 }
 
-// runScenario executes the scenario ops on an already-warmed executor and
-// collects the result. Shared verbatim by the rebuild and snapshot paths:
-// everything per-run — injector, resilience policy, fault model, scrub
-// daemon — is set up here, in one order, so the two paths cannot drift.
+// runWarmed executes the scenario ops on an already-warmed executor and
+// collects the result: everything per-run — injector, resilience policy,
+// fault model, scrub daemon — is set up here.
 func runWarmed(s *Scenario, cfg ToolConfig, env Env, w *execWarmup) *ExecResult {
 	m, alloc, tool, sampler := w.m, w.alloc, w.tool, w.sampler
 
@@ -559,95 +508,4 @@ func runWarmed(s *Scenario, cfg ToolConfig, env Env, w *execWarmup) *ExecResult 
 		res.Stats = sampler.SafeMemStats()
 	}
 	return res
-}
-
-// execStore pools snapshot-checkpointed executors per tool configuration.
-var execStore = snapshot.NewStore(0)
-
-// ExecSnapshotStats returns the campaign snapshot store's counters, for
-// telemetry export and the equivalence tests.
-func ExecSnapshotStats() snapshot.Stats { return execStore.Stats() }
-
-// FlushSnapshots discards every idle pooled executor (tests; memory
-// pressure).
-func FlushSnapshots() { execStore.Flush() }
-
-// execKey identifies one warmup configuration: everything attachTools bakes
-// into the checkpoint. Per-run knobs (seeds, fault rates, storms, retire
-// policy, contexts, hooks) are deliberately absent — they are applied after
-// restore, in rebuild order.
-func execKey(cfg ToolConfig, sabotage bool, rate int) string {
-	return fmt.Sprintf("exec|%s|sab=%t|rate=%d", cfg, sabotage, rate)
-}
-
-// executeSnapshot is ExecuteEnv's snapshot fast path: acquire a checkpointed
-// warmed executor for the configuration (building one on a cold miss),
-// reseed its sampler for this scenario, and run. Clean runs release the
-// runner — restored back to its checkpoint — for the next scenario; a run
-// that errored or panicked drops it, warmup and all.
-func executeSnapshot(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
-	rate := effectiveRate(cfg, env)
-	key := execKey(cfg, env.Sabotage, rate)
-	r, err := execStore.Acquire(key, func() (*snapshot.Runner, error) {
-		m, err := machine.New(machine.Config{MemBytes: execMemBytes})
-		if err != nil {
-			return nil, err
-		}
-		// The warmup seed is a placeholder: every acquisition reseeds the
-		// sampler for its scenario, exactly like a fresh attach with that
-		// seed (Reseed resets the whole decision stream).
-		w, err := attachTools(m, cfg, env.Sabotage, rate, 0)
-		if err != nil {
-			return nil, err
-		}
-		aimg := w.alloc.CaptureImage()
-		var timg *safemem.Image
-		if w.tool != nil {
-			if timg, err = w.tool.CaptureImage(); err != nil {
-				return nil, err
-			}
-		}
-		var simg *sampletool.Image
-		if w.sampler != nil {
-			if simg, err = w.sampler.CaptureImage(); err != nil {
-				return nil, err
-			}
-		}
-		return &snapshot.Runner{
-			Machine: m,
-			Snap:    m.Snapshot(),
-			Payload: w,
-			Reset: func() {
-				w.alloc.RestoreImage(aimg)
-				if w.tool != nil {
-					w.tool.RestoreImage(timg)
-				}
-				if w.sampler != nil {
-					w.sampler.RestoreImage(simg)
-				}
-			},
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	w := r.Payload.(*execWarmup)
-	// Taint accounting mirrors the machine pool's: a runner is released
-	// exactly once on a clean run; any other exit — error result, panic
-	// unwinding through this frame — drops it.
-	released := false
-	defer func() {
-		if !released {
-			execStore.Drop(r)
-		}
-	}()
-	if w.sampler != nil {
-		w.sampler.Reseed(sampleSeed(s, env))
-	}
-	res := runWarmed(s, cfg, env, w)
-	if res.Err == nil {
-		execStore.Release(key, r)
-		released = true
-	}
-	return res, nil
 }

@@ -380,55 +380,3 @@ func (a *Allocator) Realloc(va vm.VAddr, newSize uint64) (vm.VAddr, error) {
 
 // ArenaRange returns the mapped arena [base, brk) for heap scanners.
 func (a *Allocator) ArenaRange() (vm.VAddr, vm.VAddr) { return a.opts.Base, a.brk }
-
-// Image is an immutable checkpoint of an Allocator, taken with CaptureImage.
-// At the snapshot layer's capture point (heap created, nothing allocated)
-// the arena is still unmapped — growth is lazy — so the image holds no
-// blocks and no free extents, and restore is O(1).
-type Image struct {
-	a      *Allocator
-	brk    vm.VAddr
-	free   []extent
-	blocks map[vm.VAddr]Block
-	nhooks int
-	seq    uint64
-	stats  Stats
-}
-
-// CaptureImage checkpoints the allocator's bookkeeping. The mapped pages
-// themselves belong to the machine snapshot; the two are restored together.
-func (a *Allocator) CaptureImage() *Image {
-	img := &Image{
-		a:      a,
-		brk:    a.brk,
-		free:   append([]extent(nil), a.free...),
-		blocks: make(map[vm.VAddr]Block, len(a.blocks)),
-		nhooks: len(a.hooks),
-		seq:    a.seq,
-		stats:  a.stats,
-	}
-	for va, b := range a.blocks {
-		img.blocks[va] = *b
-	}
-	return img
-}
-
-// RestoreImage puts the allocator back into the captured state. Hooks added
-// after capture (none in the standard warmup, where tools attach before the
-// snapshot) are dropped; live blocks get fresh copies so nothing a previous
-// tenant held can alias into the restored heap.
-func (a *Allocator) RestoreImage(img *Image) {
-	if img.a != a {
-		panic("heap: RestoreImage with an image captured from a different allocator")
-	}
-	a.brk = img.brk
-	a.free = append(a.free[:0], img.free...)
-	clear(a.blocks)
-	for va, b := range img.blocks {
-		bc := b
-		a.blocks[va] = &bc
-	}
-	a.hooks = a.hooks[:img.nhooks]
-	a.seq = img.seq
-	a.stats = img.stats
-}

@@ -159,32 +159,6 @@ func New(clock *simtime.Clock, ctrl *memctrl.Controller, c *cache.Cache, as *vm.
 // AddressSpace returns the process address space managed by this kernel.
 func (k *Kernel) AddressSpace() *vm.AddressSpace { return k.as }
 
-// Recycle resets the kernel to its freshly-created state and re-wires it to
-// the (already recycled) hardware exactly as New does. Part of the pooled
-// machine reset path: the caller is responsible for recycling the clock,
-// controller, cache and address space first.
-func (k *Kernel) Recycle() {
-	k.watches = make(map[vm.VAddr]watchEntry)
-	k.byPhys = make(map[physmem.Addr]vm.VAddr)
-	k.eccHandler = nil
-	k.pageHandler = nil
-	k.scrubBefore, k.scrubAfter = nil, nil
-	k.res = DefaultResilienceOptions()
-	k.resStats = ResilienceStats{}
-	k.health = make(map[physmem.Addr]*lineHealth)
-	k.healthObserver = false
-	k.pendingRetire = nil
-	k.retireQueued = make(map[physmem.Addr]bool)
-	k.deferred = nil
-	k.inDeferred = false
-	k.onRetire = nil
-	k.scrubd = nil // its timer died with the clock's Recycle
-	k.panicked = false
-	k.stats = Stats{}
-	k.ctrl.SetInterruptHandler(k.handleECCInterrupt)
-	k.as.SetFlusher(k.cache)
-}
-
 // RegisterTelemetry registers the kernel's counters with the registry and
 // adopts its tracer for syscall-level spans (WatchMemory, DisableWatch,
 // coordinated scrubs).
@@ -567,9 +541,9 @@ func (k *Kernel) UnmapPages(va vm.VAddr, npages int) error {
 }
 
 // Image is an immutable checkpoint of a Kernel's state, taken with
-// CaptureImage. Because snapshots are captured on warmed-but-idle machines
-// (tools attached, no program ops yet), the maps it copies are typically
-// empty and both capture and restore stay O(1).
+// CaptureImage. Snapshots are captured on idle machines (the pristine
+// image of a freshly built machine, no program ops yet), so the maps it
+// copies are typically empty and both capture and restore stay O(1).
 type Image struct {
 	k           *Kernel
 	watches     map[vm.VAddr]watchEntry

@@ -105,6 +105,9 @@ type Machine struct {
 	// (batch.go). Reset by Recycle so pooled machines never leak a stale
 	// batch window or pinned mode across tenants.
 	batch batchLane
+	// pristine is the snapshot New captures of the just-built machine;
+	// Recycle restores it.
+	pristine *Snapshot
 }
 
 // access describes the load/store currently executing, if any.
@@ -151,20 +154,13 @@ func New(cfg Config) (*Machine, error) {
 		Kern:  kern,
 		Stack: &callstack.Stack{},
 	}
-	m.registerTelemetry(reg)
-	return m, nil
-}
-
-// registerTelemetry adopts reg as the machine's registry and registers every
-// component source in the standard order. Shared by New and Recycle.
-func (m *Machine) registerTelemetry(reg *telemetry.Registry) {
-	reg.AttachClock(m.Clock)
+	reg.AttachClock(clock)
 	m.Telemetry = reg
-	m.Phys.RegisterTelemetry(reg)
-	m.Ctrl.RegisterTelemetry(reg)
-	m.Cache.RegisterTelemetry(reg)
-	m.AS.RegisterTelemetry(reg)
-	m.Kern.RegisterTelemetry(reg)
+	phys.RegisterTelemetry(reg)
+	ctrl.RegisterTelemetry(reg)
+	ch.RegisterTelemetry(reg)
+	as.RegisterTelemetry(reg)
+	kern.RegisterTelemetry(reg)
 	reg.RegisterSource("machine", func(emit func(string, float64)) {
 		emit("loads", float64(m.stats.Loads))
 		emit("stores", float64(m.stats.Stores))
@@ -172,39 +168,25 @@ func (m *Machine) registerTelemetry(reg *telemetry.Registry) {
 		emit("batch_fast_ops", float64(m.batch.fastOps))
 		emit("batch_slow_ops", float64(m.batch.slowOps))
 	})
+	m.pristine = m.Snapshot()
+	return m, nil
 }
 
-// Recycle resets the machine to the state New would have produced with the
-// same Config, without reallocating the DRAM, cache or TLB arrays. Only
-// lines the previous tenant actually touched are re-zeroed (tracked by
-// physmem's mutate hook), so recycling costs proportional to the scenario's
-// footprint instead of the full arena — the point of pooling machines
-// across campaign scenarios.
+// Recycle returns the machine to the state New left it in by restoring the
+// pristine snapshot New captured. Only the DRAM lines, cache ways and page
+// mappings the previous run dirtied are rewritten, so recycling costs in
+// proportion to the run's footprint, not the DRAM size — the point of
+// pooling machines across runs (Pool). Everything Config chose survives,
+// DirectECCAccess included.
 //
-// The telemetry registry is replaced with a fresh quiet one: per-scenario
-// tools (safemem, heap, inject, faultmodel) register sources when they
-// attach, and carrying those registrations across tenants would leave the
-// registry reading freed state. Machines built with a custom cfg.Telemetry
-// registry should therefore not be pooled.
-//
-// Note Config.DirectECCAccess does not survive: Recycle returns the
-// controller to the commodity feature set; re-enable it per tenant.
-func (m *Machine) Recycle() {
-	m.Clock.Recycle()
-	m.Phys.ZeroTouched()
-	m.Ctrl.Recycle()
-	m.Cache.Recycle()
-	m.AS.Recycle()
-	m.Kern.Recycle()
-	m.Stack = &callstack.Stack{}
-	m.monitors = nil
-	m.tracer = nil
-	m.stats = Stats{}
-	m.instrs = 0
-	m.cur = access{}
-	m.batch = batchLane{}
-	m.registerTelemetry(telemetry.NewRegistry("", telemetry.Config{}))
-}
+// The telemetry registry is kept, and its sources are truncated back to the
+// components New registered: the per-run sources a tool, heap, injector,
+// fault model or sampler added are dropped, so a recycled machine never
+// carries duplicate emitters or reads a previous run's freed state.
+// Registry-owned counters and histograms keep counting across runs. A
+// machine built with a caller-owned cfg.Telemetry registry should therefore
+// not be pooled: that registry is its run's output.
+func (m *Machine) Recycle() { m.Restore(m.pristine) }
 
 // MustNew is New, panicking on error.
 func MustNew(cfg Config) *Machine {

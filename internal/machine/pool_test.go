@@ -1,0 +1,179 @@
+package machine_test
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+
+	safemem "safemem/internal/core"
+	"safemem/internal/heap"
+	"safemem/internal/machine"
+	"safemem/internal/sampletool"
+	"safemem/internal/vm"
+)
+
+// sourceNames lists every scalar the registry reports, in export order. A
+// duplicate emitter shows up as a repeated name.
+func sourceNames(m *machine.Machine) []string {
+	var out []string
+	for _, v := range m.Telemetry.Snapshot() {
+		out = append(out, v.Component+"/"+v.Name)
+	}
+	return out
+}
+
+// TestRecycleTruncatesRegistry pins what Recycle does to telemetry: the
+// machine keeps its registry, and the sources a run's heap, SafeMem tool
+// and sampler registered are truncated away, so after any number of
+// recycles the registry reports exactly what a fresh machine's does — no
+// duplicate emitters, no source reading a previous run's freed tool.
+func TestRecycleTruncatesRegistry(t *testing.T) {
+	cfg := machine.Config{MemBytes: 16 << 20}
+	fresh := sourceNames(machine.MustNew(cfg))
+
+	m := machine.MustNew(cfg)
+	reg := m.Telemetry
+	for k := 0; k < 4; k++ {
+		ho := safemem.HeapOptions(true)
+		ho.Limit = 8 << 20
+		alloc, err := heap.New(m, ho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k%2 == 0 {
+			_, err = safemem.Attach(m, alloc, safemem.DefaultOptions())
+		} else {
+			_, err = sampletool.Attach(m, alloc, sampletool.Options{Rate: 1, Seed: uint64(k), SafeMem: safemem.DefaultOptions()})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := k == 3
+		runErr := m.Run(func() error {
+			for i := 0; i < 8; i++ {
+				va, err := alloc.Malloc(200)
+				if err != nil {
+					return err
+				}
+				m.Memset(va, 0x5a, 200)
+				if i%2 == 0 {
+					if err := alloc.Free(va); err != nil {
+						return err
+					}
+				}
+			}
+			if last {
+				// End the final run mid-access: a load of an unmapped page.
+				m.Load64(vm.VAddr(1) << 40)
+			}
+			return nil
+		})
+		if last != (runErr != nil) {
+			t.Fatalf("run %d: err = %v", k, runErr)
+		}
+		if got := sourceNames(m); len(got) <= len(fresh) {
+			t.Fatalf("run %d registered no per-run sources — the test would be vacuous", k)
+		}
+		m.Recycle()
+		if m.Telemetry != reg {
+			t.Fatal("Recycle replaced the telemetry registry")
+		}
+		if got := sourceNames(m); !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("after recycle %d the registry reports\n%v\nwant a fresh machine's\n%v", k+1, got, fresh)
+		}
+		if _, _, _, ok := m.AccessInFlight(); ok {
+			t.Fatalf("access still in flight after recycle %d", k+1)
+		}
+	}
+}
+
+// TestRecycleAfterSnapshot pins that a snapshot taken mid-life does not
+// confuse Recycle's dirty-only restore: the pristine image must still be
+// reached exactly, not the later snapshot's state.
+func TestRecycleAfterSnapshot(t *testing.T) {
+	fresh := runSnapWorkload(t, machine.MustNew(snapCfg))
+
+	m := machine.MustNew(snapCfg)
+	runSnapWorkload(t, m)
+	m.Snapshot()
+	runSnapWorkload(t, m)
+	m.Recycle()
+	if got := runSnapWorkload(t, m); got != fresh {
+		t.Fatalf("recycle after a mid-life snapshot diverges:\nfresh: %+v\ngot:   %+v", fresh, got)
+	}
+}
+
+// TestPoolTaintRule pins machine.Pool's accounting: a clean Done recycles
+// the machine into the pool, a tainted one drops it, and a Get the pool
+// cannot serve counts one cold build.
+func TestPoolTaintRule(t *testing.T) {
+	p := machine.NewPool(machine.Config{MemBytes: 1 << 22})
+	m, err := p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st != (machine.PoolStats{Built: 1}) {
+		t.Fatalf("after the first Get: %+v, want one build", st)
+	}
+	p.Done(m, false)
+	if st := p.Stats(); st != (machine.PoolStats{Built: 1, Dropped: 1}) {
+		t.Fatalf("after a tainted Done: %+v, want one drop", st)
+	}
+	// The dropped machine must not come back: the pool is empty again.
+	m, err = p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Built; got != 2 {
+		t.Fatalf("Get after a drop built %d machines in total, want 2", got)
+	}
+	p.Done(m, true)
+	if st := p.Stats(); st != (machine.PoolStats{Built: 2, Dropped: 1, Released: 1}) {
+		t.Fatalf("after a clean Done: %+v, want one release", st)
+	}
+
+	var nilPool *machine.Pool
+	nilPool.Done(m, true) // an unpooled machine's Done is a no-op
+}
+
+// TestPoolConcurrent drives one pool from several goroutines at once, as
+// the campaign's shards do; run under -race it pins the pool's counters and
+// hand-off as race-free, and every machine handed out is accounted for.
+func TestPoolConcurrent(t *testing.T) {
+	p := machine.NewPool(machine.Config{MemBytes: 1 << 22})
+	const workers, runs = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				m, err := p.Get()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				err = m.Run(func() error {
+					if err := m.Kern.MapPages(0x20000, 1); err != nil {
+						return err
+					}
+					m.Store64(0x20000, uint64(w))
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
+				}
+				p.Done(m, (w+i)%3 != 0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := p.Stats()
+	if st.Released+st.Dropped != workers*runs {
+		t.Fatalf("released %d + dropped %d machines, want %d runs accounted for", st.Released, st.Dropped, workers*runs)
+	}
+	// Every dropped machine was built once, and no run built two.
+	if st.Built < st.Dropped || st.Built > workers*runs {
+		t.Fatalf("built %d machines for %d runs with %d drops", st.Built, workers*runs, st.Dropped)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"safemem/internal/kernel"
+	"safemem/internal/memctrl"
 	"safemem/internal/simtime"
 	"safemem/internal/vm"
 )
@@ -17,6 +18,7 @@ type recycleDigest struct {
 	mstats   Stats
 	vmstats  vm.Stats
 	kstats   kernel.Stats
+	caps     memctrl.Capabilities
 	checksum uint64
 	err      string
 }
@@ -62,6 +64,7 @@ func runRecycleWorkload(t *testing.T, m *Machine) recycleDigest {
 		mstats:  m.Stats(),
 		vmstats: m.AS.Stats(),
 		kstats:  m.Kern.Stats(),
+		caps:    m.Ctrl.Capabilities(),
 	}
 	if err != nil {
 		d.err = err.Error()
@@ -76,10 +79,19 @@ func runRecycleWorkload(t *testing.T, m *Machine) recycleDigest {
 
 // TestMachineRecycleEquivalence pins that a recycled machine reproduces a
 // fresh machine bit-for-bit: same cycles, same stats across components,
-// same memory contents. The campaign-level version (pooled executor, JSON
+// same memory contents, same controller capabilities — the direct-ECC
+// interface included. The campaign-level version (pooled executor, JSON
 // summaries) is TestRecycleEquivalence in internal/campaign.
 func TestMachineRecycleEquivalence(t *testing.T) {
-	cfg := Config{MemBytes: 1 << 22}
+	for _, cfg := range []Config{
+		{MemBytes: 1 << 22},
+		{MemBytes: 1 << 22, DirectECCAccess: true},
+	} {
+		testRecycleEquivalence(t, cfg)
+	}
+}
+
+func testRecycleEquivalence(t *testing.T, cfg Config) {
 	fresh := runRecycleWorkload(t, MustNew(cfg))
 
 	m := MustNew(cfg)

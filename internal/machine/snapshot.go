@@ -1,16 +1,14 @@
-// Machine-level snapshot/restore: the checkpoint half of the copy-on-write
-// machine-image layer (internal/snapshot). Snapshot captures every
-// component's state through its CaptureImage; Restore puts the SAME machine
-// back into that state in O(state dirtied since), firing the exact mutation
-// hooks an explicit rebuild would, so the controller's known-clean bitmap,
-// the cache epochs and the batch lane can never go stale.
+// Machine-level snapshot/restore: the machine's one reset mechanism.
+// Snapshot captures every component's state through its CaptureImage;
+// Restore puts the SAME machine back into that state in O(state dirtied
+// since), firing the exact mutation hooks an explicit rebuild would, so the
+// controller's known-clean bitmap, the cache epochs and the batch lane can
+// never go stale. Recycle is Restore of the pristine snapshot New takes.
 //
 // A Snapshot is bound to its machine: timers, fault observers, ECC handlers
 // and scrub hooks captured in the component images are closures over the
-// warmed-up objects (kernel, tool, heap) that live alongside this machine,
-// so restoring into a different machine would re-arm someone else's
-// callbacks. The snapshot layer therefore pools whole warmed runners
-// (machine + heap + tools + snapshot), never bare images.
+// objects (kernel, tools, heap) that live alongside this machine, so
+// restoring into a different machine would re-arm someone else's callbacks.
 package machine
 
 import (
@@ -43,9 +41,8 @@ type Snapshot struct {
 }
 
 // Snapshot checkpoints the machine's complete simulated state. Intended
-// capture point: a warmed-but-idle machine — heap created, tools attached,
-// no program ops executed — where every component image is near-empty and
-// both capture and restore stay cheap. Per-run state (fault injectors, fault
+// capture point: an idle machine — no program ops executed — where every
+// component image is near-empty and both capture and restore stay cheap. Per-run state (fault injectors, fault
 // models, scrub daemons, samplers) must not be live; the kernel image
 // capture enforces the scrub-daemon half of that.
 func (m *Machine) Snapshot() *Snapshot {

@@ -157,28 +157,6 @@ func New(mem *physmem.Memory, clock *simtime.Clock) *Controller {
 	return c
 }
 
-// Recycle resets the controller to its freshly-created state: default mode,
-// no handler or observers, no capabilities, empty stats, known-clean bitmap
-// dropped. The physmem mutation hook stays installed (it is re-pointed at
-// the same controller). Part of the pooled machine reset path.
-func (c *Controller) Recycle() {
-	c.mode = CorrectError
-	c.handler = nil
-	c.observer = nil
-	c.observers = nil
-	c.locked = false
-	c.caps = Capabilities{}
-	c.stats = Stats{}
-	c.busSpan = telemetry.Span{}
-	for i := range c.clean {
-		c.clean[i] = 0
-	}
-	c.fastPath = true
-	c.fastLineReads = 0
-	c.scrubCursor = 0
-	c.scrubFilter = nil
-}
-
 // lineIndex converts a line address to its bitmap index.
 func lineIndex(line physmem.Addr) uint64 { return uint64(line) / physmem.LineBytes }
 
@@ -497,9 +475,9 @@ func (c *Controller) CaptureImage() *Image {
 }
 
 // RestoreImage puts the controller back into the captured state. Observers
-// appended after the capture (per-run measurement probes) are dropped; the
-// captured prefix is kept — observer closures bind to warmup-time objects
-// the snapshot layer restores in place.
+// appended after the capture (per-run tools and measurement probes) are
+// dropped; the captured prefix is kept — observer closures bind to objects
+// the machine restore puts back in place.
 func (c *Controller) RestoreImage(img *Image) {
 	if img.c != c {
 		panic("memctrl: RestoreImage with an image captured from a different controller")

@@ -34,7 +34,6 @@ import (
 	"safemem/internal/obsrv/buildinfo"
 	"safemem/internal/obsrv/flight"
 	"safemem/internal/profiling"
-	"safemem/internal/snapshot"
 	"safemem/internal/telemetry"
 )
 
@@ -209,42 +208,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writePoolMetrics(w)
 }
 
-// writePoolMetrics appends the machine-pool and snapshot-store counters of
-// both run loops (campaign scenarios serve fleet jobs, bench serves app
-// jobs), so operators can watch warmup amortization — and taint drops —
-// live. Process-global, like the pools themselves.
+// writePoolMetrics appends the machine-pool counters of both run loops
+// (campaign scenarios serve fleet jobs, bench serves app jobs), so
+// operators can watch machine reuse — taint drops, and how often a run paid
+// a cold machine build — live. Process-global, like the pools themselves.
 func writePoolMetrics(w io.Writer) {
 	cr, cd := campaign.PoolStats()
 	br, bd := bench.PoolStats()
-	fmt.Fprintf(w, "# TYPE safemem_pool_released gauge\n")
-	fmt.Fprintf(w, "safemem_pool_released{loop=%q} %d\n", "campaign", cr)
-	fmt.Fprintf(w, "safemem_pool_released{loop=%q} %d\n", "bench", br)
-	fmt.Fprintf(w, "# TYPE safemem_pool_dropped gauge\n")
-	fmt.Fprintf(w, "safemem_pool_dropped{loop=%q} %d\n", "campaign", cd)
-	fmt.Fprintf(w, "safemem_pool_dropped{loop=%q} %d\n", "bench", bd)
-	stores := []struct {
-		loop string
-		st   snapshot.Stats
+	for _, g := range []struct {
+		name            string
+		campaign, bench uint64
 	}{
-		{"campaign", campaign.ExecSnapshotStats()},
-		{"bench", bench.SnapshotStats()},
-	}
-	for _, name := range []string{"hits", "misses", "drops", "releases"} {
-		fmt.Fprintf(w, "# TYPE safemem_snapshot_%s gauge\n", name)
-		for _, s := range stores {
-			var v uint64
-			switch name {
-			case "hits":
-				v = s.st.Hits
-			case "misses":
-				v = s.st.Misses
-			case "drops":
-				v = s.st.Drops
-			case "releases":
-				v = s.st.Releases
-			}
-			fmt.Fprintf(w, "safemem_snapshot_%s{loop=%q} %d\n", name, s.loop, v)
-		}
+		{"released", cr, br},
+		{"dropped", cd, bd},
+		{"built", campaign.PoolBuilt(), bench.PoolBuilt()},
+	} {
+		fmt.Fprintf(w, "# TYPE safemem_pool_%s gauge\n", g.name)
+		fmt.Fprintf(w, "safemem_pool_%s{loop=%q} %d\n", g.name, "campaign", g.campaign)
+		fmt.Fprintf(w, "safemem_pool_%s{loop=%q} %d\n", g.name, "bench", g.bench)
 	}
 }
 

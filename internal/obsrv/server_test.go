@@ -75,7 +75,7 @@ func TestMetricsGolden(t *testing.T) {
 		t.Errorf("Content-Type = %q, want %q", ct, telemetry.PromContentType)
 	}
 
-	// The pool/snapshot gauges are process-global — their values depend on
+	// The pool gauges are process-global — their values depend on
 	// what other tests ran before this one — so the golden pins everything
 	// else and TestMetricsPoolGauges pins their shape.
 	body = stripPoolMetrics(body)
@@ -95,12 +95,12 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
-// stripPoolMetrics drops the safemem_pool_* / safemem_snapshot_* lines
-// (TYPE headers included) from a scrape body.
+// stripPoolMetrics drops the safemem_pool_* lines (TYPE headers included)
+// from a scrape body.
 func stripPoolMetrics(body string) string {
 	var b strings.Builder
 	for _, line := range strings.SplitAfter(body, "\n") {
-		if strings.Contains(line, "safemem_pool_") || strings.Contains(line, "safemem_snapshot_") {
+		if strings.Contains(line, "safemem_pool_") {
 			continue
 		}
 		b.WriteString(line)
@@ -108,16 +108,13 @@ func stripPoolMetrics(body string) string {
 	return b.String()
 }
 
-// TestMetricsPoolGauges pins the shape of the run-loop pool and snapshot
-// telemetry: every counter family is present for both run loops.
+// TestMetricsPoolGauges pins the shape of the run-loop machine-pool
+// telemetry: every counter family is present for both run loops, and the
+// retired snapshot-store families are gone.
 func TestMetricsPoolGauges(t *testing.T) {
 	s := testServer(t, Config{Recorder: flight.New(4)})
 	_, body, _ := get(t, s.URL()+"/metrics")
-	families := []string{
-		"pool_released", "pool_dropped",
-		"snapshot_hits", "snapshot_misses", "snapshot_drops", "snapshot_releases",
-	}
-	for _, name := range families {
+	for _, name := range []string{"pool_released", "pool_dropped", "pool_built"} {
 		if !strings.Contains(body, fmt.Sprintf("# TYPE safemem_%s gauge\n", name)) {
 			t.Errorf("missing TYPE line for safemem_%s", name)
 		}
@@ -126,6 +123,9 @@ func TestMetricsPoolGauges(t *testing.T) {
 				t.Errorf("missing safemem_%s sample for loop %q", name, loop)
 			}
 		}
+	}
+	if strings.Contains(body, "safemem_snapshot_") {
+		t.Error("scrape still carries safemem_snapshot_* gauges")
 	}
 }
 

@@ -63,10 +63,9 @@ type Memory struct {
 	onMutate func(line Addr)
 
 	// touched is a one-bit-per-line bitmap of lines whose stored bits have
-	// ever been mutated. It lets ZeroTouched restore a used memory to its
-	// pristine all-zero state by re-zeroing only the dirtied lines instead
-	// of the whole DRAM — the trick that makes machine pooling cheaper than
-	// allocating a fresh 32 MiB arena per campaign scenario.
+	// ever been mutated. Images record only these lines, so an image of a
+	// near-empty memory — the pristine image a recycled machine restores —
+	// stays a handful of lines instead of the whole DRAM.
 	touched []uint64
 
 	// dirty is the since-last-capture counterpart of touched: CaptureImage
@@ -78,7 +77,7 @@ type Memory struct {
 
 	// snapGen guards image validity: CaptureImage stamps the image with the
 	// current generation and anything that breaks the dirty-tracking
-	// invariant (ZeroTouched, restoring a different image) bumps it, forcing
+	// invariant (capturing or restoring a different image) bumps it, forcing
 	// the next RestoreImage onto the always-correct full path.
 	snapGen uint64
 }
@@ -97,35 +96,6 @@ func (m *Memory) noteMutate(idx uint64) {
 	if m.onMutate != nil {
 		m.onMutate(Addr(idx * GroupBytes).LineAddr())
 	}
-}
-
-// ZeroTouched re-zeroes every line that has ever been mutated (data and
-// check bits) and clears the touched bitmap, restoring the memory to its
-// freshly-allocated state. The mutate hook fires once per re-zeroed line,
-// exactly as it would for explicit writes, so a controller's known-clean
-// bitmap cannot go stale. Cost is proportional to the touched footprint,
-// not the DRAM size.
-func (m *Memory) ZeroTouched() {
-	for wi, w := range m.touched {
-		for w != 0 {
-			b := uint64(bits.TrailingZeros64(w))
-			w &^= 1 << b
-			line := uint64(wi)<<6 + b
-			gi := line * GroupsPerLine
-			for g := gi; g < gi+GroupsPerLine; g++ {
-				m.groups[g] = group{}
-			}
-			if m.onMutate != nil {
-				m.onMutate(Addr(line * LineBytes))
-			}
-		}
-		m.touched[wi] = 0
-		m.dirty[wi] = 0
-	}
-	// Zeroing breaks any image's dirty-tracking invariant (its lines are
-	// gone but its dirty bits were cleared along the way); stale images must
-	// take the full restore path.
-	m.snapGen++
 }
 
 // New allocates a simulated DRAM of the given size in bytes. The size must
@@ -216,9 +186,8 @@ func (m *Memory) FlipDataBit(a Addr, bit uint) {
 }
 
 // Image is an immutable checkpoint of a Memory's stored bits, taken with
-// CaptureImage. It records only the touched lines — for the warmed-but-idle
-// machines the snapshot layer checkpoints, that is a handful of lines, not
-// the DRAM.
+// CaptureImage. It records only the touched lines — for a freshly built
+// machine's pristine image, that is no lines at all.
 type Image struct {
 	mem     *Memory
 	gen     uint64
@@ -296,8 +265,8 @@ func (m *Memory) RestoreImage(img *Image) {
 		}
 		return
 	}
-	// Full path: the bitmaps' provenance is unknown (ZeroTouched ran, or a
-	// different image was restored), so walk the union of both touched sets.
+	// Full path: the bitmaps' provenance is unknown (a different image was
+	// captured or restored since), so walk the union of both touched sets.
 	for wi := range m.touched {
 		w := m.touched[wi] | img.touched[wi]
 		for w != 0 {

@@ -132,36 +132,3 @@ func TestQuickRawStorageIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestZeroTouched(t *testing.T) {
-	m := MustNew(4096)
-	// Dirty a few lines through every mutation route.
-	m.WriteGroupRaw(0, 0xdead, 0x5a)
-	m.WriteGroupDataOnly(64+8, 0xbeef)
-	m.FlipDataBit(128, 3)
-	m.FlipCheckBit(4032, 7)
-	var hookLines []Addr
-	m.SetMutateHook(func(line Addr) { hookLines = append(hookLines, line) })
-	m.ZeroTouched()
-	// Every touched line re-zeroed, hook fired once per line.
-	want := map[Addr]bool{0: true, 64: true, 128: true, 4032: true}
-	if len(hookLines) != len(want) {
-		t.Fatalf("hook fired for %v, want %d lines", hookLines, len(want))
-	}
-	for _, l := range hookLines {
-		if !want[l] {
-			t.Fatalf("hook fired for unexpected line %#x", uint64(l))
-		}
-	}
-	for a := Addr(0); a < 4096; a += GroupBytes {
-		if d, c := m.ReadGroupRaw(a); d != 0 || c != 0 {
-			t.Fatalf("group %#x not re-zeroed: data=%#x check=%#x", uint64(a), d, c)
-		}
-	}
-	// Bitmap cleared: a second pass touches nothing.
-	hookLines = nil
-	m.ZeroTouched()
-	if len(hookLines) != 0 {
-		t.Fatalf("second ZeroTouched re-fired hook for %v", hookLines)
-	}
-}

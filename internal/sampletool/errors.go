@@ -13,7 +13,3 @@ func errPoolEntry(va vm.VAddr) error {
 func errUnsampledWatched(va vm.VAddr) error {
 	return fmt.Errorf("sampletool invariant: unsampled live block %#x carries a watch", uint64(va))
 }
-
-func errLivePool(n int) error {
-	return fmt.Errorf("sampletool: CaptureImage with %d live pool entries (attach-then-capture before running the program)", n)
-}

@@ -189,52 +189,6 @@ func (t *Tool) OnFree(b *heap.Block) {
 	t.stats.UnsampledFrees++
 }
 
-// Reseed resets the sampling decision stream to the given seed. The
-// snapshot layer calls it after each machine restore so a pooled runner
-// samples each scenario exactly as a freshly attached tool with that seed
-// would.
-func (t *Tool) Reseed(seed uint64) {
-	t.opts.Seed = seed
-	t.rng = rng{state: seed}
-}
-
-// Image is an immutable checkpoint of an idle sampling tool (empty pool),
-// taken with CaptureImage alongside the inner detector's image.
-type Image struct {
-	t     *Tool
-	opts  Options
-	rng   rng
-	stats Stats
-	inner *safemem.Image
-}
-
-// CaptureImage checkpoints the sampler and its inner detector. The pool must
-// be empty (capture happens before any program ops).
-func (t *Tool) CaptureImage() (*Image, error) {
-	if len(t.pool) != 0 {
-		return nil, errLivePool(len(t.pool))
-	}
-	inner, err := t.inner.CaptureImage()
-	if err != nil {
-		return nil, err
-	}
-	return &Image{t: t, opts: t.opts, rng: t.rng, stats: t.stats, inner: inner}, nil
-}
-
-// RestoreImage puts the sampler and its inner detector back into the
-// captured state. Callers running seed-varied scenarios follow up with
-// Reseed.
-func (t *Tool) RestoreImage(img *Image) {
-	if img.t != t {
-		panic("sampletool: RestoreImage with an image captured from a different tool")
-	}
-	t.inner.RestoreImage(img.inner)
-	t.opts = img.opts
-	t.rng = img.rng
-	clear(t.pool)
-	t.stats = img.stats
-}
-
 // CheckInvariants verifies the sampler's bookkeeping against the heap and
 // the inner watch indices: every pool entry is a live block, no unsampled
 // live block carries a watch inside its extent, and the inner region/line

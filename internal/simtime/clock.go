@@ -176,11 +176,6 @@ func (c *Clock) Headroom() (Cycles, bool) {
 // resumes once the clock catches back up.
 func (c *Clock) Reset() { c.now = 0 }
 
-// Recycle returns the clock to its zero value: time zero, no timers, no
-// legacy hook. Used when a pooled machine is reset between scenarios;
-// components that need periodic work re-register their timers afterwards.
-func (c *Clock) Recycle() { *c = Clock{} }
-
 // NewTimer registers fn to run the first time the clock reaches or passes
 // at. A deadline crossed mid-Advance fires once, late, at the post-Advance
 // time (missed periods do not replay). fn returns the next wake time;
@@ -251,8 +246,8 @@ type timerState struct {
 // ClockImage is a checkpoint of a clock: the current time plus the deadline
 // and armed state of every timer registered at capture time. Timers keep
 // their hook closures — an image restores into the same host objects it was
-// captured from, which is exactly what the snapshot layer's bound runners
-// guarantee.
+// captured from, which machine.Snapshot's binding to its machine
+// guarantees.
 type ClockImage struct {
 	clock  *Clock
 	now    Cycles

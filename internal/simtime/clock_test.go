@@ -227,28 +227,6 @@ func TestStaleWakeBound(t *testing.T) {
 	}
 }
 
-func TestClockRecycle(t *testing.T) {
-	var c Clock
-	n := 0
-	c.NewTimer(10, func(now Cycles) Cycles { n++; return now + 10 })
-	c.SetWake(20, func(now Cycles) Cycles { n++; return now + 10 })
-	c.Advance(5)
-	c.Recycle()
-	if c.Now() != 0 {
-		t.Fatalf("Now = %d after Recycle", c.Now())
-	}
-	c.Advance(1000)
-	if n != 0 {
-		t.Fatalf("recycled clock fired %d stale timers", n)
-	}
-	// The legacy slot must be reusable after Recycle.
-	c.SetWake(c.Now()+10, func(now Cycles) Cycles { n++; return now })
-	c.Advance(10)
-	if n != 1 {
-		t.Fatalf("post-Recycle SetWake fired %d times, want 1", n)
-	}
-}
-
 func TestTimerRegisteredInsideHook(t *testing.T) {
 	var c Clock
 	n := 0

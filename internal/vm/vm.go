@@ -279,26 +279,6 @@ func New(mem *physmem.Memory, clock *simtime.Clock) *AddressSpace {
 	}
 }
 
-// Recycle resets the address space to its freshly-created state without
-// reallocating the TLB or the free-frame list backing array. Part of the
-// pooled-machine reset path; physical memory is re-zeroed separately by
-// the machine (physmem.ZeroTouched).
-func (as *AddressSpace) Recycle() {
-	nframes := as.mem.Size() / PageBytes
-	as.frames = as.frames[:0]
-	// Same high-first hand-out order as New, so a recycled machine
-	// allocates byte-identical frame sequences to a fresh one.
-	for i := int64(nframes) - 1; i >= 0; i-- {
-		as.frames = append(as.frames, physmem.Addr(uint64(i)*PageBytes))
-	}
-	as.pages = make(map[uint64]*pte)
-	as.retired = make(map[physmem.Addr]bool)
-	as.tick = 0
-	as.stats = Stats{}
-	as.tlbFlushAll()
-	as.tlbHits, as.tlbMisses, as.tlbFlush = 0, 0, 0
-}
-
 // SetFlusher wires the CPU cache (or any Flusher) into the paging paths.
 func (as *AddressSpace) SetFlusher(f Flusher) { as.flusher = f }
 
@@ -701,7 +681,7 @@ func (as *AddressSpace) CaptureImage() *Image {
 // RestoreImage puts the address space back into the captured state and
 // flushes the TLB. Page contents live in physmem and are restored
 // separately (physmem.RestoreImage); this restores the translations. For
-// the empty page tables the snapshot layer captures, the restore allocates
+// the empty page table of a pristine machine image, the restore allocates
 // nothing and costs O(pages mapped since capture).
 func (as *AddressSpace) RestoreImage(img *Image) {
 	if img.as != as {
