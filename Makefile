@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check ci bench bench-quick bench-check bench-fleet bench-campaign fleet-smoke campaign storm fuzz-short frontier coverage-floor serve-smoke
+.PHONY: all build vet test race check ci bench bench-smoke bench-quick bench-check bench-fleet bench-campaign fleet-smoke campaign storm fuzz-short frontier coverage-floor serve-smoke
 
 all: check
 
@@ -76,8 +76,8 @@ check: build vet test race fuzz-short campaign storm bench-check
 # campaign and the pooled machine-reuse path (recycle equivalence, the
 # never-repool taint rule, the machine package) — cheap enough for every
 # push, unlike `make race` — the serving-stack chaos smoke, a
-# one-shard fleet-bench + bench_compare.sh smoke, and the
-# throughput/campaign regression gates.
+# one-shard fleet-bench + bench_compare.sh smoke, the per-cycle cost
+# benchmark smoke, and the throughput/campaign regression gates.
 ci: build vet test
 	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier
 	$(MAKE) coverage-floor
@@ -87,12 +87,20 @@ ci: build vet test
 	$(GO) test -race -count=1 ./internal/machine
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 
 # bench runs every Go benchmark in the tree (ECC encode/decode, cache hit
 # path, controller read path, ablations, ...).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
+
+# bench-smoke runs the machine-recycle and line-write benchmarks once
+# each, so they keep compiling and running. Compare RecycleFewDirtyLines
+# across its two DRAM sizes by hand: recycling must cost what the run
+# dirtied, so its ns/op stays roughly flat as MemBytes grows.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Recycle|WriteLine' -benchtime 1x ./internal/machine ./internal/memctrl
 
 # bench-quick refreshes the tracked simulator-throughput baseline
 # (BENCH_throughput.json): each app runs uninstrumented and wall-clocked.

@@ -209,9 +209,11 @@ func (t *Tool) report(r BugReport) {
 	if r.Latency > 0 {
 		t.latency.ObserveCycles(r.Latency)
 	}
-	t.tr.Instant("safemem", "report:"+r.Kind.String(),
-		telemetry.KV("addr", uint64(r.Addr)),
-		telemetry.KV("latency_cycles", uint64(r.Latency)))
+	if t.tr.Enabled() {
+		t.tr.Instant("safemem", "report:"+r.Kind.String(),
+			telemetry.KV("addr", uint64(r.Addr)),
+			telemetry.KV("latency_cycles", uint64(r.Latency)))
+	}
 	flight.Emit(flight.KindBugReport, "safemem", r.Time, r.Kind.String(),
 		flight.F("addr", uint64(r.Addr)),
 		flight.F("site", r.Site),

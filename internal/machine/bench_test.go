@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
+	"safemem/internal/physmem"
 	"safemem/internal/vm"
 )
 
@@ -61,5 +63,28 @@ func TestAccessPathNoAllocs(t *testing.T) {
 		m.Compute(3)
 	}); avg != 0 {
 		t.Fatalf("access path allocates %.1f objects per round, want 0", avg)
+	}
+}
+
+// BenchmarkRecycleFewDirtyLines measures Recycle after a run that wrote
+// back 16 lines spread across DRAM. Recycling costs O(work the run did), so
+// ns/op stays roughly flat as MemBytes grows eightfold: only host cache
+// misses on the scattered lines and a longer summary scan grow with it.
+func BenchmarkRecycleFewDirtyLines(b *testing.B) {
+	for _, mib := range []uint64{32, 256} {
+		b.Run(fmt.Sprintf("%dMiB", mib), func(b *testing.B) {
+			m := MustNew(Config{MemBytes: mib << 20})
+			stride := physmem.Addr(mib<<20) / 16
+			var line [physmem.GroupsPerLine]uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for l := physmem.Addr(0); l < 16; l++ {
+					line[0] = uint64(i)
+					m.Ctrl.WriteLine(l*stride, line)
+				}
+				m.Recycle()
+			}
+		})
 	}
 }

@@ -417,21 +417,20 @@ func (c *Controller) WriteLine(a physmem.Addr, words [physmem.GroupsPerLine]uint
 		panic(fmt.Sprintf("memctrl: WriteLine at unaligned address %#x", uint64(a)))
 	}
 	c.stats.LineWrites++
-	for i := 0; i < physmem.GroupsPerLine; i++ {
-		ga := a + physmem.Addr(i*physmem.GroupBytes)
-		if c.mode == Disabled {
-			c.mem.WriteGroupDataOnly(ga, words[i])
-		} else {
-			c.mem.WriteGroupRaw(ga, words[i], uint8(ecc.Encode(words[i])))
-		}
+	if c.mode == Disabled {
+		// The scramble path: the stored check bits go stale, and the
+		// mutation hook has dropped the line's known-clean bit.
+		c.mem.WriteLineDataOnly(a, words)
+		return
 	}
-	// With ECC on, every group now carries freshly generated check bits; the
-	// line is clean by construction. (The mutation hook cleared the bit
-	// during the writes above; with ECC disabled — the scramble path — it
-	// stays cleared.)
-	if c.mode != Disabled {
-		c.markClean(a)
+	var check [physmem.GroupsPerLine]uint8
+	for i, w := range words {
+		check[i] = uint8(ecc.Encode(w))
 	}
+	c.mem.WriteLineRaw(a, words, check)
+	// Every group now carries freshly generated check bits: the line is
+	// clean by construction.
+	c.markClean(a)
 }
 
 // Image is a checkpoint of the controller's simulated state: mode, handler,

@@ -295,6 +295,26 @@ func BenchmarkReadLineClean(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteLine measures a line write-back with ECC on (encode, then
+// one raw line store) and with ECC disabled (the WatchMemory scramble's
+// data-only store).
+func BenchmarkWriteLine(b *testing.B) {
+	for _, mode := range []Mode{CorrectError, Disabled} {
+		b.Run(mode.String(), func(b *testing.B) {
+			clock := &simtime.Clock{}
+			c := New(physmem.MustNew(1<<20), clock)
+			c.SetMode(mode)
+			var line [physmem.GroupsPerLine]uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				line[i%physmem.GroupsPerLine] = uint64(i)
+				c.WriteLine(physmem.Addr(i%1024)*physmem.LineBytes, line)
+			}
+		})
+	}
+}
+
 func BenchmarkScrubPass(b *testing.B) {
 	clock := &simtime.Clock{}
 	c := New(physmem.MustNew(1<<20), clock)

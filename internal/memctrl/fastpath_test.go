@@ -101,6 +101,30 @@ func TestFastPathInvalidation(t *testing.T) {
 		}
 	})
 
+	t.Run("disabled-writeline", func(t *testing.T) {
+		// WatchMemory's scramble goes through WriteLine with ECC disabled:
+		// the one line write must still drop the known-clean bit.
+		c := setup(t)
+		c.SetMode(Disabled)
+		var line [physmem.GroupsPerLine]uint64
+		line[0] = ecc.Scramble(orig)
+		c.WriteLine(0, line)
+		if c.lineClean(0) {
+			t.Fatal("line written with ECC disabled is still known-clean")
+		}
+		c.SetMode(CorrectError)
+		c.SetInterruptHandler(func(r FaultReport) {
+			c.Memory().WriteGroupRaw(r.Group, orig, uint8(ecc.Encode(orig)))
+		})
+		if got := c.ReadLine(0); got[0] != orig {
+			t.Fatalf("handler repair not picked up: %#x", got[0])
+		}
+		if c.Stats().Uncorrectable != 1 || c.FastLineReads() != 1 {
+			t.Fatalf("scrambled line hidden by the fast path: %+v, fast reads %d",
+				c.Stats(), c.FastLineReads())
+		}
+	})
+
 	t.Run("injected-fault", func(t *testing.T) {
 		c := setup(t)
 		c.Memory().FlipDataBit(0, 13)

@@ -75,6 +75,11 @@ type Memory struct {
 	// restore: touched == image.touched | dirty.
 	dirty []uint64
 
+	// dirtySum summarises dirty one bit per word: a clear bit guarantees the
+	// dirty word is zero, so RestoreImage finds the dirty lines without
+	// scanning the whole bitmap (128 words for 32 MiB instead of 8,192).
+	dirtySum []uint64
+
 	// snapGen guards image validity: CaptureImage stamps the image with the
 	// current generation and anything that breaks the dirty-tracking
 	// invariant (capturing or restoring a different image) bumps it, forcing
@@ -87,14 +92,15 @@ type Memory struct {
 // write to the memory.
 func (m *Memory) SetMutateHook(fn func(line Addr)) { m.onMutate = fn }
 
-// noteMutate reports a mutation of the group at index idx to the hook and
-// records the line in the touched bitmap.
-func (m *Memory) noteMutate(idx uint64) {
-	line := idx / GroupsPerLine
-	m.touched[line>>6] |= 1 << (line & 63)
-	m.dirty[line>>6] |= 1 << (line & 63)
+// noteMutate reports a mutation of the given line to the hook and records
+// it in the touched, dirty and summary bitmaps.
+func (m *Memory) noteMutate(line uint64) {
+	wi := line >> 6
+	m.touched[wi] |= 1 << (line & 63)
+	m.dirty[wi] |= 1 << (line & 63)
+	m.dirtySum[wi>>6] |= 1 << (wi & 63)
 	if m.onMutate != nil {
-		m.onMutate(Addr(idx * GroupBytes).LineAddr())
+		m.onMutate(Addr(line * LineBytes))
 	}
 }
 
@@ -104,12 +110,13 @@ func New(size uint64) (*Memory, error) {
 	if size == 0 || size%LineBytes != 0 {
 		return nil, fmt.Errorf("physmem: size %d is not a positive multiple of %d", size, LineBytes)
 	}
-	lines := size / LineBytes
+	words := (size/LineBytes + 63) / 64
 	return &Memory{
-		groups:  make([]group, size/GroupBytes),
-		size:    size,
-		touched: make([]uint64, (lines+63)/64),
-		dirty:   make([]uint64, (lines+63)/64),
+		groups:   make([]group, size/GroupBytes),
+		size:     size,
+		touched:  make([]uint64, words),
+		dirty:    make([]uint64, words),
+		dirtySum: make([]uint64, (words+63)/64),
 	}, nil
 }
 
@@ -136,8 +143,8 @@ func (m *Memory) RegisterTelemetry(reg *telemetry.Registry) {
 // Lines returns the number of 64-byte lines.
 func (m *Memory) Lines() uint64 { return m.size / LineBytes }
 
-// check panics on out-of-range group-aligned addresses; the simulator's own
-// components are the only callers, so a violation is a simulator bug.
+// groupIndex panics on out-of-range or misaligned addresses; the simulator's
+// own components are the only callers, so a violation is a simulator bug.
 func (m *Memory) groupIndex(a Addr) uint64 {
 	if uint64(a) >= m.size {
 		panic(fmt.Sprintf("physmem: address %#x out of range (size %#x)", uint64(a), m.size))
@@ -161,7 +168,7 @@ func (m *Memory) ReadGroupRaw(a Addr) (data uint64, check uint8) {
 func (m *Memory) WriteGroupRaw(a Addr, data uint64, check uint8) {
 	idx := m.groupIndex(a)
 	m.groups[idx] = group{data: data, check: check}
-	m.noteMutate(idx)
+	m.noteMutate(idx / GroupsPerLine)
 }
 
 // WriteGroupDataOnly stores the data word at a while leaving the stored
@@ -171,7 +178,39 @@ func (m *Memory) WriteGroupRaw(a Addr, data uint64, check uint8) {
 func (m *Memory) WriteGroupDataOnly(a Addr, data uint64) {
 	idx := m.groupIndex(a)
 	m.groups[idx].data = data
-	m.noteMutate(idx)
+	m.noteMutate(idx / GroupsPerLine)
+}
+
+// lineGroups returns the eight stored groups of the line at a, panicking
+// on a misaligned or out-of-range line address.
+func (m *Memory) lineGroups(a Addr) (line uint64, gs []group) {
+	if !a.IsLineAligned() {
+		panic(fmt.Sprintf("physmem: address %#x not line aligned", uint64(a)))
+	}
+	gi := m.groupIndex(a)
+	return gi / GroupsPerLine, m.groups[gi : gi+GroupsPerLine : gi+GroupsPerLine]
+}
+
+// WriteLineRaw stores the data words and check bits of all eight groups of
+// the line at a. It is equivalent to eight WriteGroupRaw calls, but records
+// the mutation — bitmaps and hook — once for the line.
+func (m *Memory) WriteLineRaw(a Addr, data [GroupsPerLine]uint64, check [GroupsPerLine]uint8) {
+	line, gs := m.lineGroups(a)
+	for i := range gs {
+		gs[i] = group{data: data[i], check: check[i]}
+	}
+	m.noteMutate(line)
+}
+
+// WriteLineDataOnly stores the data words of the line at a, leaving every
+// group's check bits untouched: eight WriteGroupDataOnly calls with one
+// mutation record.
+func (m *Memory) WriteLineDataOnly(a Addr, data [GroupsPerLine]uint64) {
+	line, gs := m.lineGroups(a)
+	for i := range gs {
+		gs[i].data = data[i]
+	}
+	m.noteMutate(line)
 }
 
 // FlipDataBit inverts one data bit of the group at a, leaving the check bits
@@ -182,7 +221,7 @@ func (m *Memory) FlipDataBit(a Addr, bit uint) {
 	}
 	idx := m.groupIndex(a)
 	m.groups[idx].data ^= 1 << bit
-	m.noteMutate(idx)
+	m.noteMutate(idx / GroupsPerLine)
 }
 
 // Image is an immutable checkpoint of a Memory's stored bits, taken with
@@ -216,6 +255,7 @@ func (m *Memory) CaptureImage() *Image {
 		}
 	}
 	clear(m.dirty)
+	clear(m.dirtySum)
 	m.snapGen++
 	img.gen = m.snapGen
 	return img
@@ -252,16 +292,27 @@ func (m *Memory) RestoreImage(img *Image) {
 	if img.gen == m.snapGen {
 		// Fast path: touched == img.touched | dirty, so restoring the dirty
 		// lines and stripping their extra touched bits lands exactly on the
-		// captured bitmaps.
-		for wi, w := range m.dirty {
-			d := w
-			for d != 0 {
-				b := uint64(bits.TrailingZeros64(d))
-				d &^= 1 << b
-				m.restoreLine(img, uint64(wi)<<6+b)
+		// captured bitmaps. The summary names the dirty words that may be
+		// non-zero, so the walk costs O(dirty lines + words holding one)
+		// plus a scan of the summary, 1/4096 of the lines.
+		for si, s := range m.dirtySum {
+			if s == 0 {
+				continue
 			}
-			m.touched[wi] &^= w &^ img.touched[wi]
-			m.dirty[wi] = 0
+			m.dirtySum[si] = 0
+			for s != 0 {
+				sb := uint64(bits.TrailingZeros64(s))
+				s &^= 1 << sb
+				wi := uint64(si)<<6 + sb
+				w := m.dirty[wi]
+				for d := w; d != 0; {
+					b := uint64(bits.TrailingZeros64(d))
+					d &^= 1 << b
+					m.restoreLine(img, wi<<6+b)
+				}
+				m.touched[wi] &^= w &^ img.touched[wi]
+				m.dirty[wi] = 0
+			}
 		}
 		return
 	}
@@ -277,6 +328,7 @@ func (m *Memory) RestoreImage(img *Image) {
 		m.touched[wi] = img.touched[wi]
 		m.dirty[wi] = 0
 	}
+	clear(m.dirtySum)
 	m.snapGen++
 	img.gen = m.snapGen
 }
@@ -288,5 +340,5 @@ func (m *Memory) FlipCheckBit(a Addr, bit uint) {
 	}
 	idx := m.groupIndex(a)
 	m.groups[idx].check ^= 1 << bit
-	m.noteMutate(idx)
+	m.noteMutate(idx / GroupsPerLine)
 }

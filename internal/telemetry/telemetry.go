@@ -232,8 +232,7 @@ func (r *Registry) AttachClock(clock *simtime.Clock) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.clock = clock
-	r.tracer.clock = clock
-	r.tracer.enabled = r.cfg.TraceEnabled
+	r.tracer.attach(clock, r.cfg.TraceEnabled)
 	if iv := r.cfg.SampleInterval; iv > 0 {
 		clock.SetWake(clock.Now()+iv, func(now simtime.Cycles) simtime.Cycles {
 			r.sample(now)

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"safemem/internal/simtime"
 )
@@ -41,12 +43,17 @@ type TraceEvent struct {
 
 // Tracer records spans and instants against the simulated clock. All
 // methods are nil-safe and no-ops while disabled, so instrumentation sites
-// can call unconditionally. Safe for concurrent use (though the simulator
-// itself is single-threaded, exporters may read concurrently).
+// can call unconditionally: a disabled tracer takes no lock and allocates
+// nothing. Recorded events own copies of their args, so callers' variadic
+// slices never escape. Safe for concurrent use (though the simulator itself
+// is single-threaded, exporters may read concurrently).
 type Tracer struct {
+	// enabled is set once a clock is attached with tracing configured; it
+	// is read without mu so disabled call sites stay lock-free.
+	enabled atomic.Bool
+
 	mu      sync.Mutex
 	clock   *simtime.Clock
-	enabled bool
 	max     int
 	events  []TraceEvent
 	open    int // currently-open span count (for balancing)
@@ -62,26 +69,27 @@ type Span struct {
 
 // Enabled reports whether the tracer is recording.
 func (t *Tracer) Enabled() bool {
-	if t == nil {
-		return false
-	}
+	return t != nil && t.enabled.Load()
+}
+
+// attach binds the clock under mu, then publishes the enabled flag, so a
+// call site that sees the flag also sees the clock.
+func (t *Tracer) attach(clock *simtime.Clock, enabled bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.enabled && t.clock != nil
+	t.clock = clock
+	t.mu.Unlock()
+	t.enabled.Store(enabled && clock != nil)
 }
 
 // Begin opens a span for component/name at the current simulated time.
 // Close it with End. Spans must be closed in LIFO order (guaranteed by the
 // single-threaded simulation when End is deferred).
 func (t *Tracer) Begin(component, name string, args ...Arg) Span {
-	if t == nil {
+	if !t.Enabled() {
 		return Span{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.enabled || t.clock == nil {
-		return Span{}
-	}
 	// Reserve room for this span's End plus one End per already-open span,
 	// so the trace always closes balanced even at the cap.
 	if len(t.events)+t.open+2 > t.max {
@@ -89,7 +97,7 @@ func (t *Tracer) Begin(component, name string, args ...Arg) Span {
 		return Span{}
 	}
 	t.events = append(t.events, TraceEvent{
-		Phase: PhaseBegin, Time: t.clock.Now(), Component: component, Name: name, Args: args,
+		Phase: PhaseBegin, Time: t.clock.Now(), Component: component, Name: name, Args: slices.Clone(args),
 	})
 	t.open++
 	return Span{tr: t, component: component, name: name}
@@ -108,27 +116,24 @@ func (s Span) End(args ...Arg) {
 	}
 	t.events = append(t.events, TraceEvent{
 		Phase: PhaseEnd, Time: t.clock.Now(),
-		Component: s.component, Name: s.name, Args: args,
+		Component: s.component, Name: s.name, Args: slices.Clone(args),
 	})
 	t.open--
 }
 
 // Instant records a zero-duration event.
 func (t *Tracer) Instant(component, name string, args ...Arg) {
-	if t == nil {
+	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.enabled || t.clock == nil {
-		return
-	}
 	if len(t.events)+t.open+1 > t.max {
 		t.dropped++
 		return
 	}
 	t.events = append(t.events, TraceEvent{
-		Phase: PhaseInstant, Time: t.clock.Now(), Component: component, Name: name, Args: args,
+		Phase: PhaseInstant, Time: t.clock.Now(), Component: component, Name: name, Args: slices.Clone(args),
 	})
 }
 

@@ -119,3 +119,76 @@ func TestFinishClosesOpenSpans(t *testing.T) {
 		t.Fatalf("open spans not closed: %+v", evs)
 	}
 }
+
+func TestTracerDisabledNoAllocs(t *testing.T) {
+	disabled := NewRegistry("", Config{}) // tracing off
+	var clock simtime.Clock
+	disabled.AttachClock(&clock)
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+	}{
+		{"nil", nil},
+		{"disabled", disabled.Tracer()},
+	} {
+		tr := tc.tr
+		if avg := testing.AllocsPerRun(100, func() {
+			tr.Begin("cache", "flush-line", KV("line", 64)).End()
+		}); avg != 0 {
+			t.Errorf("%s tracer: Begin+End allocates %.1f objects, want 0", tc.name, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			tr.Instant("inject", "plant", KV("group", 8), KV("bit", 3))
+		}); avg != 0 {
+			t.Errorf("%s tracer: Instant allocates %.1f objects, want 0", tc.name, avg)
+		}
+	}
+}
+
+func TestTracerArgsCopied(t *testing.T) {
+	r, _ := tracedRegistry(0)
+	tr := r.Tracer()
+	args := []Arg{KV("line", 1)}
+	sp := tr.Begin("cache", "flush-line", args...)
+	args[0] = KV("mutated", 99)
+	endArgs := []Arg{KV("n", 2)}
+	sp.End(endArgs...)
+	endArgs[0] = KV("mutated", 99)
+	instArgs := []Arg{KV("group", 3)}
+	tr.Instant("inject", "plant", instArgs...)
+	instArgs[0] = KV("mutated", 99)
+
+	evs := tr.Events()
+	want := []Arg{KV("line", 1), KV("n", 2), KV("group", 3)}
+	if len(evs) != len(want) {
+		t.Fatalf("events = %+v", evs)
+	}
+	for i, w := range want {
+		if len(evs[i].Args) != 1 || evs[i].Args[0] != w {
+			t.Errorf("event %d args = %+v, want [%+v]", i, evs[i].Args, w)
+		}
+	}
+}
+
+// TestTracerAttachConcurrent pins that Registry.AttachClock does not race
+// with tracer call sites on another goroutine; it needs -race to bite.
+func TestTracerAttachConcurrent(t *testing.T) {
+	r := NewRegistry("", Config{TraceEnabled: true})
+	tr := r.Tracer()
+	var clock simtime.Clock
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.AttachClock(&clock)
+	}()
+	for i := 0; i < 1000; i++ {
+		if tr.Enabled() {
+			tr.Begin("kernel", "WatchMemory", KV("i", uint64(i))).End()
+		}
+		tr.Instant("inject", "plant")
+	}
+	<-done
+	if !tr.Enabled() {
+		t.Fatal("tracer not enabled after AttachClock")
+	}
+}

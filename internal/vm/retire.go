@@ -67,8 +67,7 @@ func (as *AddressSpace) migrate(va VAddr) (old, fresh physmem.Addr, err error) {
 	sp := as.tr.Begin("vm", "migrate", telemetry.KV("page", vpn*PageBytes))
 	defer sp.End()
 	old = p.frame
-	fresh = as.frames[len(as.frames)-1]
-	as.frames = as.frames[:len(as.frames)-1]
+	fresh = as.popFrame()
 	// Write back the page's cached lines so the copy sees current data, and
 	// purge stale lines a previous owner left under the fresh frame.
 	as.flushFrame(old)

@@ -157,6 +157,13 @@ type AddressSpace struct {
 	flusher Flusher
 	tr      *telemetry.Tracer
 
+	// framesLow is the shortest the free list has been since framesImg was
+	// captured or last restored. Pops only ever take the tail, so below
+	// this mark the list still equals framesImg.frames, and RestoreImage
+	// rewrites only the tail above it.
+	framesLow int
+	framesImg *Image
+
 	// Software TLB: consulted by Translate before the pages map. Purely a
 	// host-speed optimisation — it charges no simulated cycles and changes
 	// no simulated state, so every counter in Stats is identical with the
@@ -184,6 +191,15 @@ type AddressSpace struct {
 	ptePool []*pte
 
 	stats Stats
+}
+
+// popFrame takes a frame off the free list, which must not be empty.
+func (as *AddressSpace) popFrame() physmem.Addr {
+	n := len(as.frames) - 1
+	frame := as.frames[n]
+	as.frames = as.frames[:n]
+	as.framesLow = min(as.framesLow, n)
+	return frame
 }
 
 // newPTE returns a zeroed pte, reusing a pooled one when available.
@@ -337,8 +353,7 @@ func (as *AddressSpace) Map(va VAddr, n int, prot Prot) error {
 		return fmt.Errorf("vm: out of physical frames (%d free, %d needed)", len(as.frames), n)
 	}
 	for i := 0; i < n; i++ {
-		frame := as.frames[len(as.frames)-1]
-		as.frames = as.frames[:len(as.frames)-1]
+		frame := as.popFrame()
 		p := as.newPTE()
 		p.frame, p.prot, p.present = frame, prot, true
 		as.pages[vpn+uint64(i)] = p
@@ -624,8 +639,7 @@ func (as *AddressSpace) swapIn(vpn uint64, p *pte) error {
 			return fmt.Errorf("vm: no evictable frames for swap-in of page %#x", vpn*PageBytes)
 		}
 	}
-	frame := as.frames[len(as.frames)-1]
-	as.frames = as.frames[:len(as.frames)-1]
+	frame := as.popFrame()
 	// Drop any stale cached lines left by the frame's previous owner.
 	as.flushFrame(frame)
 	// Write data back through the normal (ECC-enabled) path: every group
@@ -675,6 +689,7 @@ func (as *AddressSpace) CaptureImage() *Image {
 	for f := range as.retired {
 		img.retired = append(img.retired, f)
 	}
+	as.framesImg, as.framesLow = img, len(as.frames)
 	return img
 }
 
@@ -682,7 +697,8 @@ func (as *AddressSpace) CaptureImage() *Image {
 // flushes the TLB. Page contents live in physmem and are restored
 // separately (physmem.RestoreImage); this restores the translations. For
 // the empty page table of a pristine machine image, the restore allocates
-// nothing and costs O(pages mapped since capture).
+// nothing and costs O(pages mapped since capture): of the free frame list,
+// only the tail popped since then is rewritten.
 func (as *AddressSpace) RestoreImage(img *Image) {
 	if img.as != as {
 		panic("vm: RestoreImage with an image captured from a different address space")
@@ -697,8 +713,13 @@ func (as *AddressSpace) RestoreImage(img *Image) {
 		np.swapped = append([]uint64(nil), p.swapped...)
 		as.pages[vpn] = np
 	}
+	lo := 0
+	if as.framesImg == img {
+		lo = min(as.framesLow, len(img.frames))
+	}
 	as.frames = as.frames[:len(img.frames)]
-	copy(as.frames, img.frames)
+	copy(as.frames[lo:], img.frames[lo:])
+	as.framesImg, as.framesLow = img, len(img.frames)
 	clear(as.retired)
 	for _, f := range img.retired {
 		as.retired[f] = true
