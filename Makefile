@@ -45,6 +45,8 @@ fuzz-short:
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime 3s
 	$(GO) test ./internal/ecc -run '^$$' -fuzz FuzzScramble -fuzztime 3s
 	$(GO) test ./internal/sampletool -run '^$$' -fuzz FuzzSampleDecisions -fuzztime 3s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReader -fuzztime 3s
+	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzMachineDifferential -fuzztime 3s
 
 # coverage-floor holds the safety-critical packages to statement-coverage
 # thresholds: the sampling tool (a bookkeeping slip means phantom reports
@@ -73,9 +75,9 @@ check: build vet test race fuzz-short campaign storm bench-check
 # full build + vet + test sweep, a shuffled re-run of the order-sensitive
 # new packages, the coverage floors, a race-detector pass over the
 # concurrent serving/observability/telemetry layers, the sample-tool
-# campaign and the pooled machine-reuse path (recycle equivalence, the
-# never-repool taint rule, the machine package) — cheap enough for every
-# push, unlike `make race` — the serving-stack chaos smoke, a
+# campaign and the pooled machine-reuse path (pooled-vs-reference
+# equivalence, the never-repool taint rule, the machine package) — cheap
+# enough for every push, unlike `make race` — the serving-stack chaos smoke, a
 # one-shard fleet-bench + bench_compare.sh smoke, the per-cycle cost
 # benchmark smoke, and the throughput/campaign regression gates.
 ci: build vet test
@@ -83,7 +85,7 @@ ci: build vet test
 	$(MAKE) coverage-floor
 	$(GO) test -race ./internal/obsrv/... ./internal/telemetry/... ./internal/fleet
 	$(GO) test -race -run 'TestSampleCampaign|TestSampleRateOne$$' ./internal/campaign
-	$(GO) test -race -count=1 -run 'TestRecycleEquivalence|NeverRepooled|TestCleanRunRepooled' ./internal/campaign ./internal/bench
+	$(GO) test -race -count=1 -run 'Test(TLB|BatchLane|Recycle)Equivalence|NeverRepooled|TestCleanRunRepooled' ./internal/campaign ./internal/bench
 	$(GO) test -race -count=1 ./internal/machine
 	$(MAKE) serve-smoke
 	$(MAKE) fleet-smoke

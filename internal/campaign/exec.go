@@ -204,14 +204,10 @@ const execMemBytes = 32 << 20
 // configuration), and at 32 MiB of simulated DRAM each, constructing them
 // dominates short scenarios. Recycled machines are observationally
 // identical to fresh ones — pinned by TestMachineRecycleEquivalence in
-// internal/machine and TestRecycleEquivalence here — so pooling changes
-// host time only, never simulated results.
+// internal/machine and by the Reference sweep here (reference_test.go),
+// which swaps this pool for one of Config.Reference machines — so pooling changes host time
+// only, never simulated results.
 var execPool = machine.NewPool(machine.Config{MemBytes: execMemBytes})
-
-// poolMachines is the test seam for TestRecycleEquivalence's fresh
-// reference leg: false serves every run from a throwaway pool, so every
-// machine is freshly built.
-var poolMachines = true
 
 // PoolStats reports (released, dropped) executor machine counts since
 // process start. Host-side observability only — but they are also the
@@ -259,9 +255,6 @@ func Execute(s *Scenario, cfg ToolConfig, sabotage bool) (*ExecResult, error) {
 // drops it (machine.Pool's taint rule).
 func ExecuteEnv(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
 	pool := execPool
-	if !poolMachines {
-		pool = machine.NewPool(machine.Config{MemBytes: execMemBytes})
-	}
 	m, err := pool.Get()
 	if err != nil {
 		return nil, err

@@ -26,15 +26,17 @@
 //
 // The lane is a pure host-side optimisation: simulated semantics are
 // bit-identical to issuing the same accesses through Load/Store, pinned by
-// TestBatchEquivalence here, per-app and campaign equivalence tests in
-// internal/apps and internal/campaign, and the unchanged golden tables.
+// TestBatchEquivalence and FuzzMachineDifferential here,
+// the Reference sweep in internal/campaign (TestBatchLaneEquivalence and
+// friends: every app and whole campaigns against Config.Reference machines), and the unchanged golden
+// tables.
 // Anything interesting bails to the exact per-access slow path; the full
 // entry/bail-out matrix is documented in DESIGN.md §4.10. In brief, an
 // access leaves the fast lane when:
 //
 //   - a per-access monitor is attached (Purify, MMP, the trace recorder):
 //     the whole run is served by Load/Store so every callback fires;
-//   - the batch lane is disabled (SetBatch / BatchDefault);
+//   - the machine was built with Config.Reference;
 //   - kernel deferred work is pending (the slow access drains it at the
 //     same boundary the per-access path would);
 //   - the next wake deadline is too close to fit even one batched access;
@@ -76,27 +78,12 @@ func lineBytesLE(w *[8]uint64, off, n uint64) uint64 {
 	return v
 }
 
-// BatchDefault controls whether new (and recycled) machines serve batched
-// runs through the fast lane. Equivalence tests flip it off to pin that the
-// lane is invisible to simulated semantics.
-var BatchDefault = true
-
-// batchMode is the per-machine fast-lane override.
-type batchMode int8
-
-const (
-	batchAuto batchMode = iota // follow BatchDefault
-	batchForceOn
-	batchForceOff
-)
-
-// batchLane is the machine's fast-lane state: the mode override plus
-// host-side counters (outside Stats, like the TLB counters — they describe
-// the simulator, not the simulated machine, and must not perturb goldens).
-// Machine.Recycle resets all of it so a pooled machine can never leak a
-// stale batch window or mode across tenants.
+// batchLane is the machine's fast-lane state: host-side counters (outside
+// Stats, like the TLB counters — they describe the simulator, not the
+// simulated machine, and must not perturb goldens) and the persistent run
+// segments. Machine.Recycle resets all of it so a pooled machine can never
+// leak a stale batch window across tenants.
 type batchLane struct {
-	mode    batchMode
 	runs    uint64 // batched runs entered through the lane
 	fastOps uint64 // accesses served in-segment
 	slowOps uint64 // accesses that bailed to the per-access path
@@ -111,16 +98,6 @@ type batchLane struct {
 	vmEpoch    uint64
 }
 
-// SetBatch pins the fast lane on or off for this machine, overriding
-// BatchDefault until the next Recycle.
-func (m *Machine) SetBatch(on bool) {
-	if on {
-		m.batch.mode = batchForceOn
-	} else {
-		m.batch.mode = batchForceOff
-	}
-}
-
 // BatchStats returns the host-side fast-lane counters: batched runs
 // entered, accesses served in-segment, and accesses that fell back to the
 // per-access slow path.
@@ -130,19 +107,9 @@ func (m *Machine) BatchStats() (runs, fastOps, slowOps uint64) {
 
 // laneOK reports whether batched runs may use the fast lane right now.
 // Attached monitors demand per-access callbacks, so any monitor forces the
-// whole run through Load/Store.
+// whole run through Load/Store, as does a Reference machine.
 func (m *Machine) laneOK() bool {
-	if len(m.monitors) != 0 {
-		return false
-	}
-	switch m.batch.mode {
-	case batchForceOn:
-		return true
-	case batchForceOff:
-		return false
-	default:
-		return BatchDefault
-	}
+	return len(m.monitors) == 0 && !m.reference
 }
 
 // perAccessHitCost is the exact cycle charge of one TLB-hit cache-hit

@@ -40,11 +40,10 @@ type batchDigest struct {
 // deadlines, watched lines, protection faults, swapped pages, cache and
 // translation churn between runs — and digests all simulated state.
 // The second return value is the machine's host-side lane counters
-// (runs, fastOps, slowOps).
+// (runs, fastOps, slowOps). An unbatched run uses a Reference machine.
 func batchWorkload(t *testing.T, batched bool) (batchDigest, [3]uint64) {
 	t.Helper()
-	m := MustNew(Config{MemBytes: 1 << 20})
-	m.SetBatch(batched)
+	m := MustNew(Config{MemBytes: 1 << 20, Reference: !batched})
 	var d batchDigest
 	h := func(v uint64) { d.sum = d.sum*0x9e3779b97f4a7c15 + v }
 
@@ -187,8 +186,9 @@ func batchWorkload(t *testing.T, batched bool) (batchDigest, [3]uint64) {
 // TestBatchEquivalence pins the fast lane's core contract: every simulated
 // observable — values, instruction and cycle counts, machine and cache
 // statistics, wake firing times, ECC-fault delivery (line, time, in-flight
-// access), protection-fault counts — is bit-identical with the lane on and
-// off, across every batched entry point and every bail-out reason.
+// access), protection-fault counts — is bit-identical between a default
+// machine and a Reference one (lane off), across every batched entry point
+// and every bail-out reason.
 func TestBatchEquivalence(t *testing.T) {
 	on, lane := batchWorkload(t, true)
 	off, laneOff := batchWorkload(t, false)
@@ -216,11 +216,10 @@ func TestBatchEquivalence(t *testing.T) {
 }
 
 // TestRecycleResetsBatchLane pins that a pooled machine cannot leak
-// fast-lane state across tenants: counters, persistent windows and a
-// pinned SetBatch mode must all reset to the defaults.
+// fast-lane state across tenants: counters and persistent windows must all
+// reset, and a Reference machine must stay off the lane after Recycle.
 func TestRecycleResetsBatchLane(t *testing.T) {
 	m := MustNew(Config{MemBytes: 1 << 20})
-	m.SetBatch(true)
 	if err := m.Run(func() error {
 		if err := m.Kern.MapPages(0x10000, 2); err != nil {
 			return err
@@ -245,11 +244,16 @@ func TestRecycleResetsBatchLane(t *testing.T) {
 	if m.batch.a.pageOK || m.batch.a.lineOK || m.batch.b.pageOK || m.batch.b.lineOK {
 		t.Error("Recycle left a persistent window open")
 	}
-	if m.batch.mode != batchAuto {
-		t.Errorf("Recycle kept pinned batch mode %v; must revert to BatchDefault", m.batch.mode)
-	}
 	if m.batch.cacheEpoch != 0 || m.batch.vmEpoch != 0 {
 		t.Error("Recycle kept stale epoch snapshots")
+	}
+	if !m.laneOK() {
+		t.Error("Recycle closed the lane on a default machine")
+	}
+	ref := MustNew(Config{MemBytes: 1 << 20, Reference: true})
+	ref.Recycle()
+	if ref.laneOK() {
+		t.Error("Recycle reopened the lane on a Reference machine")
 	}
 }
 
@@ -305,7 +309,6 @@ func TestPersistentWindowEpochs(t *testing.T) {
 	// Behavioral half: a window left open across runs is reused when the
 	// epochs are quiet, and re-derived — with correct results — after churn.
 	m2 := MustNew(Config{MemBytes: 1 << 20})
-	m2.SetBatch(true)
 	if err := m2.Run(func() error {
 		if err := m2.Kern.MapPages(0x20000, 1); err != nil {
 			return err

@@ -1,0 +1,419 @@
+package machine
+
+import (
+	"testing"
+
+	"safemem/internal/cache"
+	"safemem/internal/kernel"
+	"safemem/internal/memctrl"
+	"safemem/internal/physmem"
+	"safemem/internal/simtime"
+	"safemem/internal/vm"
+)
+
+// Differential machine fuzzing: one op program runs on a default machine and
+// on a Config.Reference machine (every host-side fast lane off), and every
+// simulated observable must agree after every op.
+
+// Op kinds of a differential program. Each op is fuzzOpBytes bytes: the
+// kind, two little-endian 16-bit arguments a and b, and a byte argument c.
+const (
+	fopLoad byte = iota
+	fopStore
+	fopLoadRun
+	fopStoreRun
+	fopLoadByteRun
+	fopStoreByteRun
+	fopCopyRun
+	fopCompareRun
+	fopWatch
+	fopUnwatch
+	fopFlipData
+	fopFlipData2
+	fopFlipCheck
+	fopFlipCheck2
+	fopMprotect
+	fopSwapOut
+	fopWake
+	fopCompute
+	fopSnapshot
+	fopRestore
+	fopRecycle
+	fopKinds
+)
+
+const (
+	fuzzOpBytes = 6
+	fuzzMaxOps  = 64
+
+	fuzzBase   = vm.VAddr(0x40000)
+	fuzzPages  = 8
+	fuzzRegion = fuzzPages * vm.PageBytes
+	fuzzHalf   = fuzzRegion / 2
+)
+
+type fuzzOp struct {
+	kind byte
+	a, b uint16
+	c    byte
+}
+
+// encodeOps is decodeOps' inverse, for writing seed programs.
+func encodeOps(ops ...fuzzOp) []byte {
+	out := make([]byte, 0, len(ops)*fuzzOpBytes)
+	for _, op := range ops {
+		out = append(out, op.kind, byte(op.a), byte(op.a>>8), byte(op.b), byte(op.b>>8), op.c)
+	}
+	return out
+}
+
+func decodeOps(data []byte) []fuzzOp {
+	var ops []fuzzOp
+	for len(data) >= fuzzOpBytes && len(ops) < fuzzMaxOps {
+		ops = append(ops, fuzzOp{
+			kind: data[0] % fopKinds,
+			a:    uint16(data[1]) | uint16(data[2])<<8,
+			b:    uint16(data[3]) | uint16(data[4])<<8,
+			c:    data[5],
+		})
+		data = data[fuzzOpBytes:]
+	}
+	return ops
+}
+
+// diffDigest is every simulated observable of a differential rig.
+type diffDigest struct {
+	sum    uint64 // values read, fault records and wake times, hashed
+	faults int
+	wakes  int
+	now    simtime.Cycles
+	instrs uint64
+	stats  Stats
+	cache  cache.Stats
+	ctrl   memctrl.Stats
+	err    string
+}
+
+// diffRig is one machine of a differential pair plus what its handlers
+// observed.
+type diffRig struct {
+	t    *testing.T
+	m    *Machine
+	snap *Snapshot
+	d    diffDigest
+}
+
+func newDiffRig(t *testing.T, reference bool) *diffRig {
+	r := &diffRig{t: t, m: MustNew(Config{MemBytes: 1 << 20, Reference: reference})}
+	r.setup()
+	return r
+}
+
+func (r *diffRig) h(v uint64) { r.d.sum = r.d.sum*0x9e3779b97f4a7c15 + v + 1 }
+
+// setup maps the fuzz region and installs the handlers: ECC faults on
+// watched lines record the in-flight access and disarm the watch, anything
+// else panics the kernel; protection faults restore read-write access.
+func (r *diffRig) setup() {
+	m := r.m
+	if err := m.Kern.MapPages(fuzzBase, fuzzPages); err != nil {
+		r.t.Fatal(err)
+	}
+	m.Kern.RegisterECCFaultHandler(func(f *kernel.ECCFault) bool {
+		va, size, write, ok := m.AccessInFlight()
+		r.d.faults++
+		r.h(uint64(f.VLine))
+		r.h(uint64(m.Clock.Now()))
+		r.h(uint64(va))
+		r.h(uint64(size))
+		r.h(boolBit(write)<<1 | boolBit(ok))
+		if !f.Watched {
+			return false
+		}
+		return m.Kern.DisableWatchMemory(f.VLine, 64) == nil
+	})
+	m.Kern.RegisterPageFaultHandler(func(f *vm.Fault) bool {
+		r.h(uint64(f.Addr))
+		return m.Kern.Mprotect(f.Addr.PageAddr(), 1, vm.ProtRW) == nil
+	})
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// fitRun clamps a run of n elements spaced stride apart, each size bytes,
+// starting off bytes into a space of limit bytes, so it stays inside.
+func fitRun(off, size, stride, n, limit uint64) uint64 {
+	if off+size > limit {
+		return 0
+	}
+	return min(n, (limit-off-size)/stride+1)
+}
+
+func (r *diffRig) step(op fuzzOp) {
+	m := r.m
+	size := uint64(1) << (op.c & 3)
+	off := uint64(op.a) % fuzzRegion
+	aligned := off &^ (size - 1)
+	val := uint64(op.b)*0x9e3779b97f4a7c15 ^ uint64(op.c)
+
+	switch op.kind {
+	case fopLoad:
+		r.h(m.Load(fuzzBase+vm.VAddr(aligned), int(size)))
+	case fopStore:
+		m.Store(fuzzBase+vm.VAddr(aligned), int(size), val)
+	case fopLoadRun, fopStoreRun:
+		stride := size * (1 + uint64(op.c>>2&3))
+		n := fitRun(aligned, size, stride, 1+uint64(op.b)%256, fuzzRegion)
+		buf := make([]uint64, n)
+		if op.kind == fopStoreRun {
+			for i := range buf {
+				buf[i] = val * uint64(i+1)
+			}
+			m.StoreRun(fuzzBase+vm.VAddr(aligned), int(size), stride, buf)
+			return
+		}
+		m.LoadRun(fuzzBase+vm.VAddr(aligned), int(size), stride, buf)
+		for _, v := range buf {
+			r.h(v)
+		}
+	case fopLoadByteRun, fopStoreByteRun:
+		buf := make([]byte, fitRun(off, 1, 1, 1+uint64(op.b)%1024, fuzzRegion))
+		if op.kind == fopStoreByteRun {
+			for i := range buf {
+				buf[i] = byte(val) + byte(i)*op.c
+			}
+			m.StoreByteRun(fuzzBase+vm.VAddr(off), buf)
+			return
+		}
+		m.LoadByteRun(fuzzBase+vm.VAddr(off), buf)
+		for _, v := range buf {
+			r.h(uint64(v))
+		}
+	case fopCopyRun, fopCompareRun:
+		// Source in the low half, destination in the high half: CopyRun's
+		// regions must not overlap.
+		src := uint64(op.a) % fuzzHalf
+		dst := uint64(op.b) % fuzzHalf
+		n := min(1+uint64(op.c)*8, fuzzHalf-src, fuzzHalf-dst)
+		if op.kind == fopCopyRun {
+			m.CopyRun(fuzzBase+vm.VAddr(fuzzHalf+dst), fuzzBase+vm.VAddr(src), n)
+			return
+		}
+		r.h(uint64(m.CompareRun(fuzzBase+vm.VAddr(src), fuzzBase+vm.VAddr(fuzzHalf+dst), int(n))))
+	case fopWatch:
+		_, err := m.Kern.WatchMemory(fuzzBase+vm.VAddr(off&^63), 64*(1+uint64(op.c%2)))
+		r.h(boolBit(err != nil))
+	case fopUnwatch:
+		r.h(boolBit(m.Kern.DisableWatchMemory(fuzzBase+vm.VAddr(off&^63), 64) != nil))
+	case fopFlipData, fopFlipData2, fopFlipCheck, fopFlipCheck2:
+		frame, ok := m.AS.FrameOf(fuzzBase + vm.VAddr(off))
+		r.h(boolBit(ok))
+		if !ok {
+			return
+		}
+		pa := frame + physmem.Addr(off%vm.PageBytes&^7)
+		switch op.kind {
+		case fopFlipData:
+			m.Phys.FlipDataBit(pa, uint(op.c%64))
+		case fopFlipData2:
+			m.Phys.FlipDataBit(pa, uint(op.c%64))
+			m.Phys.FlipDataBit(pa, uint(op.c%64+1+uint8(op.b%63))%64)
+		case fopFlipCheck:
+			m.Phys.FlipCheckBit(pa, uint(op.c%8))
+		case fopFlipCheck2:
+			m.Phys.FlipCheckBit(pa, uint(op.c%8))
+			m.Phys.FlipCheckBit(pa, uint(op.c%8+1+uint8(op.b%7))%8)
+		}
+	case fopMprotect:
+		prot := vm.ProtRead
+		if op.c&1 != 0 {
+			prot = vm.ProtNone
+		}
+		page := fuzzBase + vm.VAddr(uint64(op.a)%fuzzPages*vm.PageBytes)
+		r.h(boolBit(m.Kern.Mprotect(page, 1, prot) != nil))
+	case fopSwapOut:
+		r.h(uint64(m.AS.SwapOutLRU(1 + int(op.c%4))))
+	case fopWake:
+		m.Clock.NewTimer(m.Clock.Now()+1+simtime.Cycles(op.a%8192), func(now simtime.Cycles) simtime.Cycles {
+			r.d.wakes++
+			r.h(uint64(now))
+			return 0
+		})
+	case fopCompute:
+		m.Compute(1 + uint64(op.a%4096))
+	case fopSnapshot:
+		r.snap = m.Snapshot()
+	case fopRestore:
+		if r.snap != nil {
+			m.Restore(r.snap)
+		}
+	case fopRecycle:
+		m.Recycle()
+		r.snap = nil
+		r.setup()
+	}
+}
+
+// run applies op as one simulated program and returns the digest. A
+// termination (segfault, kernel panic) is part of the digest.
+func (r *diffRig) run(op fuzzOp) diffDigest {
+	m := r.m
+	if err := m.Run(func() error { r.step(op); return nil }); err != nil {
+		r.d.err = err.Error()
+	}
+	r.d.now = m.Clock.Now()
+	r.d.instrs = m.Instructions()
+	r.d.stats = m.Stats()
+	r.d.cache = m.Cache.Stats()
+	r.d.ctrl = m.Ctrl.Stats()
+	return r.d
+}
+
+// runDifferential runs ops on a default and a Reference machine, failing on
+// the first op after which their digests differ, and returns both rigs. The
+// program stops at the first termination: a terminated machine is never
+// reused (Pool's taint rule).
+func runDifferential(t *testing.T, ops []fuzzOp) (fast, ref *diffRig) {
+	t.Helper()
+	fast, ref = newDiffRig(t, false), newDiffRig(t, true)
+	for i, op := range ops {
+		df, dr := fast.run(op), ref.run(op)
+		if df != dr {
+			t.Fatalf("op %d %+v: default machine diverges from reference\ndefault:   %+v\nreference: %+v",
+				i, op, df, dr)
+		}
+		if df.err != "" {
+			break
+		}
+	}
+	return fast, ref
+}
+
+// fuzzSeeds are the batchWorkload shapes as differential programs: word,
+// strided and misaligned byte runs across lines and pages, copies and
+// compares with a planted mismatch, a wake inside a run, a watched line
+// under a run, a protection fault, swapped pages, snapshot/restore and
+// recycle, and single- and double-bit plants.
+func fuzzSeeds() [][]byte {
+	const page = uint16(vm.PageBytes)
+	return [][]byte{
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 255, c: 3},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 255, c: 3},
+			fuzzOp{kind: fopStoreRun, a: page, b: 200, c: 1 | 3<<2},
+			fuzzOp{kind: fopLoadRun, a: page, b: 200, c: 1 | 3<<2},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreByteRun, a: page - 333, b: 699, c: 37},
+			fuzzOp{kind: fopLoadByteRun, a: page - 333, b: 699},
+			fuzzOp{kind: fopLoad, a: page - 3, c: 0},
+			fuzzOp{kind: fopStore, a: page + 6, b: 9, c: 1},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 255, c: 3},
+			fuzzOp{kind: fopCopyRun, a: 0, b: 0, c: 127},
+			fuzzOp{kind: fopCopyRun, a: 3, b: 1027, c: 64},
+			fuzzOp{kind: fopCompareRun, a: 0, b: 0, c: 127},
+			fuzzOp{kind: fopStore, a: 2*page + 777, b: 5, c: 0},
+			fuzzOp{kind: fopCompareRun, a: 0, b: 0, c: 127},
+			fuzzOp{kind: fopCompareRun, a: 1, b: 1, c: 7},
+		),
+		encodeOps(
+			fuzzOp{kind: fopWake, a: 2000},
+			fuzzOp{kind: fopStoreByteRun, a: 2 * page, b: 699, c: 11},
+			fuzzOp{kind: fopWake, a: 300},
+			fuzzOp{kind: fopLoadByteRun, a: 2 * page, b: 699},
+			fuzzOp{kind: fopCompute, a: 500},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 100, c: 3},
+			fuzzOp{kind: fopWatch, a: 128},
+			fuzzOp{kind: fopLoadByteRun, a: 0, b: 639},
+			fuzzOp{kind: fopWatch, a: 576},
+			fuzzOp{kind: fopLoadRun, a: 448, b: 40, c: 3},
+			fuzzOp{kind: fopUnwatch, a: 576},
+			fuzzOp{kind: fopUnwatch, a: 576},
+		),
+		encodeOps(
+			fuzzOp{kind: fopMprotect, a: 5},
+			fuzzOp{kind: fopStoreByteRun, a: 5*page - 64, b: 199, c: 3},
+			fuzzOp{kind: fopMprotect, a: 6, c: 1},
+			fuzzOp{kind: fopLoadRun, a: 6*page - 64, b: 31, c: 3},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 255, c: 3},
+			fuzzOp{kind: fopSwapOut, c: 1},
+			fuzzOp{kind: fopLoadRun, a: 6*page - 64, b: 31, c: 3},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 63, c: 3},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopSnapshot},
+			fuzzOp{kind: fopStoreRun, a: 0, b: 63, c: 2},
+			fuzzOp{kind: fopWake, a: 100},
+			fuzzOp{kind: fopRestore},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopRecycle},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopCopyRun, a: 8, b: 8, c: 20},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopFlipData, a: 64, c: 5},
+			fuzzOp{kind: fopFlipCheck, a: 200, c: 2},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopWatch, a: 256},
+			fuzzOp{kind: fopFlipData2, a: 256, b: 3, c: 9},
+			fuzzOp{kind: fopLoad, a: 256, c: 3},
+			fuzzOp{kind: fopFlipCheck2, a: 1024, b: 1, c: 4},
+			fuzzOp{kind: fopLoadByteRun, a: 1000, b: 100},
+		),
+	}
+}
+
+// FuzzMachineDifferential pins that Config.Reference changes host work
+// only: values read, simulated time, instruction counts, machine, cache and
+// controller statistics, ECC-fault delivery with its AccessInFlight record,
+// and wake times all match a default machine's after every op.
+func FuzzMachineDifferential(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runDifferential(t, decodeOps(data))
+	})
+}
+
+// TestReferenceDisablesFastLanes guards the differential fuzzer: over the
+// seed programs the default machine must use the controller's clean-line
+// bitmap, the software TLB and the batch lane, and the Reference machine
+// none of them — otherwise the two sides no longer differ.
+func TestReferenceDisablesFastLanes(t *testing.T) {
+	lanes := func(m *Machine) [3]uint64 {
+		hits, _, _ := m.AS.TLBStats()
+		runs, _, _ := m.BatchStats()
+		return [3]uint64{m.Ctrl.FastLineReads(), hits, runs}
+	}
+	var fast, ref [3]uint64
+	for _, seed := range fuzzSeeds() {
+		f, r := runDifferential(t, decodeOps(seed))
+		fl, rl := lanes(f.m), lanes(r.m)
+		for i := range fast {
+			fast[i] += fl[i]
+			ref[i] += rl[i]
+		}
+	}
+	if fast[0] == 0 || fast[1] == 0 || fast[2] == 0 {
+		t.Errorf("default machine skipped a fast lane: clean reads=%d tlb hits=%d batch runs=%d",
+			fast[0], fast[1], fast[2])
+	}
+	if ref != [3]uint64{} {
+		t.Errorf("reference machine used a fast lane: clean reads=%d tlb hits=%d batch runs=%d",
+			ref[0], ref[1], ref[2])
+	}
+}

@@ -37,6 +37,13 @@ type Config struct {
 	// register into. When nil, New creates a quiet default (tracing off, no
 	// sampler) so components can stay registry-agnostic.
 	Telemetry *telemetry.Registry
+	// Reference builds the machine with every host-side fast lane off: the
+	// controller's known-clean line bitmap, the software TLB and the batched
+	// access lane, and a Pool of this Config never recycles — every Get
+	// builds fresh. Simulated results are identical either way; reference
+	// machines are the oracle the fast lanes are tested against
+	// (the Reference sweep in internal/campaign, FuzzMachineDifferential).
+	Reference bool
 }
 
 // DefaultConfig returns the standard machine configuration.
@@ -101,10 +108,12 @@ type Machine struct {
 	// experiment reads it to convert host wall-clock into ns-per-instruction.
 	instrs uint64
 	cur    access
-	// batch is the batched-access fast lane's mode and host-side counters
-	// (batch.go). Reset by Recycle so pooled machines never leak a stale
-	// batch window or pinned mode across tenants.
+	// batch is the batched-access fast lane's windows and host-side
+	// counters (batch.go). Reset by Recycle so pooled machines never leak a
+	// stale batch window across tenants.
 	batch batchLane
+	// reference is Config.Reference: the batch lane is refused (laneOK).
+	reference bool
 	// pristine is the snapshot New captures of the just-built machine;
 	// Recycle restores it.
 	pristine *Snapshot
@@ -140,6 +149,10 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	as := vm.New(phys, clock)
+	if cfg.Reference {
+		ctrl.SetFastPath(false)
+		as.SetTLB(false)
+	}
 	kern := kernel.New(clock, ctrl, ch, as)
 	reg := cfg.Telemetry
 	if reg == nil {
@@ -153,6 +166,8 @@ func New(cfg Config) (*Machine, error) {
 		AS:    as,
 		Kern:  kern,
 		Stack: &callstack.Stack{},
+
+		reference: cfg.Reference,
 	}
 	reg.AttachClock(clock)
 	m.Telemetry = reg
@@ -177,7 +192,7 @@ func New(cfg Config) (*Machine, error) {
 // mappings the previous run dirtied are rewritten, so recycling costs in
 // proportion to the run's footprint, not the DRAM size — the point of
 // pooling machines across runs (Pool). Everything Config chose survives,
-// DirectECCAccess included.
+// DirectECCAccess and Reference included.
 //
 // The telemetry registry is kept, and its sources are truncated back to the
 // components New registered: the per-run sources a tool, heap, injector,

@@ -18,7 +18,9 @@ import (
 // its callers use at once, and two garbage collections without reuse empty
 // it, so the next Get builds fresh. A recycled machine is observationally
 // identical to a fresh one (TestMachineRecycleEquivalence), so pooling
-// changes host time only, never simulated results.
+// changes host time only, never simulated results. A pool of a Reference
+// Config never recycles: every Get builds fresh, the oracle pooled
+// machines are compared against.
 type Pool struct {
 	cfg  Config
 	idle sync.Pool
@@ -55,14 +57,18 @@ func (p *Pool) Get() (*Machine, error) {
 }
 
 // Done ends m's run: clean recycles m into the pool, otherwise m is dropped.
-// Done on a nil Pool does nothing, so a caller holding an unpooled machine
-// needs no special case.
+// A Reference pool discards clean machines without recycling them. Done on
+// a nil Pool does nothing, so a caller holding an unpooled machine needs no
+// special case.
 func (p *Pool) Done(m *Machine, clean bool) {
 	if p == nil {
 		return
 	}
 	if !clean {
 		p.dropped.Add(1)
+		return
+	}
+	if p.cfg.Reference {
 		return
 	}
 	m.Recycle()

@@ -36,7 +36,6 @@ type Snapshot struct {
 	stats      Stats
 	instrs     uint64
 	stack      []uint64
-	batchMode  batchMode
 	sourceMark int
 }
 
@@ -59,7 +58,6 @@ func (m *Machine) Snapshot() *Snapshot {
 		stats:      m.stats,
 		instrs:     m.instrs,
 		stack:      m.Stack.Snapshot(),
-		batchMode:  m.batch.mode,
 		sourceMark: m.Telemetry.SourceMark(),
 	}
 }
@@ -94,7 +92,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.Stack.Restore(s.stack)
 	// The batch lane's open windows hold line and page references that the
 	// component restores just invalidated (both epochs moved); drop them and
-	// the host-side counters, keeping only the captured mode pin.
-	m.batch = batchLane{mode: s.batchMode}
+	// the host-side counters.
+	m.batch = batchLane{}
 	m.Telemetry.TruncateSources(s.sourceMark)
 }

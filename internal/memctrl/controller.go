@@ -128,7 +128,7 @@ type Controller struct {
 	// so a planted fault can never hide behind the fast path.
 	clean []uint64
 	// fastPath gates the bitmap; SetFastPath(false) restores the literal
-	// decode-everything read path (for differential tests).
+	// decode-everything read path (reference machines, differential tests).
 	fastPath bool
 	// fastLineReads counts ReadLine calls served by the bitmap. Diagnostic
 	// only: deliberately outside Stats so run results and JSON summaries
@@ -184,7 +184,9 @@ func (c *Controller) lineClean(line physmem.Addr) bool {
 // SetFastPath enables or disables the known-clean ReadLine fast path. It is
 // on by default; turning it off forces every read through the full decode
 // loop. Stats, cycle charges and returned data are identical either way —
-// pinned by TestFastPathEquivalence.
+// pinned by TestFastPathEquivalence. It is a construction-time switch: set
+// it before the first access, and before any CaptureImage, which does not
+// record it. machine.New is its only non-test caller (Config.Reference).
 func (c *Controller) SetFastPath(enabled bool) { c.fastPath = enabled }
 
 // FastLineReads returns the number of ReadLine calls that skipped decoding
@@ -435,7 +437,8 @@ func (c *Controller) WriteLine(a physmem.Addr, words [physmem.GroupsPerLine]uint
 
 // Image is a checkpoint of the controller's simulated state: mode, handler,
 // observers, capabilities, counters and scrub cursor. The known-clean line
-// bitmap is deliberately NOT part of the image: it is a host-side read
+// bitmap and its SetFastPath switch are deliberately NOT part of the image:
+// the switch is fixed at construction, and the bitmap is a host-side read
 // accelerator whose entries stay valid across a restore (physmem fires the
 // mutation hook for every line a restore rewrites, clearing exactly the bits
 // that could go stale), and its state is observationally invisible — pinned
@@ -448,7 +451,6 @@ type Image struct {
 	nobservers  int
 	caps        Capabilities
 	stats       Stats
-	fastPath    bool
 	scrubCursor physmem.Addr
 	scrubFilter func(line physmem.Addr) bool
 }
@@ -467,7 +469,6 @@ func (c *Controller) CaptureImage() *Image {
 		nobservers:  len(c.observers),
 		caps:        c.caps,
 		stats:       c.stats,
-		fastPath:    c.fastPath,
 		scrubCursor: c.scrubCursor,
 		scrubFilter: c.scrubFilter,
 	}
@@ -489,7 +490,6 @@ func (c *Controller) RestoreImage(img *Image) {
 	c.caps = img.caps
 	c.stats = img.stats
 	c.busSpan = telemetry.Span{}
-	c.fastPath = img.fastPath
 	c.scrubCursor = img.scrubCursor
 	c.scrubFilter = img.scrubFilter
 }

@@ -148,11 +148,9 @@ func TestTLBTransparent(t *testing.T) {
 		cycles simtime.Cycles
 	}
 	run := func(tlbOn bool) outcome {
-		old := TLBDefault
-		TLBDefault = tlbOn
-		defer func() { TLBDefault = old }()
 		clock := &simtime.Clock{}
 		as := New(physmem.MustNew(1<<20), clock)
+		as.SetTLB(tlbOn)
 		var o outcome
 		xlate := func(va VAddr, write bool) {
 			pa, f := as.Translate(va, write)

@@ -167,9 +167,9 @@ type AddressSpace struct {
 	// Software TLB: consulted by Translate before the pages map. Purely a
 	// host-speed optimisation — it charges no simulated cycles and changes
 	// no simulated state, so every counter in Stats is identical with the
-	// TLB on or off (pinned by TestTLBEquivalence). Entries are invalidated
-	// strictly on every event that can change a translation; see the
-	// invalidation matrix in DESIGN.md §4.8.
+	// TLB on or off (pinned by TestTLBEquivalence). Entries are
+	// invalidated strictly on every event that can change a translation; see
+	// the invalidation matrix in DESIGN.md §4.8.
 	tlb       []tlbEntry
 	tlbGen    uint64 // current generation; entries with gen != tlbGen are dead
 	tlbOn     bool
@@ -218,12 +218,10 @@ func (as *AddressSpace) newPTE() *pte {
 // invalidated any TLB entry or PageRef that could reference it.
 func (as *AddressSpace) freePTE(p *pte) { as.ptePool = append(as.ptePool, p) }
 
-// TLBDefault controls whether new address spaces start with the software
-// TLB enabled. Equivalence tests flip it off to pin that the TLB is
-// invisible to simulated semantics.
-var TLBDefault = true
-
 // SetTLB enables or disables the software TLB, flushing it on any change.
+// New address spaces start with it on. It is a construction-time switch:
+// CaptureImage does not record it, so a restore keeps whatever was set.
+// machine.New is its only non-test caller (Config.Reference).
 func (as *AddressSpace) SetTLB(on bool) {
 	as.tlbOn = on
 	as.tlbGen++
@@ -291,7 +289,7 @@ func New(mem *physmem.Memory, clock *simtime.Clock) *AddressSpace {
 		retired: make(map[physmem.Addr]bool),
 		tlb:     make([]tlbEntry, tlbEntries),
 		tlbGen:  1,
-		tlbOn:   TLBDefault,
+		tlbOn:   true,
 	}
 }
 
