@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check ci bench bench-smoke bench-quick bench-check bench-fleet bench-campaign fleet-smoke campaign storm fuzz-short frontier coverage-floor serve-smoke
+.PHONY: all build vet fmt test race check ci bench bench-smoke bench-quick bench-check bench-fleet bench-campaign fleet-smoke campaign storm fuzz-short frontier coverage-floor serve-smoke
 
 all: check
 
@@ -9,6 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the offenders, when any tracked Go file is not
+# gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -72,7 +78,7 @@ serve-smoke:
 check: build vet test race fuzz-short campaign storm bench-check
 
 # ci is the continuous-integration gate (.github/workflows/ci.yml): the
-# full build + vet + test sweep, a shuffled re-run of the order-sensitive
+# full build + vet + gofmt + test sweep, a shuffled re-run of the order-sensitive
 # new packages, the coverage floors, a race-detector pass over the
 # concurrent serving/observability/telemetry layers, the sample-tool
 # campaign and the pooled machine-reuse path (pooled-vs-reference
@@ -80,7 +86,7 @@ check: build vet test race fuzz-short campaign storm bench-check
 # enough for every push, unlike `make race` — the serving-stack chaos smoke, a
 # one-shard fleet-bench + bench_compare.sh smoke, the per-cycle cost
 # benchmark smoke, and the throughput/campaign regression gates.
-ci: build vet test
+ci: build vet fmt test
 	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier
 	$(MAKE) coverage-floor
 	$(GO) test -race ./internal/obsrv/... ./internal/telemetry/... ./internal/fleet

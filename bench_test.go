@@ -161,7 +161,7 @@ func BenchmarkTable5(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				noPrune := bench.SafeMemOptions(true, true)
 				noPrune.PruneWithECC = false
-				resB, err := bench.RunWithOptions(app.Name, noPrune, buggy)
+				resB, err := bench.RunSpec(bench.Spec{App: app.Name, Tool: bench.ToolSafeMemBoth, Cfg: buggy, SafeMem: &noPrune})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,7 +320,7 @@ func BenchmarkAblationCheckingPeriod(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := bench.SafeMemOptions(true, false)
 				opts.CheckingPeriod = simtime.FromMicroseconds(periodUS)
-				res, err := bench.RunWithOptions("ypserv1", opts, benchCfg)
+				res, err := bench.RunSpec(bench.Spec{App: "ypserv1", Tool: bench.ToolSafeMemML, Cfg: benchCfg, SafeMem: &opts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -418,7 +418,7 @@ func BenchmarkExtensionDirectECC(b *testing.B) {
 				}
 				mcfg := machine.DefaultConfig()
 				mcfg.DirectECCAccess = true
-				d, err := bench.RunWithMachine(name, bench.ToolSafeMemBoth, benchCfg, mcfg)
+				d, err := bench.RunSpec(bench.Spec{App: name, Tool: bench.ToolSafeMemBoth, Cfg: benchCfg, Machine: mcfg})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -29,6 +29,7 @@ import (
 	"safemem/internal/obsrv"
 	"safemem/internal/obsrv/buildinfo"
 	"safemem/internal/obsrv/logging"
+	"safemem/internal/sampletool"
 	"safemem/internal/simtime"
 	"safemem/internal/telemetry"
 )
@@ -36,7 +37,7 @@ import (
 func main() {
 	appName := flag.String("app", "", "application to run (ypserv1, proftpd, squid1, ypserv2, gzip, tar, squid2)")
 	toolName := flag.String("tool", "safemem", "monitoring tool: safemem, safemem-ml, safemem-mc, sample, purify, pageprot, mmp, none")
-	sampleRate := flag.Int("sample-rate", 8, "with -tool sample: watch ~1/N of allocations")
+	sampleRate := flag.Int("sample-rate", sampletool.DefaultRate, "with -tool sample: watch ~1/N of allocations")
 	buggy := flag.Bool("buggy", false, "use the bug-triggering inputs")
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	scale := flag.Int("scale", 1, "workload scale multiplier")
@@ -75,26 +76,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tool bench.Tool
-	switch *toolName {
-	case "safemem":
-		tool = bench.ToolSafeMemBoth
-	case "safemem-ml":
-		tool = bench.ToolSafeMemML
-	case "safemem-mc":
-		tool = bench.ToolSafeMemMC
-	case "sample":
-		tool = bench.ToolSample
-	case "purify":
-		tool = bench.ToolPurify
-	case "pageprot":
-		tool = bench.ToolPageProt
-	case "mmp":
-		tool = bench.ToolMMP
-	case "none":
-		tool = bench.ToolNone
-	default:
-		fmt.Fprintf(os.Stderr, "safemem-run: unknown tool %q\n", *toolName)
+	tool, err := bench.ParseTool(*toolName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "safemem-run: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -123,15 +107,12 @@ func main() {
 		log.Info("observability server listening", "addr", srv.Addr())
 	}
 
-	if *faultRate > 0 {
-		bench.Faults = &bench.FaultKnobs{Rate: *faultRate, Storm: *storm, Retire: *retire}
-	}
-	if tool == bench.ToolSample {
-		bench.SampleRate = *sampleRate
-	}
-
 	cfg := apps.Config{Seed: *seed, Scale: *scale, Buggy: *buggy}
-	res, err := bench.Run(app.Name, tool, cfg)
+	res, err := bench.RunSpec(bench.Spec{
+		App: app.Name, Tool: tool, Cfg: cfg,
+		SampleRate: *sampleRate,
+		FaultRate:  *faultRate, Storm: *storm, Retire: *retire,
+	})
 	if err != nil {
 		log.Error("run failed", "app", app.Name, "err", err)
 		os.Exit(1)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"safemem/internal/apps"
@@ -73,62 +72,40 @@ func RunFleet(cfg apps.Config, shards, workers int) (*Fleet, error) {
 	}
 	all := apps.All()
 	f := &Fleet{Seed: cfg.Seed, Scale: cfg.Scale, Shards: shards, Workers: workers, Cores: cores}
-	type cellRes struct {
-		app    int
-		instrs uint64
-		hostNS int64
-		err    error
-	}
 	n := shards * len(all)
 	if workers > n {
 		workers = n
 		f.Workers = workers
 	}
+	type cellRes struct {
+		instrs uint64
+		hostNS int64
+	}
 	results := make([]cellRes, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var done sync.Mutex
-	finished := 0
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				ai := i % len(all)
-				res, err := Run(all[ai].Name, ToolNone, cfg)
-				c := cellRes{app: ai, err: err}
-				if err == nil {
-					if res.Err != nil {
-						c.err = fmt.Errorf("fleet: %s run: %w", all[ai].Name, res.Err)
-					} else {
-						c.instrs, c.hostNS = res.Instrs, res.HostNS
-					}
-				}
-				results[i] = c
-				done.Lock()
-				finished++
-				noteProgress("fleet", finished, n)
-				done.Unlock()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	err := runCells("fleet", workers, n, func(i int) error {
+		name := all[i%len(all)].Name
+		res, err := Run(name, ToolNone, cfg)
+		if err != nil {
+			return err
+		}
+		if res.Err != nil {
+			return fmt.Errorf("fleet: %s run: %w", name, res.Err)
+		}
+		results[i] = cellRes{instrs: res.Instrs, hostNS: res.HostNS}
+		return nil
+	})
 	f.WallNS = time.Since(start).Nanoseconds()
+	if err != nil {
+		return nil, err
+	}
 
 	f.Rows = make([]FleetRow, len(all))
 	for ai, app := range all {
 		f.Rows[ai].App = app.Name
 	}
-	for _, c := range results {
-		if c.err != nil {
-			return nil, c.err
-		}
-		r := &f.Rows[c.app]
+	for i, c := range results {
+		r := &f.Rows[i%len(all)]
 		r.Runs++
 		r.SimInstrs += c.instrs
 		r.HostNS += c.hostNS

@@ -12,11 +12,9 @@ import (
 // exactly once at any worker count, and the reported error is the
 // lowest-indexed one, matching a sequential sweep.
 func TestRunCells(t *testing.T) {
-	defer func(old int) { Parallel = old }(Parallel)
 	for _, workers := range []int{1, 2, 7, 64} {
-		Parallel = workers
 		var ran [40]atomic.Uint32
-		if err := runCells("test", len(ran), func(i int) error {
+		if err := runCells("test", workers, len(ran), func(i int) error {
 			ran[i].Add(1)
 			return nil
 		}); err != nil {
@@ -30,8 +28,7 @@ func TestRunCells(t *testing.T) {
 	}
 
 	errA, errB := errors.New("cell 3"), errors.New("cell 17")
-	Parallel = 8
-	err := runCells("test", 40, func(i int) error {
+	err := runCells("test", 8, 40, func(i int) error {
 		switch i {
 		case 3:
 			return errA

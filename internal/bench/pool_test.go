@@ -62,7 +62,7 @@ func TestTelemetryRunNotPooled(t *testing.T) {
 	mcfg.Telemetry = telemetry.NewRegistry("ypserv1/none", telemetry.Config{})
 	r0, d0 := PoolStats()
 	b0 := PoolBuilt()
-	res, err := RunWithMachine("ypserv1", ToolNone, apps.Config{Seed: 1, Scale: 1}, mcfg)
+	res, err := RunSpec(Spec{App: "ypserv1", Tool: ToolNone, Cfg: apps.Config{Seed: 1, Scale: 1}, Machine: mcfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,25 +33,6 @@ import (
 // registry. The CLIs set it from their -metrics-out / -trace-out flags.
 var Telemetry *telemetry.Session
 
-// FaultKnobs configures the background DRAM fault process for runs started
-// through this package (the -fault-rate / -storm / -retire flags).
-type FaultKnobs struct {
-	// Rate is fault events per million simulated cycles over the heap arena.
-	Rate float64
-	// Storm clusters faults into error-storm episodes.
-	Storm bool
-	// Retire switches the kernel to page retirement on uncorrectable errors.
-	// Without it the process plants only correctable single-bit faults — a
-	// random double-bit on an unwatched line would panic the stock kernel.
-	Retire bool
-}
-
-// Faults, when set with a positive Rate, runs every benchmark "on flaky
-// DIMMs": a fault process seeded from the workload seed, the kernel scrub
-// daemon, and (with Retire) page retirement. Nil (the default) leaves the
-// hardware perfect, preserving the stock evaluation numbers.
-var Faults *FaultKnobs
-
 // Parallel is the worker count runCells uses to execute independent
 // experiment cells concurrently (the -parallel flag of safemem-bench).
 // Values below 2 keep the legacy fully-sequential order. Every cell builds
@@ -75,14 +56,14 @@ func noteProgress(label string, done, total int) {
 }
 
 // runCells executes n independent cell functions, each writing only its own
-// result slot, on up to Parallel workers, reporting each finished cell to
-// the Progress hook under label. Cells must not share simulator state (each
-// bench.Run constructs a fresh machine). The returned error is the
-// lowest-indexed cell error, matching what a sequential sweep would have
-// reported first; later cells still run to completion either way.
-func runCells(label string, n int, cell func(i int) error) error {
+// result slot, on up to workers goroutines (the experiments pass Parallel),
+// reporting each finished cell to the Progress hook under label. Cells must
+// not share simulator state (each run gets its own pristine machine). The
+// returned error is the lowest-indexed cell error, matching what a
+// sequential sweep would have reported first; later cells still run to
+// completion either way.
+func runCells(label string, workers, n int, cell func(i int) error) error {
 	var done atomic.Int64
-	workers := Parallel
 	if workers > n {
 		workers = n
 	}
@@ -142,8 +123,8 @@ const (
 	// corruption detector of Section 2.2.4's discussion.
 	ToolMMP
 	// ToolSample is the GWP-ASan-style sampling SafeMem: the full detector
-	// applied to a ~1/SampleRate sampled allocation pool, everything else
-	// unwatched (internal/sampletool).
+	// applied to a ~1/N sampled allocation pool (N is Spec.SampleRate),
+	// everything else unwatched (internal/sampletool).
 	ToolSample
 )
 
@@ -171,18 +152,16 @@ func (t Tool) String() string {
 	}
 }
 
-// SampleRate is the sampling rate N for ToolSample runs started through
-// Run/RunWithMachine (the -sample-rate flag). Sweeps that need several
-// rates concurrently use RunSample with an explicit rate instead.
-var SampleRate = 8
-
-// SampleSeed, when non-zero, overrides the sampling-decision seed for
-// ToolSample runs; zero derives it from the workload seed.
-var SampleSeed uint64
-
-// sampleSeedSalt decorrelates the derived sampling-decision stream from
-// the workload's own seed ("SAMPLE" in ASCII).
-const sampleSeedSalt uint64 = 0x53414d504c45
+// ParseTool resolves a tool name, the inverse of Tool.String (the
+// safemem-run -tool and fleet app-job vocabulary).
+func ParseTool(s string) (Tool, error) {
+	for t := ToolNone; t <= ToolSample; t++ {
+		if t.String() == s {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("bench: unknown tool %q", s)
+}
 
 // SafeMemOptions returns the SafeMem configuration used throughout the
 // evaluation harness: DefaultOptions with the always-leak threshold scaled
@@ -246,7 +225,7 @@ type Result struct {
 
 	// Resilience holds the kernel's hardware-fault survival counters;
 	// FaultEvents counts background fault-process events (both zero unless
-	// Faults is set).
+	// Spec.FaultRate is positive).
 	Resilience  kernel.ResilienceStats
 	FaultEvents uint64
 
@@ -257,25 +236,49 @@ type Result struct {
 	Registry *telemetry.Registry
 }
 
-// heapOptionsFor returns the allocator configuration each tool requires.
-func heapOptionsFor(tool Tool) heap.Options {
-	switch tool {
-	case ToolSafeMemML:
-		return safemem.HeapOptions(false)
-	case ToolSafeMemMC, ToolSafeMemBoth, ToolSample:
-		return safemem.HeapOptions(true)
-	case ToolPageProt:
-		return pageprot.HeapOptions()
-	default:
-		return heap.Options{} // stock 8-byte-aligned malloc
-	}
+// Spec is one ⟨application, tool⟩ run. Only App, Tool and Cfg are
+// required; every other field's zero value is the stock evaluation.
+type Spec struct {
+	App  string
+	Tool Tool
+	Cfg  apps.Config
+	// Machine is the machine configuration — a hardware variant such as
+	// the Section 2.2.3 direct-ECC interface, or a Reference machine. The
+	// zero value means machine.DefaultConfig().
+	Machine machine.Config
+	// SafeMem, when non-nil, replaces the tool's SafeMemOptions (for
+	// ToolSample, the inner detector's) — the Table 5 pruning ablation.
+	// Setting it for a tool without a SafeMem detector is an error.
+	SafeMem *safemem.Options
+	// SampleRate is the sampling rate N of a ToolSample run (≤ 0 means
+	// sampletool.DefaultRate); the decision seed derives from Cfg.Seed.
+	SampleRate int
+	// FaultRate, when positive, runs on flaky DIMMs
+	// (faultmodel.StartFlaky): a fault process of this many events per
+	// million cycles seeded from Cfg.Seed, the scrub daemon, error storms
+	// with Storm, and page retirement with Retire. Storm and Retire apply
+	// only with a positive FaultRate.
+	FaultRate     float64
+	Storm, Retire bool
 }
 
-// Run executes one ⟨app, tool⟩ pair on a fresh machine and returns its
-// result. The machine, heap, tool and workload are fully reconstructed per
-// call, so runs are independent and deterministic for a given cfg.
+// Run executes one ⟨app, tool⟩ pair on a pristine default machine.
 func Run(appName string, tool Tool, cfg apps.Config) (*Result, error) {
-	return RunWithMachine(appName, tool, cfg, machine.DefaultConfig())
+	return RunSpec(Spec{App: appName, Tool: tool, Cfg: cfg})
+}
+
+// safeMemOptions returns the options of tool's SafeMem detector (the inner
+// one for ToolSample), and false for a tool without one.
+func safeMemOptions(tool Tool) (safemem.Options, bool) {
+	switch tool {
+	case ToolSafeMemML:
+		return SafeMemOptions(true, false), true
+	case ToolSafeMemMC:
+		return SafeMemOptions(false, true), true
+	case ToolSafeMemBoth, ToolSample:
+		return SafeMemOptions(true, true), true
+	}
+	return safemem.Options{}, false
 }
 
 // machinePools reuses bench machines, one pool per machine configuration.
@@ -333,19 +336,33 @@ func acquireMachine(mcfg machine.Config) (*machine.Machine, *machine.Pool, error
 	return m, pool, err
 }
 
-// RunWithMachine is Run with an explicit machine configuration — used to
-// evaluate hardware variants such as the Section 2.2.3 direct-ECC
-// interface.
+// RunSpec executes one run on a pristine machine and returns its result.
+// The heap, tool and workload are rebuilt per call, so runs are
+// independent and deterministic for a given spec.
 //
 // The machine goes back to its pool only when the run terminated normally;
 // a run that errored, failed setup or panicked drops it.
-func RunWithMachine(appName string, tool Tool, cfg apps.Config, mcfg machine.Config) (*Result, error) {
-	app, ok := apps.Get(appName)
+func RunSpec(spec Spec) (*Result, error) {
+	app, ok := apps.Get(spec.App)
 	if !ok {
-		return nil, fmt.Errorf("bench: unknown app %q", appName)
+		return nil, fmt.Errorf("bench: unknown app %q", spec.App)
+	}
+	tool, cfg := spec.Tool, spec.Cfg
+	smOpts, hasSafeMem := safeMemOptions(tool)
+	label := spec.App + "/" + tool.String()
+	if spec.SafeMem != nil {
+		if !hasSafeMem {
+			return nil, fmt.Errorf("bench: tool %v has no SafeMem options to set", tool)
+		}
+		smOpts = *spec.SafeMem
+		label = spec.App + "/custom"
+	}
+	mcfg := spec.Machine
+	if mcfg == (machine.Config{}) {
+		mcfg = machine.DefaultConfig()
 	}
 	if mcfg.Telemetry == nil && Telemetry != nil {
-		mcfg.Telemetry = Telemetry.NewRegistry(appName + "/" + tool.String())
+		mcfg.Telemetry = Telemetry.NewRegistry(label)
 	}
 	m, pool, err := acquireMachine(mcfg)
 	if err != nil {
@@ -353,103 +370,59 @@ func RunWithMachine(appName string, tool Tool, cfg apps.Config, mcfg machine.Con
 	}
 	clean := false
 	defer func() { pool.Done(m, clean) }()
-	sseed := SampleSeed
-	if sseed == 0 {
-		sseed = uint64(cfg.Seed) ^ sampleSeedSalt
-	}
-	w, err := attachBench(m, tool, SampleRate, sseed)
-	if err != nil {
-		return nil, err
-	}
-	res := runBench(appName, app, tool, cfg, w)
-	clean = res.Err == nil
-	return res, nil
-}
 
-// benchWarmup is the warmed object set of one bench run: the machine plus
-// the heap and tool stack attached to it. Only the attached tool's pointer
-// is non-nil.
-type benchWarmup struct {
-	m       *machine.Machine
-	alloc   *heap.Allocator
-	smTool  *safemem.Tool
-	pfTool  *purify.Tool
-	ppTool  *pageprot.Tool
-	mmpTool *mmp.Tool
-	sampler *sampletool.Tool
-}
-
-// attachBench creates the bench heap and attaches the tool stack to m — the
-// warmup every run of this ⟨tool, machine⟩ pair shares. rate and sseed only
-// matter for ToolSample.
-func attachBench(m *machine.Machine, tool Tool, rate int, sseed uint64) (*benchWarmup, error) {
-	ho := heapOptionsFor(tool)
+	var ho heap.Options // stock 8-byte-aligned malloc
+	switch {
+	case hasSafeMem:
+		ho = safemem.HeapOptions(smOpts.DetectCorruption || smOpts.DetectUninitRead)
+	case tool == ToolPageProt:
+		ho = pageprot.HeapOptions()
+	}
 	ho.Limit = 48 << 20
 	alloc, err := heap.New(m, ho)
 	if err != nil {
 		return nil, err
 	}
-	w := &benchWarmup{m: m, alloc: alloc}
+	env := &apps.Env{M: m, Alloc: alloc}
+	var (
+		smTool  *safemem.Tool
+		sampler *sampletool.Tool
+		pfTool  *purify.Tool
+		ppTool  *pageprot.Tool
+		mmpTool *mmp.Tool
+	)
 	switch tool {
 	case ToolNone:
-	case ToolSafeMemML:
-		w.smTool, err = safemem.Attach(m, alloc, SafeMemOptions(true, false))
-	case ToolSafeMemMC:
-		w.smTool, err = safemem.Attach(m, alloc, SafeMemOptions(false, true))
-	case ToolSafeMemBoth:
-		w.smTool, err = safemem.Attach(m, alloc, SafeMemOptions(true, true))
+	case ToolSafeMemML, ToolSafeMemMC, ToolSafeMemBoth:
+		smTool, err = safemem.Attach(m, alloc, smOpts)
 	case ToolSample:
-		w.sampler, err = sampletool.Attach(m, alloc,
-			sampletool.Options{Rate: rate, Seed: sseed, SafeMem: SafeMemOptions(true, true)})
+		so := sampletool.Options{Rate: spec.SampleRate, SafeMem: smOpts}.WithDefaults(uint64(cfg.Seed))
+		sampler, err = sampletool.Attach(m, alloc, so)
+		if err == nil {
+			smTool = sampler.Inner()
+		}
 	case ToolPurify:
-		w.pfTool = purify.Attach(m, alloc, purify.DefaultOptions())
+		pfTool = purify.Attach(m, alloc, purify.DefaultOptions())
+		env.AddRoot = pfTool.AddRoot
 	case ToolPageProt:
-		w.ppTool, err = pageprot.Attach(m, alloc, false)
+		ppTool, err = pageprot.Attach(m, alloc, false)
 	case ToolMMP:
-		w.mmpTool = mmp.Attach(m, alloc, false)
+		mmpTool = mmp.Attach(m, alloc, false)
 	default:
 		err = fmt.Errorf("bench: unknown tool %v", tool)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return w, nil
-}
-
-// runBench executes one app on an already-warmed machine and collects the
-// result: everything per-run — resilience policy, fault process, scrub
-// daemon, the run itself — happens here. Pool handling stays with the
-// caller.
-func runBench(appName string, app *apps.App, tool Tool, cfg apps.Config, w *benchWarmup) *Result {
-	m, alloc := w.m, w.alloc
-	res := &Result{App: appName, Tool: tool, Cfg: cfg}
-	env := &apps.Env{M: m, Alloc: alloc}
-	if w.pfTool != nil {
-		env.AddRoot = w.pfTool.AddRoot
-	}
 
 	var fp *faultmodel.Process
-	if Faults != nil && Faults.Rate > 0 {
-		if Faults.Retire {
-			m.Kern.SetResilience(kernel.ResilienceOptions{Policy: kernel.RetireAndContinue})
-		}
-		base, _ := alloc.ArenaRange()
-		fc := faultmodel.Config{
-			Seed:         uint64(cfg.Seed) ^ 0x5afe,
-			MeanInterval: simtime.Cycles(1_000_000 / Faults.Rate),
-			Targets:      []inject.Region{{Base: base, Size: alloc.Options().Limit}},
-		}
-		if Faults.Storm {
-			fc.StormInterval = 8 * fc.MeanInterval
-		}
-		if !Faults.Retire {
-			fc.DoubleBitFrac = -1
-		}
-		fp = faultmodel.Start(m, inject.New(m, inject.Config{Seed: cfg.Seed}), fc)
-		m.Kern.StartScrubDaemon(kernel.ScrubDaemonOptions{})
+	if spec.FaultRate > 0 {
+		in := inject.New(m, inject.Config{Seed: cfg.Seed})
+		fp = faultmodel.StartFlaky(m, in, alloc, uint64(cfg.Seed), spec.FaultRate, spec.Storm, spec.Retire)
 	}
 
-	runSpan := m.Telemetry.Tracer().Begin("run", appName+"/"+tool.String())
+	res := &Result{App: spec.App, Tool: tool, Cfg: cfg}
+	runSpan := m.Telemetry.Tracer().Begin("run", label)
 	start := time.Now()
 	res.Err = m.Run(func() error {
 		if runHook != nil {
@@ -473,10 +446,8 @@ func runBench(appName string, app *apps.App, tool Tool, cfg apps.Config, w *benc
 	res.Kern = m.Kern.Stats()
 	res.Registry = m.Telemetry
 
-	smTool := w.smTool
-	if w.sampler != nil {
-		res.SampleStats = w.sampler.Stats()
-		smTool = w.sampler.Inner()
+	if sampler != nil {
+		res.SampleStats = sampler.Stats()
 	}
 	if smTool != nil {
 		res.SafeMem = smTool.Reports()
@@ -486,126 +457,20 @@ func runBench(appName string, app *apps.App, tool Tool, cfg apps.Config, w *benc
 		res.SafeMemStats = smTool.Stats()
 		res.Groups = smTool.Groups()
 	}
-	if w.pfTool != nil {
+	if pfTool != nil {
 		// An exit-time scan, as Purify performs when the program ends.
-		w.pfTool.LeakScan()
-		res.Purify = w.pfTool.Reports()
-		res.PurifyStats = w.pfTool.Stats()
+		pfTool.LeakScan()
+		res.Purify = pfTool.Reports()
+		res.PurifyStats = pfTool.Stats()
 	}
-	if w.ppTool != nil {
-		res.PageProt = w.ppTool.Reports()
-		res.PageProtStats = w.ppTool.Stats()
+	if ppTool != nil {
+		res.PageProt = ppTool.Reports()
+		res.PageProtStats = ppTool.Stats()
 	}
-	if w.mmpTool != nil {
-		res.MMP = w.mmpTool.Reports()
-		res.MMPStats = w.mmpTool.Stats()
+	if mmpTool != nil {
+		res.MMP = mmpTool.Reports()
+		res.MMPStats = mmpTool.Stats()
 	}
-	m.Telemetry.Finish()
-	return res
-}
-
-// RunWithOptions is Run with an explicit SafeMem configuration (used by the
-// Table 5 pruning ablation). Only SafeMem tool kinds are supported.
-func RunWithOptions(appName string, opts safemem.Options, cfg apps.Config) (*Result, error) {
-	app, ok := apps.Get(appName)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown app %q", appName)
-	}
-	mcfg := machine.DefaultConfig()
-	if Telemetry != nil {
-		mcfg.Telemetry = Telemetry.NewRegistry(appName + "/custom")
-	}
-	m, pool, err := acquireMachine(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	clean := false
-	defer func() { pool.Done(m, clean) }()
-	ho := safemem.HeapOptions(opts.DetectCorruption || opts.DetectUninitRead)
-	ho.Limit = 48 << 20
-	alloc, err := heap.New(m, ho)
-	if err != nil {
-		return nil, err
-	}
-	smTool, err := safemem.Attach(m, alloc, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{App: appName, Tool: ToolSafeMemBoth, Cfg: cfg}
-	env := &apps.Env{M: m, Alloc: alloc}
-	runSpan := m.Telemetry.Tracer().Begin("run", appName+"/custom")
-	start := time.Now()
-	res.Err = m.Run(func() error { return app.Run(env, cfg) })
-	res.HostNS = time.Since(start).Nanoseconds()
-	runSpan.End()
-	res.Cycles = m.Clock.Now()
-	res.Instrs = m.Instructions()
-	res.Heap = alloc.Stats()
-	res.Machine = m.Stats()
-	res.Cache = m.Cache.Stats()
-	res.Ctrl = m.Ctrl.Stats()
-	res.Kern = m.Kern.Stats()
-	res.Registry = m.Telemetry
-	res.SafeMem = smTool.Reports()
-	res.SafeMemStats = smTool.Stats()
-	res.Groups = smTool.Groups()
-	m.Telemetry.Finish()
-	clean = res.Err == nil
-	return res, nil
-}
-
-// RunSample is Run for the sampling tool at an explicit rate and decision
-// seed. The sample-overhead table and the frontier experiment run cells
-// with different rates concurrently, so they cannot share the package-
-// level SampleRate knob.
-func RunSample(appName string, rate int, seed uint64, cfg apps.Config) (*Result, error) {
-	app, ok := apps.Get(appName)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown app %q", appName)
-	}
-	mcfg := machine.DefaultConfig()
-	if Telemetry != nil {
-		mcfg.Telemetry = Telemetry.NewRegistry(appName + "/sample")
-	}
-	m, pool, err := acquireMachine(mcfg)
-	if err != nil {
-		return nil, err
-	}
-	clean := false
-	defer func() { pool.Done(m, clean) }()
-	ho := safemem.HeapOptions(true)
-	ho.Limit = 48 << 20
-	alloc, err := heap.New(m, ho)
-	if err != nil {
-		return nil, err
-	}
-	if seed == 0 {
-		seed = uint64(cfg.Seed) ^ sampleSeedSalt
-	}
-	sampler, err := sampletool.Attach(m, alloc,
-		sampletool.Options{Rate: rate, Seed: seed, SafeMem: SafeMemOptions(true, true)})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{App: appName, Tool: ToolSample, Cfg: cfg}
-	env := &apps.Env{M: m, Alloc: alloc}
-	runSpan := m.Telemetry.Tracer().Begin("run", appName+"/sample")
-	start := time.Now()
-	res.Err = m.Run(func() error { return app.Run(env, cfg) })
-	res.HostNS = time.Since(start).Nanoseconds()
-	runSpan.End()
-	res.Cycles = m.Clock.Now()
-	res.Instrs = m.Instructions()
-	res.Heap = alloc.Stats()
-	res.Machine = m.Stats()
-	res.Cache = m.Cache.Stats()
-	res.Ctrl = m.Ctrl.Stats()
-	res.Kern = m.Kern.Stats()
-	res.Registry = m.Telemetry
-	res.SampleStats = sampler.Stats()
-	res.SafeMem = sampler.Reports()
-	res.SafeMemStats = sampler.SafeMemStats()
-	res.Groups = sampler.Inner().Groups()
 	m.Telemetry.Finish()
 	clean = res.Err == nil
 	return res, nil

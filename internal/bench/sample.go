@@ -25,13 +25,13 @@ type SampleRow struct {
 // RunSampleTable measures the sampling tool's time overhead across the
 // Table 3 applications at every SampleRates point, against the
 // uninstrumented baseline. Cells run on runCells workers; each sampling
-// cell pins its rate explicitly (RunSample), so output is identical at any
+// cell carries its rate in its own Spec, so output is identical at any
 // Parallel value.
 func RunSampleTable(cfg apps.Config) ([]SampleRow, error) {
 	all := apps.All()
 	ncell := 2 + len(SampleRates) // baseline, full SafeMem, each rate
 	results := make([]*Result, len(all)*ncell)
-	if err := runCells("sample", len(results), func(i int) error {
+	if err := runCells("sample", Parallel, len(results), func(i int) error {
 		app := all[i/ncell].Name
 		var res *Result
 		var err error
@@ -41,7 +41,7 @@ func RunSampleTable(cfg apps.Config) ([]SampleRow, error) {
 		case 1:
 			res, err = Run(app, ToolSafeMemBoth, cfg)
 		default:
-			res, err = RunSample(app, SampleRates[c-2], 0, cfg)
+			res, err = RunSpec(Spec{App: app, Tool: ToolSample, Cfg: cfg, SampleRate: SampleRates[c-2]})
 		}
 		results[i] = res
 		return err

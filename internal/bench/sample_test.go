@@ -23,7 +23,7 @@ func TestSampleRateOneEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sampled, err := RunSample(app.Name, 1, 0, cfg)
+			sampled, err := RunSpec(Spec{App: app.Name, Tool: ToolSample, Cfg: cfg, SampleRate: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -191,10 +191,18 @@ func TestToolStrings(t *testing.T) {
 		ToolSafeMemBoth: "safemem",
 		ToolPurify:      "purify",
 		ToolPageProt:    "pageprot",
+		ToolMMP:         "mmp",
+		ToolSample:      "sample",
 	} {
 		if tool.String() != want {
 			t.Errorf("%d -> %s, want %s", tool, tool.String(), want)
 		}
+		if got, err := ParseTool(want); err != nil || got != tool {
+			t.Errorf("ParseTool(%q) = %v, %v; want %v", want, got, err, tool)
+		}
+	}
+	if _, err := ParseTool("nonesuch"); err == nil {
+		t.Error("ParseTool accepted an unknown name")
 	}
 }
 
@@ -204,6 +212,10 @@ func TestRunUnknownAppAndTool(t *testing.T) {
 	}
 	if _, err := Run("gzip", Tool(99), apps.Config{}); err == nil {
 		t.Error("unknown tool accepted")
+	}
+	opts := SafeMemOptions(true, true)
+	if _, err := RunSpec(Spec{App: "gzip", Tool: ToolPurify, SafeMem: &opts}); err == nil {
+		t.Error("SafeMem options accepted for a tool without a SafeMem detector")
 	}
 }
 

@@ -125,7 +125,7 @@ func RunTable3(cfg apps.Config) ([]Table3Row, error) {
 		{ToolSafeMemBoth, buggy},
 	}
 	results := make([]*Result, len(all)*len(cells))
-	if err := runCells("table3", len(results), func(i int) error {
+	if err := runCells("table3", Parallel, len(results), func(i int) error {
 		sp := cells[i%len(cells)]
 		res, err := Run(all[i/len(cells)].Name, sp.tool, sp.cfg)
 		results[i] = res
@@ -197,7 +197,7 @@ func RunTable4(cfg apps.Config) ([]Table4Row, error) {
 	all := apps.All()
 	tools := []Tool{ToolSafeMemBoth, ToolPageProt}
 	results := make([]*Result, len(all)*len(tools))
-	if err := runCells("table4", len(results), func(i int) error {
+	if err := runCells("table4", Parallel, len(results), func(i int) error {
 		res, err := Run(all[i/len(tools)].Name, tools[i%len(tools)], cfg)
 		results[i] = res
 		return err
@@ -256,14 +256,14 @@ func RunTable5(cfg apps.Config) ([]Table5Row, error) {
 	buggy.Buggy = true
 	leakApps := apps.LeakApps()
 	results := make([]*Result, 2*len(leakApps))
-	if err := runCells("table5", len(results), func(i int) error {
+	if err := runCells("table5", Parallel, len(results), func(i int) error {
 		app := leakApps[i/2]
 		var res *Result
 		var err error
 		if i%2 == 0 {
 			noPrune := SafeMemOptions(true, true)
 			noPrune.PruneWithECC = false
-			res, err = RunWithOptions(app.Name, noPrune, buggy)
+			res, err = RunSpec(Spec{App: app.Name, Tool: ToolSafeMemBoth, Cfg: buggy, SafeMem: &noPrune})
 		} else {
 			res, err = Run(app.Name, ToolSafeMemBoth, buggy)
 		}

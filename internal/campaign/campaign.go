@@ -50,7 +50,7 @@ type Config struct {
 	Storm     bool
 	Retire    bool
 	// SampleRate is the sampling rate for CfgSample runs (≤ 0 uses
-	// DefaultSampleRate). Other configurations ignore it.
+	// sampletool.DefaultRate). Other configurations ignore it.
 	SampleRate int
 	// Registry, when non-nil, receives the campaign's aggregate telemetry
 	// (true/false positive counters, detection-latency and overhead

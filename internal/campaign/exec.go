@@ -122,7 +122,7 @@ type Env struct {
 	// and a crash the generator did not plan is oracle noise, not signal.
 	Retire bool
 	// SampleRate is the sampling rate N for CfgSample runs (≤ 0 means
-	// DefaultSampleRate). Other configurations ignore it.
+	// sampletool.DefaultRate). Other configurations ignore it.
 	SampleRate int
 	// SampleSeed, when non-zero, overrides the sampling-decision seed; zero
 	// derives it from the scenario seed, keeping campaigns shard-
@@ -142,15 +142,6 @@ type Env struct {
 	// never influences the simulation when it stays passive.
 	Hook func(op int) error
 }
-
-// DefaultSampleRate is the CfgSample rate when none is configured — the
-// GWP-ASan-ish "watch about one allocation in eight" regime, dense enough
-// that campaign scenarios still sample some plants.
-const DefaultSampleRate = 8
-
-// sampleSeedSalt decorrelates the default sampling-decision stream from
-// the scenario's own generator stream ("SAMPLE" in ASCII).
-const sampleSeedSalt uint64 = 0x53414d504c45
 
 // faultModel reports whether the environment runs the background process.
 func (e Env) faultModel() bool { return e.FaultRate > 0 }
@@ -261,79 +252,29 @@ func ExecuteEnv(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
 	}
 	clean := false
 	defer func() { pool.Done(m, clean) }()
-	w, err := attachTools(m, cfg, env.Sabotage, effectiveRate(cfg, env), sampleSeed(s, env))
-	if err != nil {
-		return nil, err
-	}
-	res := runWarmed(s, cfg, env, w)
-	clean = res.Err == nil
-	return res, nil
-}
 
-// execWarmup is the warmed object set of one executor: the machine plus the
-// heap and tool stack attached to it.
-type execWarmup struct {
-	m       *machine.Machine
-	alloc   *heap.Allocator
-	tool    *safemem.Tool
-	sampler *sampletool.Tool
-}
-
-// effectiveRate resolves the CfgSample sampling rate (0 for other configs).
-func effectiveRate(cfg ToolConfig, env Env) int {
-	if cfg != CfgSample {
-		return 0
-	}
-	if env.SampleRate > 0 {
-		return env.SampleRate
-	}
-	return DefaultSampleRate
-}
-
-// sampleSeed resolves the sampling-decision seed for this scenario.
-func sampleSeed(s *Scenario, env Env) uint64 {
-	if env.SampleSeed != 0 {
-		return env.SampleSeed
-	}
-	return s.Seed ^ sampleSeedSalt
-}
-
-// attachTools creates the campaign heap and attaches cfg's tool stack to m —
-// the warmup every scenario under this configuration shares.
-func attachTools(m *machine.Machine, cfg ToolConfig, sabotage bool, rate int, sseed uint64) (*execWarmup, error) {
 	ho := safemem.HeapOptions(true)
 	ho.Limit = 16 << 20
 	alloc, err := heap.New(m, ho)
 	if err != nil {
 		return nil, err
 	}
-	w := &execWarmup{m: m, alloc: alloc}
-	switch {
-	case cfg == CfgSample:
-		opts := Tuning()
-		opts.DetectLeaks = false
-		opts.DetectCorruption = !sabotage
-		w.sampler, err = sampletool.Attach(m, alloc, sampletool.Options{Rate: rate, Seed: sseed, SafeMem: opts})
-		if err != nil {
-			return nil, err
-		}
-	case cfg != CfgNone:
-		opts := Tuning()
-		opts.DetectLeaks = cfg.Leaks()
-		opts.DetectCorruption = cfg.Corruption() && !sabotage
-		w.tool, err = safemem.Attach(m, alloc, opts)
-		if err != nil {
-			return nil, err
-		}
+	opts := Tuning()
+	opts.DetectLeaks = cfg.Leaks()
+	opts.DetectCorruption = cfg.Corruption() && !env.Sabotage
+	var tool *safemem.Tool
+	var sampler *sampletool.Tool
+	switch cfg {
+	case CfgNone:
+	case CfgSample:
+		so := sampletool.Options{Rate: env.SampleRate, Seed: env.SampleSeed, SafeMem: opts}.WithDefaults(s.Seed)
+		sampler, err = sampletool.Attach(m, alloc, so)
+	default:
+		tool, err = safemem.Attach(m, alloc, opts)
 	}
-	return w, nil
-}
-
-// runWarmed executes the scenario ops on an already-warmed executor and
-// collects the result: everything per-run — injector, resilience policy,
-// fault model, scrub daemon — is set up here.
-func runWarmed(s *Scenario, cfg ToolConfig, env Env, w *execWarmup) *ExecResult {
-	m, alloc, tool, sampler := w.m, w.alloc, w.tool, w.sampler
+	if err != nil {
+		return nil, err
+	}
 
 	needInject := env.faultModel()
 	for _, op := range s.Ops {
@@ -346,34 +287,7 @@ func runWarmed(s *Scenario, cfg ToolConfig, env Env, w *execWarmup) *ExecResult 
 	if needInject {
 		in = inject.New(m, inject.Config{Seed: int64(s.Seed)})
 	}
-
-	if env.Retire {
-		m.Kern.SetResilience(kernel.ResilienceOptions{Policy: kernel.RetireAndContinue})
-	}
-	var fp *faultmodel.Process
-	if env.faultModel() {
-		base, _ := alloc.ArenaRange()
-		fc := faultmodel.Config{
-			// Decorrelate from the injector's bit stream but stay pinned to
-			// the scenario seed.
-			Seed:         s.Seed ^ 0x5afe,
-			MeanInterval: simtime.Cycles(1_000_000 / env.FaultRate),
-			// Target the whole arena the heap may ever grow into; plants on
-			// not-yet-resident pages are skipped, as on real hardware where
-			// faults in unused rows go unobserved.
-			Targets: []inject.Region{{Base: base, Size: alloc.Options().Limit}},
-		}
-		if env.Storm {
-			fc.StormInterval = 8 * fc.MeanInterval
-		}
-		if !env.Retire {
-			fc.DoubleBitFrac = -1 // stock policy: an unwatched double-bit panics
-		}
-		fp = faultmodel.Start(m, in, fc)
-		// Background scrubbing keeps latent singles from pairing up into
-		// uncorrectable errors — the kernel half of living with flaky DRAM.
-		m.Kern.StartScrubDaemon(kernel.ScrubDaemonOptions{})
-	}
+	fp := faultmodel.StartFlaky(m, in, alloc, s.Seed, env.FaultRate, env.Storm, env.Retire)
 
 	res := &ExecResult{FaultModel: env.faultModel(), Retire: env.Retire}
 	if sampler != nil {
@@ -500,5 +414,6 @@ func runWarmed(s *Scenario, cfg ToolConfig, env Env, w *execWarmup) *ExecResult 
 		res.Reports = sampler.Reports()
 		res.Stats = sampler.SafeMemStats()
 	}
-	return res
+	clean = res.Err == nil
+	return res, nil
 }

@@ -26,7 +26,7 @@ type benchDigest struct {
 
 func digestBench(t *testing.T, app string, tool bench.Tool, mcfg machine.Config) benchDigest {
 	t.Helper()
-	res, err := bench.RunWithMachine(app, tool, apps.Config{Seed: 42}, mcfg)
+	res, err := bench.RunSpec(bench.Spec{App: app, Tool: tool, Cfg: apps.Config{Seed: 42}, Machine: mcfg})
 	if err != nil {
 		t.Fatalf("%s/%v: %v", app, tool, err)
 	}

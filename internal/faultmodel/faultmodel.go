@@ -30,7 +30,9 @@ package faultmodel
 import (
 	"math"
 
+	"safemem/internal/heap"
 	"safemem/internal/inject"
+	"safemem/internal/kernel"
 	"safemem/internal/machine"
 	"safemem/internal/obsrv/flight"
 	"safemem/internal/simtime"
@@ -198,6 +200,46 @@ func Start(m *machine.Machine, in *inject.Injector, cfg Config) *Process {
 		emit("skipped", float64(s.Skipped))
 	})
 	p.timer = m.Clock.NewTimer(p.deadline(), p.fire)
+	return p
+}
+
+// StartFlaky puts m on flaky DIMMs: the one policy behind the bench
+// harness's and the campaign's -fault-rate / -storm / -retire knobs.
+//
+// With retire the kernel survives uncorrectable errors by page retirement
+// (RetireAndContinue), whether or not a fault process runs. With a
+// positive rate, a fault process seeded from seed plants rate events per
+// million cycles over the whole arena alloc may ever grow into (plants on
+// not-yet-resident pages are skipped, as faults in unused rows go
+// unobserved); storm adds error-storm episodes at 8× the mean interval,
+// and without retire only single-bit (correctable) faults are planted — a
+// random double-bit on an unwatched line would panic the stock kernel.
+// The kernel's scrub daemon then keeps latent singles from pairing up into
+// uncorrectable errors. StartFlaky returns the process, or nil when rate
+// is not positive.
+func StartFlaky(m *machine.Machine, in *inject.Injector, alloc *heap.Allocator, seed uint64, rate float64, storm, retire bool) *Process {
+	if retire {
+		m.Kern.SetResilience(kernel.ResilienceOptions{Policy: kernel.RetireAndContinue})
+	}
+	if rate <= 0 {
+		return nil
+	}
+	base, _ := alloc.ArenaRange()
+	cfg := Config{
+		// Decorrelate from the injector's bit stream but stay pinned to
+		// the workload seed.
+		Seed:         seed ^ 0x5afe,
+		MeanInterval: simtime.Cycles(1_000_000 / rate),
+		Targets:      []inject.Region{{Base: base, Size: alloc.Options().Limit}},
+	}
+	if storm {
+		cfg.StormInterval = 8 * cfg.MeanInterval
+	}
+	if !retire {
+		cfg.DoubleBitFrac = -1
+	}
+	p := Start(m, in, cfg)
+	m.Kern.StartScrubDaemon(kernel.ScrubDaemonOptions{})
 	return p
 }
 

@@ -3,6 +3,7 @@ package faultmodel
 import (
 	"testing"
 
+	"safemem/internal/heap"
 	"safemem/internal/inject"
 	"safemem/internal/kernel"
 	"safemem/internal/machine"
@@ -158,5 +159,61 @@ func TestPlantsStayAttributable(t *testing.T) {
 		if o.DetectedAt < o.Plant.Time {
 			t.Fatalf("outcome detected before plant: %+v", o)
 		}
+	}
+}
+
+// TestStartFlakyPolicy pins the flaky-DIMM policy StartFlaky owns: Retire
+// alone switches the kernel policy without starting a process; a positive
+// rate without Retire plants single-bit faults only, storms when asked,
+// and runs the scrub daemon under the stock kernel policy.
+func TestStartFlakyPolicy(t *testing.T) {
+	newHeap := func() (*machine.Machine, *heap.Allocator) {
+		m := machine.MustNew(machine.Config{MemBytes: 4 << 20})
+		alloc, err := heap.New(m, heap.Options{Limit: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, alloc
+	}
+
+	m, alloc := newHeap()
+	if p := StartFlaky(m, inject.New(m, inject.Config{Seed: 1}), alloc, 1, 0, true, true); p != nil {
+		t.Fatal("StartFlaky started a process at rate 0")
+	}
+	if got := m.Kern.Resilience().Policy; got != kernel.RetireAndContinue {
+		t.Fatalf("retire at rate 0: policy %v, want RetireAndContinue", got)
+	}
+
+	m, alloc = newHeap()
+	p := StartFlaky(m, inject.New(m, inject.Config{Seed: 1}), alloc, 1, 2000, true, false)
+	if p == nil {
+		t.Fatal("StartFlaky started no process at a positive rate")
+	}
+	if got := m.Kern.Resilience().Policy; got != kernel.PanicOnUncorrectable {
+		t.Fatalf("without retire: policy %v, want the stock PanicOnUncorrectable", got)
+	}
+	if err := m.Run(func() error {
+		for i := 0; i < 200; i++ {
+			va, err := alloc.Malloc(256)
+			if err != nil {
+				return err
+			}
+			m.Store(va, 8, uint64(i))
+			m.Compute(5_000)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.Stop()
+	st := p.Stats()
+	if st.Events == 0 || st.Storms == 0 {
+		t.Fatalf("fault process too quiet: %+v", st)
+	}
+	if st.DoubleBit != 0 {
+		t.Fatalf("%d double-bit plants without retire", st.DoubleBit)
+	}
+	if m.Kern.ResilienceStats().ScrubDaemonSteps == 0 {
+		t.Fatal("scrub daemon never stepped")
 	}
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -19,11 +21,43 @@ func detSpecs() []JobSpec {
 		{Seed: 17, Tool: "both", FaultRate: 1e-5, Retire: true},
 		{Kind: KindApp, App: "gzip", Tool: "safemem", Seed: 18, Scale: 1},
 		{Kind: KindApp, App: "gzip", Tool: "sample", Seed: 19, Scale: 1, SampleRate: 10},
+		flakyAppSpec(),
 	}
 	for s := uint64(20); s < 26; s++ {
 		specs = append(specs, JobSpec{Seed: s, Tool: "both"})
 	}
 	return specs
+}
+
+// flakyAppSpec is an app job on flaky DIMMs: storms and page retirement.
+func flakyAppSpec() JobSpec {
+	return JobSpec{Kind: KindApp, App: "gzip", Tool: "safemem", Seed: 27, Scale: 1,
+		FaultRate: 40, Storm: true, Retire: true}
+}
+
+// TestAppJobOnFlakyDIMMs pins that an app job's fault knobs reach the
+// run: the same spec on perfect DIMMs takes a different number of cycles.
+func TestAppJobOnFlakyDIMMs(t *testing.T) {
+	cycles := func(spec JobSpec) uint64 {
+		t.Helper()
+		raw, err := Execute(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res AppResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Crash != "" {
+			t.Fatalf("app job crashed: %s", res.Crash)
+		}
+		return res.Cycles
+	}
+	perfect := flakyAppSpec()
+	perfect.FaultRate, perfect.Storm, perfect.Retire = 0, false, false
+	if flaky, clean := cycles(flakyAppSpec()), cycles(perfect); flaky == clean {
+		t.Fatalf("fault knobs had no effect: %d cycles on flaky and perfect DIMMs", flaky)
+	}
 }
 
 // runBatch executes specs on a fresh fleet with the given worker count and

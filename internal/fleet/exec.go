@@ -99,35 +99,16 @@ func runScenarioJob(ctx context.Context, spec JobSpec, opHook func(op int) error
 	return json.Marshal(out)
 }
 
-// parseAppTool resolves the safemem-run tool vocabulary.
-func parseAppTool(name string) (bench.Tool, error) {
-	switch name {
-	case "", "safemem":
-		return bench.ToolSafeMemBoth, nil
-	case "safemem-ml":
-		return bench.ToolSafeMemML, nil
-	case "safemem-mc":
-		return bench.ToolSafeMemMC, nil
-	case "sample":
-		return bench.ToolSample, nil
-	case "purify":
-		return bench.ToolPurify, nil
-	case "pageprot":
-		return bench.ToolPageProt, nil
-	case "mmp":
-		return bench.ToolMMP, nil
-	case "none":
-		return bench.ToolNone, nil
-	}
-	return 0, fmt.Errorf("fleet: unknown app tool %q", name)
-}
-
 // runAppJob executes one evaluation application under one tool. Apps run
 // as a single opaque simulated program, so the op hook fires once up front
 // (chaos still reaches the job) and mid-run cancellation is the
 // scheduler's watchdog's problem.
 func runAppJob(ctx context.Context, spec JobSpec, opHook func(op int) error) (json.RawMessage, error) {
-	tool, err := parseAppTool(spec.Tool)
+	toolName := spec.Tool
+	if toolName == "" {
+		toolName = "safemem"
+	}
+	tool, err := bench.ParseTool(toolName)
 	if err != nil {
 		return nil, err
 	}
@@ -140,16 +121,11 @@ func runAppJob(ctx context.Context, spec JobSpec, opHook func(op int) error) (js
 		return nil, cerr
 	}
 	cfg := apps.Config{Seed: int64(spec.Seed), Scale: spec.Scale, Buggy: spec.Buggy}
-	var res *bench.Result
-	if tool == bench.ToolSample {
-		rate := spec.SampleRate
-		if rate <= 0 {
-			rate = campaign.DefaultSampleRate
-		}
-		res, err = bench.RunSample(spec.App, rate, 0, cfg)
-	} else {
-		res, err = bench.Run(spec.App, tool, cfg)
-	}
+	res, err := bench.RunSpec(bench.Spec{
+		App: spec.App, Tool: tool, Cfg: cfg,
+		SampleRate: spec.SampleRate,
+		FaultRate:  spec.FaultRate, Storm: spec.Storm, Retire: spec.Retire,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"safemem/internal/apps"
+	"safemem/internal/bench"
 	"safemem/internal/campaign"
 )
 
@@ -68,8 +69,12 @@ func (s *JobSpec) Validate() error {
 		if _, ok := apps.Get(s.App); !ok {
 			return fmt.Errorf("fleet: unknown app %q", s.App)
 		}
-		if _, err := parseAppTool(s.Tool); err != nil {
-			return err
+		tool := s.Tool
+		if tool == "" {
+			tool = "safemem"
+		}
+		if _, err := bench.ParseTool(tool); err != nil {
+			return fmt.Errorf("fleet: app job: %w", err)
 		}
 	default:
 		return fmt.Errorf("fleet: unknown job kind %q (want %s or %s)", s.Kind, KindScenario, KindApp)

@@ -37,6 +37,26 @@ type Options struct {
 	SafeMem safemem.Options
 }
 
+// DefaultRate is the sampling rate N a harness run uses when none is
+// configured — the GWP-ASan-ish "watch about one allocation in eight"
+// regime, dense enough that short campaign scenarios still sample some
+// plants.
+const DefaultRate = 8
+
+// WithDefaults fills in what a harness run left unset: a Rate ≤ 0 becomes
+// DefaultRate, and a zero Seed is derived from the run's workload seed,
+// salted ("SAMPLE" in ASCII) so the decision stream is decorrelated from
+// the workload's own.
+func (o Options) WithDefaults(workloadSeed uint64) Options {
+	if o.Rate <= 0 {
+		o.Rate = DefaultRate
+	}
+	if o.Seed == 0 {
+		o.Seed = workloadSeed ^ 0x53414d504c45
+	}
+	return o
+}
+
 // DefaultOptions returns the GWP-ASan-style configuration: corruption
 // detection only, at the given rate and seed.
 func DefaultOptions(rate int, seed uint64) Options {

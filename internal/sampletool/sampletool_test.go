@@ -68,6 +68,22 @@ func (r *testRig) overflowAll(t *testing.T, n int) []vm.VAddr {
 	return addrs
 }
 
+// TestWithDefaults pins the harness defaults: an unset rate becomes
+// DefaultRate and an unset seed derives from the workload seed, while
+// explicit values pass through untouched.
+func TestWithDefaults(t *testing.T) {
+	d := Options{}.WithDefaults(7)
+	if d.Rate != DefaultRate || d.Seed == 0 || d.Seed == 7 {
+		t.Fatalf("defaults = rate %d seed %#x, want rate %d and a salted seed", d.Rate, d.Seed, DefaultRate)
+	}
+	if d2 := (Options{}).WithDefaults(8); d2.Seed == d.Seed {
+		t.Fatal("derived seed ignores the workload seed")
+	}
+	if e := (Options{Rate: 3, Seed: 99}).WithDefaults(7); e.Rate != 3 || e.Seed != 99 {
+		t.Fatalf("explicit options overridden: rate %d seed %d", e.Rate, e.Seed)
+	}
+}
+
 func TestSplitDeterministic(t *testing.T) {
 	for _, rate := range []int{1, 8, 64} {
 		a := newRig(t, DefaultOptions(rate, 99))
