@@ -84,8 +84,9 @@ check: build vet test race fuzz-short campaign storm bench-check
 # campaign and the pooled machine-reuse path (pooled-vs-reference
 # equivalence, the never-repool taint rule, the machine package) — cheap
 # enough for every push, unlike `make race` — the serving-stack chaos smoke, a
-# one-shard fleet-bench + bench_compare.sh smoke, the per-cycle cost
-# benchmark smoke, and the throughput/campaign regression gates.
+# one-shard fleet-bench + bench_compare.sh smoke, the per-cycle and
+# per-scenario cost benchmark smoke, and the throughput/campaign regression
+# gates.
 ci: build vet fmt test
 	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier
 	$(MAKE) coverage-floor
@@ -103,12 +104,16 @@ ci: build vet fmt test
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# bench-smoke runs the machine-recycle and line-write benchmarks once
-# each, so they keep compiling and running. Compare RecycleFewDirtyLines
-# across its two DRAM sizes by hand: recycling must cost what the run
-# dirtied, so its ns/op stays roughly flat as MemBytes grows.
+# bench-smoke runs the machine-recycle, line-write, watch/unwatch and
+# per-scenario campaign benchmarks once each, so they keep compiling and
+# running. Compare RecycleFewDirtyLines across its two DRAM sizes by hand:
+# recycling must cost what the run dirtied, so its ns/op stays roughly flat
+# as MemBytes grows. For numbers, rerun one with a larger -benchtime:
+# WatchUnwatch reports 0 allocs/op, and Scenario's B/op is the host
+# garbage one campaign scenario leaves behind.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Recycle|WriteLine' -benchtime 1x ./internal/machine ./internal/memctrl
+	$(GO) test -run '^$$' -bench 'WatchUnwatch|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/campaign
 
 # bench-quick refreshes the tracked simulator-throughput baseline
 # (BENCH_throughput.json): each app runs uninstrumented and wall-clocked.

@@ -107,10 +107,7 @@ func (t *Tool) dropRegion(r *watchRegion) {
 			delete(t.byLine, line)
 		}
 	}
-	delete(t.regions, r)
-	if r.obj != nil && r.obj.suspect == r {
-		r.obj.suspect = nil
-	}
+	t.removeRegion(r)
 }
 
 // unwatchOrDegrade disables r, degrading (and force-dropping the

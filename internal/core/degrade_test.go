@@ -68,7 +68,7 @@ func TestDoubleBitOnLeakSuspectRepairedAndRewatched(t *testing.T) {
 		t.Fatal("no suspect ever flagged")
 	}
 	var suspect *watchRegion
-	for reg := range r.tool.regions {
+	for _, reg := range r.tool.regions {
 		if reg.kind == watchLeakSuspect && (suspect == nil || reg.base < suspect.base) {
 			suspect = reg
 		}

@@ -141,7 +141,7 @@ func (t *Tool) sortedGroups() []*group {
 // sortedGroups for why map order must not reach the report stream).
 func (t *Tool) sortedSuspectRegions(now simtime.Cycles) []*watchRegion {
 	var out []*watchRegion
-	for r := range t.regions {
+	for _, r := range t.regions {
 		if r.kind == watchLeakSuspect && r.obj != nil && !r.obj.reported &&
 			now >= r.watchedAt && now-r.watchedAt >= t.opts.LeakConfirmTime {
 			out = append(out, r)

@@ -33,8 +33,10 @@ type Tool struct {
 	groups  map[GroupKey]*group
 	objects map[vm.VAddr]*object // by user pointer
 
-	// ECC-watch bookkeeping (SafeMem's "private memory region").
-	regions map[*watchRegion]struct{}
+	// ECC-watch bookkeeping (SafeMem's "private memory region"): the
+	// live regions, in no particular order (each knows its slot), and the
+	// per-line index.
+	regions []*watchRegion
 	byLine  map[vm.VAddr]*watchRegion
 
 	lastCheck     simtime.Cycles
@@ -107,7 +109,6 @@ func AttachWithoutHook(m *machine.Machine, alloc *heap.Allocator, opts Options) 
 		opts:       opts,
 		groups:     make(map[GroupKey]*group),
 		objects:    make(map[vm.VAddr]*object),
-		regions:    make(map[*watchRegion]struct{}),
 		byLine:     make(map[vm.VAddr]*watchRegion),
 		quarantine: make(map[vm.VAddr]*quarantineEntry),
 		startTime:  m.Clock.Now(),

@@ -2,6 +2,7 @@ package safemem
 
 import (
 	"fmt"
+	"slices"
 
 	"safemem/internal/heap"
 	"safemem/internal/physmem"
@@ -52,14 +53,18 @@ type watchRegion struct {
 	base vm.VAddr
 	size uint64
 	kind watchKind
-	// original holds 8 saved words per line.
+	// original holds 8 saved words per line. For a one-line region it
+	// points into inline, so the region takes a single allocation.
 	original []uint64
+	inline   [physmem.GroupsPerLine]uint64
 	// block is the associated buffer (nil for none).
 	block *heap.Block
 	// obj is the associated leak-suspect object (watchLeakSuspect only).
 	obj *object
 	// watchedAt is when monitoring began.
 	watchedAt simtime.Cycles
+	// slot is the region's index in Tool.regions, -1 once removed.
+	slot int
 }
 
 func (r *watchRegion) lines() int { return int(r.size / physmem.LineBytes) }
@@ -77,23 +82,24 @@ func (r *watchRegion) originalWord(vline vm.VAddr, groupIndex int) uint64 {
 // watch registers [base, base+size) with the kernel and records the region.
 // Regions must not overlap existing watches; callers check via lineWatched.
 func (t *Tool) watch(base vm.VAddr, size uint64, kind watchKind, blk *heap.Block, obj *object) (*watchRegion, error) {
-	orig, err := t.m.Kern.WatchMemory(base, size)
+	r := &watchRegion{
+		base:  base,
+		size:  size,
+		kind:  kind,
+		block: blk,
+		obj:   obj,
+	}
+	orig, err := t.m.Kern.AppendWatchMemory(r.inline[:0], base, size)
 	if err != nil {
 		return nil, err
 	}
-	r := &watchRegion{
-		base:      base,
-		size:      size,
-		kind:      kind,
-		original:  orig,
-		block:     blk,
-		obj:       obj,
-		watchedAt: t.m.Clock.Now(),
-	}
+	r.original = orig
+	r.watchedAt = t.m.Clock.Now()
 	for line := base; line < base+vm.VAddr(size); line += physmem.LineBytes {
 		t.byLine[line] = r
 	}
-	t.regions[r] = struct{}{}
+	r.slot = len(t.regions)
+	t.regions = append(t.regions, r)
 	if n := uint64(len(t.byLine)); n > t.stats.MaxWatchedLines {
 		t.stats.MaxWatchedLines = n
 	}
@@ -116,11 +122,23 @@ func (t *Tool) unwatch(r *watchRegion, fromSaved bool) error {
 	for line := r.base; line < r.base+vm.VAddr(r.size); line += physmem.LineBytes {
 		delete(t.byLine, line)
 	}
-	delete(t.regions, r)
+	t.removeRegion(r)
+	return nil
+}
+
+// removeRegion takes r out of the region list (a no-op once removed) and
+// drops a leak suspect's back-pointer to it.
+func (t *Tool) removeRegion(r *watchRegion) {
+	if r.slot >= 0 {
+		last := t.regions[len(t.regions)-1]
+		t.regions[r.slot], last.slot = last, r.slot
+		t.regions[len(t.regions)-1] = nil
+		t.regions = t.regions[:len(t.regions)-1]
+		r.slot = -1
+	}
 	if r.obj != nil && r.obj.suspect == r {
 		r.obj.suspect = nil
 	}
-	return nil
 }
 
 // lineWatched reports whether any line of [base, base+size) is watched.
@@ -137,14 +155,18 @@ func (t *Tool) lineWatched(base vm.VAddr, size uint64) bool {
 // [base, base+size) — the reallocation path: when the allocator reuses a
 // freed extent, its freed-buffer watch must be disabled (Section 4).
 // Failures degrade (with the bookkeeping dropped) rather than stopping the
-// sweep: the remaining regions must still be disabled.
+// sweep: the remaining regions must still be disabled. Regions never
+// overlap, so skipping to the end of each one visits every region once.
 func (t *Tool) unwatchOverlapping(base vm.VAddr, size uint64) {
-	seen := map[*watchRegion]bool{}
-	for line := base.LineAddr(); line < base+vm.VAddr(size); line += physmem.LineBytes {
-		if r, ok := t.byLine[line]; ok && !seen[r] {
-			seen[r] = true
-			t.unwatchOrDegrade(r, false, "unwatch-overlapping")
+	end := base + vm.VAddr(size)
+	for line := base.LineAddr(); line < end; {
+		r, ok := t.byLine[line]
+		if !ok {
+			line += physmem.LineBytes
+			continue
 		}
+		line = r.base + vm.VAddr(r.size)
+		t.unwatchOrDegrade(r, false, "unwatch-overlapping")
 	}
 }
 
@@ -166,13 +188,17 @@ func (t *Tool) Watched(base vm.VAddr, size uint64) bool {
 	return t.lineWatched(base, size)
 }
 
-// CheckWatchInvariants cross-checks the two watch indices — the region set
+// CheckWatchInvariants cross-checks the two watch indices — the region list
 // and the per-line map — and returns an error on any inconsistency: a
-// region line that maps to a different region (a double-watched line), or
-// an orphaned line entry. Fuzz harnesses call this after every operation.
+// region out of its slot, a region line that maps to a different region (a
+// double-watched line), or an orphaned line entry. Fuzz harnesses call this
+// after every operation.
 func (t *Tool) CheckWatchInvariants() error {
 	lines := 0
-	for r := range t.regions {
+	for i, r := range t.regions {
+		if r.slot != i {
+			return fmt.Errorf("watch invariant: region [%#x,+%d) at index %d records slot %d", uint64(r.base), r.size, i, r.slot)
+		}
 		for line := r.base; line < r.base+vm.VAddr(r.size); line += physmem.LineBytes {
 			got, ok := t.byLine[line]
 			if !ok {
@@ -194,10 +220,7 @@ func (t *Tool) CheckWatchInvariants() error {
 // unwatchAll removes every active watch (scrub coordination). It returns
 // the removed regions so rewatchAll can restore them.
 func (t *Tool) unwatchAll() []*watchRegion {
-	out := make([]*watchRegion, 0, len(t.regions))
-	for r := range t.regions {
-		out = append(out, r)
-	}
+	out := slices.Clone(t.regions)
 	for _, r := range out {
 		t.unwatchOrDegrade(r, false, "unwatch-for-scrub")
 	}

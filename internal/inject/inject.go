@@ -127,6 +127,7 @@ func (o Outcome) Latency() simtime.Cycles { return o.DetectedAt - o.Plant.Time }
 type Injector struct {
 	m        *machine.Machine
 	cfg      Config
+	src      lazySource
 	rng      *rand.Rand
 	accesses uint64
 	seq      uint64
@@ -153,9 +154,12 @@ func New(m *machine.Machine, cfg Config) *Injector {
 	in := &Injector{
 		m:       m,
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		pending: make(map[physmem.Addr][]Plant),
 	}
+	// The stream of rand.NewSource(cfg.Seed^0x5eed), without its seeding
+	// cost (stream.go).
+	in.src.Seed(cfg.Seed ^ 0x5eed)
+	in.rng = rand.New(&in.src)
 	in.tr = m.Telemetry.Tracer()
 	in.latency = m.Telemetry.Histogram("inject", "detection_latency_cycles", telemetry.LatencyBuckets)
 	m.Telemetry.RegisterSource("inject", func(emit func(string, float64)) {

@@ -13,6 +13,8 @@ package kernel
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"safemem/internal/cache"
 	"safemem/internal/ecc"
@@ -89,10 +91,50 @@ type Stats struct {
 	MaxLinesWatched   uint64 // high-water mark
 }
 
-// watchEntry is the kernel's record of one watched line.
-type watchEntry struct {
-	pline  physmem.Addr
-	direct bool // armed via the direct-ECC interface
+// linesPerPage is the number of cache lines in a page, one bit each in a
+// watchPage mask.
+const linesPerPage = vm.PageBytes / physmem.LineBytes
+
+// A watchPage mask is one uint64, so a page holds at most 64 lines.
+const _ uint = 64 - linesPerPage
+
+// pageMask selects an address's offset within its page.
+const pageMask = vm.PageBytes - 1
+
+// watchPage is the kernel's record of the watched lines on one physical
+// frame. Bit i of lines is set while line i of the frame is watched; the
+// same bit of direct, when that watch was armed through the direct-ECC
+// interface. Every watched line of a frame belongs to the one virtual page
+// mapped onto it, vpage.
+type watchPage struct {
+	vpage  vm.VAddr
+	lines  uint64
+	direct uint64
+}
+
+// lineBit returns the mask bit, within its page, of the line containing the
+// (virtual or physical) address a.
+func lineBit(a uint64) uint64 { return 1 << ((a & pageMask) / physmem.LineBytes) }
+
+// regionMask returns the mask of the lines of the line-aligned region
+// [va, end) that lie on the page at pg.
+func regionMask(pg, va, end vm.VAddr) uint64 {
+	lo, hi := max(va, pg), min(end, pg+vm.PageBytes)
+	n := uint64(hi-lo) / physmem.LineBytes
+	return (1<<n - 1) << (uint64(lo-pg) / physmem.LineBytes) // n == 64: 1<<64 is 0
+}
+
+// firstLine returns the address of the lowest line of mask on the page pg.
+func firstLine(pg vm.VAddr, mask uint64) uint64 {
+	return uint64(pg) + uint64(bits.TrailingZeros64(mask))*physmem.LineBytes
+}
+
+// watchSpan is one page of a region being disarmed: the frame, the page's
+// watch record and the region's lines on it.
+type watchSpan struct {
+	frame physmem.Addr
+	wp    watchPage
+	mask  uint64
 }
 
 // Kernel is the simulated operating system.
@@ -102,10 +144,18 @@ type Kernel struct {
 	cache *cache.Cache
 	as    *vm.AddressSpace
 
-	// watches maps virtual line address -> watch bookkeeping.
-	watches map[vm.VAddr]watchEntry
-	// byPhys is the reverse index used during fault delivery.
-	byPhys map[physmem.Addr]vm.VAddr
+	// watches is the one watch index, keyed by physical frame base. Fault
+	// delivery looks a line up by its physical address; the syscalls reach
+	// it through the page table. A watched page is pinned, so its frame
+	// changes only by retirement, which rekeys the record.
+	watches map[physmem.Addr]watchPage
+	// nWatched counts the watched lines across watches.
+	nWatched int
+	// plines (WatchMemory's) and spans (the disable paths') are per-call
+	// scratch. Neither path issues an ECC-checked read, so no fault
+	// handler can re-enter one while its scratch is in use.
+	plines []physmem.Addr
+	spans  []watchSpan
 
 	eccHandler  ECCFaultHandler
 	pageHandler PageFaultHandler
@@ -143,8 +193,7 @@ func New(clock *simtime.Clock, ctrl *memctrl.Controller, c *cache.Cache, as *vm.
 		ctrl:         ctrl,
 		cache:        c,
 		as:           as,
-		watches:      make(map[vm.VAddr]watchEntry),
-		byPhys:       make(map[physmem.Addr]vm.VAddr),
+		watches:      make(map[physmem.Addr]watchPage),
 		res:          DefaultResilienceOptions(),
 		health:       make(map[physmem.Addr]*lineHealth),
 		retireQueued: make(map[physmem.Addr]bool),
@@ -187,7 +236,7 @@ func (k *Kernel) RegisterTelemetry(reg *telemetry.Registry) {
 // Stats returns a copy of the counters.
 func (k *Kernel) Stats() Stats {
 	s := k.stats
-	s.LinesWatched = uint64(len(k.watches))
+	s.LinesWatched = uint64(k.nWatched)
 	return s
 }
 
@@ -238,10 +287,10 @@ func (k *Kernel) handleECCInterrupt(r memctrl.FaultReport) {
 		Check:       r.Check,
 		DuringScrub: r.DuringScrub,
 	}
-	if vline, ok := k.byPhys[r.Line]; ok {
+	if wp, ok := k.watches[r.Line&^pageMask]; ok && wp.lines&lineBit(uint64(r.Line)) != 0 {
 		fault.Watched = true
-		fault.VLine = vline
-		fault.Direct = k.watches[vline].direct
+		fault.VLine = wp.vpage + vm.VAddr(r.Line&pageMask)
+		fault.Direct = wp.direct&lineBit(uint64(r.Line)) != 0
 	}
 	if k.eccHandler != nil {
 		if k.eccHandler(fault) {
@@ -276,45 +325,60 @@ func checkLineRegion(va vm.VAddr, size uint64) error {
 }
 
 // WatchMemory registers the [va, va+size) region for ECC monitoring and
-// returns the original data words (8 per line). The caller — SafeMem's
+// returns the original data words (8 per line) in a new slice. It is
+// AppendWatchMemory(nil, va, size).
+func (k *Kernel) WatchMemory(va vm.VAddr, size uint64) ([]uint64, error) {
+	return k.AppendWatchMemory(nil, va, size)
+}
+
+// AppendWatchMemory registers the [va, va+size) region for ECC monitoring
+// and appends the original data words (8 per line) to dst, returning the
+// extended slice (dst unchanged on error). The caller — SafeMem's
 // user-level library — stores them in its private memory to differentiate
 // access faults from hardware errors (Section 2.2.2, Figure 2).
 //
 // Implementation follows the paper exactly: pin the pages, flush the lines
 // from the cache, lock the memory bus, disable ECC, write the scrambled
 // data (leaving the stale check bits), re-enable ECC, unlock.
-func (k *Kernel) WatchMemory(va vm.VAddr, size uint64) ([]uint64, error) {
+func (k *Kernel) AppendWatchMemory(dst []uint64, va vm.VAddr, size uint64) ([]uint64, error) {
 	sp := k.tr.Begin("kernel", "WatchMemory",
 		telemetry.KV("va", uint64(va)), telemetry.KV("bytes", size))
 	defer sp.End()
 	k.clock.Advance(simtime.CostSyscall)
 	k.stats.WatchCalls++
 	if err := checkLineRegion(va, size); err != nil {
-		return nil, err
+		return dst, err
 	}
-	nLines := int(size / physmem.LineBytes)
+	end := va + vm.VAddr(size)
 
-	// Validate and translate every line up front so failures leave no
-	// partial watches behind.
-	plines := make([]physmem.Addr, nLines)
-	for i := 0; i < nLines; i++ {
-		lva := va + vm.VAddr(i*physmem.LineBytes)
-		if _, dup := k.watches[lva]; dup {
-			return nil, fmt.Errorf("kernel: line %#x already watched", uint64(lva))
+	// Reject an already-watched line before touching anything. A watched
+	// page is pinned and so resident: a page without a frame holds none.
+	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
+		if frame, ok := k.as.FrameOf(pg); ok {
+			if dup := regionMask(pg, va, end) & k.watches[frame].lines; dup != 0 {
+				return dst, fmt.Errorf("kernel: line %#x already watched", firstLine(pg, dup))
+			}
 		}
-		pa, fault := k.as.Translate(lva, true)
-		if fault != nil {
-			return nil, fault
-		}
-		plines[i] = pa.LineAddr()
 	}
 
 	// Pin every page covering the region so swapping cannot silently
-	// destroy the stale-check-bit state.
-	for pg := va.PageAddr(); pg < va+vm.VAddr(size); pg += vm.PageBytes {
+	// destroy the stale-check-bit state. Pin before translating: pinning a
+	// swapped-out page swaps it in, which may evict a page translated
+	// earlier, but a pinned page stays put. A failure undoes every pin.
+	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
 		if err := k.as.Pin(pg); err != nil {
-			return nil, err
+			k.unpinPages(va.PageAddr(), pg)
+			return dst, err
 		}
+	}
+	k.plines = k.plines[:0]
+	for lva := va; lva < end; lva += physmem.LineBytes {
+		pa, fault := k.as.Translate(lva, true)
+		if fault != nil {
+			k.unpinPages(va.PageAddr(), end)
+			return dst, fault
+		}
+		k.plines = append(k.plines, pa.LineAddr())
 	}
 
 	// Flush every line BEFORE disabling ECC: a dirty write-back must go
@@ -323,62 +387,101 @@ func (k *Kernel) WatchMemory(va vm.VAddr, size uint64) ([]uint64, error) {
 	// window would store the write-back with stale check bits, and the
 	// scrambled word could then alias to a correctable — or even clean —
 	// codeword, silently defeating the watchpoint.)
-	for i := 0; i < nLines; i++ {
-		k.cache.FlushLine(plines[i])
+	for _, pl := range k.plines {
+		k.cache.FlushLine(pl)
 	}
 
-	if k.ctrl.Capabilities().DirectECCAccess {
+	dst = slices.Grow(dst, len(k.plines)*physmem.GroupsPerLine)
+	direct := k.ctrl.Capabilities().DirectECCAccess
+	if direct {
 		// The Section 2.2.3 generalised interface: arm each group by
 		// flipping two check bits. Data stays intact, no bus lock, no
 		// ECC-disable window.
-		original := make([]uint64, 0, nLines*physmem.GroupsPerLine)
-		for i := 0; i < nLines; i++ {
-			lva := va + vm.VAddr(i*physmem.LineBytes)
-			pl := plines[i]
+		for _, pl := range k.plines {
 			words := k.ctrl.PeekLine(pl)
-			for g, w := range words {
-				original = append(original, w)
+			dst = append(dst, words[:]...)
+			for g := range words {
 				ga := pl + physmem.Addr(g*physmem.GroupBytes)
 				k.ctrl.WriteCheckBits(ga, uint8(ecc.ScrambleCheck(ecc.Check(k.ctrl.ReadCheckBits(ga)))))
 			}
-			k.watches[lva] = watchEntry{pline: pl, direct: true}
-			k.byPhys[pl] = lva
 		}
-		if n := uint64(len(k.watches)); n > k.stats.MaxLinesWatched {
-			k.stats.MaxLinesWatched = n
+	} else {
+		// One lock/disable window covers the whole region: the expensive
+		// bus quiesce and chipset mode switches are paid once, the
+		// per-line work (save, scramble) is paid per line.
+		k.ctrl.LockBus()
+		prevMode := k.ctrl.Mode()
+		k.ctrl.SetMode(memctrl.Disabled)
+		for _, pl := range k.plines {
+			words := k.ctrl.PeekLine(pl)
+			dst = append(dst, words[:]...)
+			var scrambled [physmem.GroupsPerLine]uint64
+			for g, w := range words {
+				scrambled[g] = ecc.Scramble(w)
+			}
+			k.clock.Advance(simtime.CostScrambleWord * physmem.GroupsPerLine)
+			k.ctrl.WriteLine(pl, scrambled) // data only; check bits stay stale
 		}
-		return original, nil
+		k.ctrl.SetMode(prevMode)
+		k.ctrl.UnlockBus()
 	}
 
-	// One lock/disable window covers the whole region: the expensive bus
-	// quiesce and chipset mode switches are paid once, the per-line work
-	// (save, scramble) is paid per line.
-	k.ctrl.LockBus()
-	prevMode := k.ctrl.Mode()
-	k.ctrl.SetMode(memctrl.Disabled)
-	original := make([]uint64, 0, nLines*physmem.GroupsPerLine)
-	for i := 0; i < nLines; i++ {
-		lva := va + vm.VAddr(i*physmem.LineBytes)
-		pl := plines[i]
-
-		words := k.ctrl.PeekLine(pl)
-		var scrambled [physmem.GroupsPerLine]uint64
-		for g, w := range words {
-			original = append(original, w)
-			scrambled[g] = ecc.Scramble(w)
+	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
+		mask := regionMask(pg, va, end)
+		frame := k.plines[(max(va, pg)-va)/physmem.LineBytes] &^ pageMask
+		wp := k.watches[frame]
+		wp.vpage = pg
+		wp.lines |= mask
+		if direct {
+			wp.direct |= mask
 		}
-		k.clock.Advance(simtime.CostScrambleWord * physmem.GroupsPerLine)
-		k.ctrl.WriteLine(pl, scrambled) // data only; check bits stay stale
-
-		k.watches[lva] = watchEntry{pline: pl}
-		k.byPhys[pl] = lva
+		k.watches[frame] = wp
+		k.nWatched += bits.OnesCount64(mask)
 	}
-	k.ctrl.SetMode(prevMode)
-	k.ctrl.UnlockBus()
-	if n := uint64(len(k.watches)); n > k.stats.MaxLinesWatched {
+	if n := uint64(k.nWatched); n > k.stats.MaxLinesWatched {
 		k.stats.MaxLinesWatched = n
 	}
-	return original, nil
+	return dst, nil
+}
+
+// unpinPages unpins the pages [from, to), undoing pins a failed
+// WatchMemory took. Unpin of a page just pinned cannot fail.
+func (k *Kernel) unpinPages(from, to vm.VAddr) {
+	for pg := from; pg < to; pg += vm.PageBytes {
+		_ = k.as.Unpin(pg)
+	}
+}
+
+// lookupWatched fills k.spans with the pages of the line-aligned region
+// [va, va+size), failing on the lowest line that is not watched.
+func (k *Kernel) lookupWatched(va vm.VAddr, size uint64) error {
+	k.spans = k.spans[:0]
+	end := va + vm.VAddr(size)
+	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
+		mask := regionMask(pg, va, end)
+		var wp watchPage
+		frame, ok := k.as.FrameOf(pg)
+		if ok {
+			wp = k.watches[frame]
+		}
+		if missing := mask &^ wp.lines; missing != 0 {
+			return fmt.Errorf("kernel: line %#x not watched", firstLine(pg, missing))
+		}
+		k.spans = append(k.spans, watchSpan{frame: frame, wp: wp, mask: mask})
+	}
+	return nil
+}
+
+// dropWatches removes the lines of mask from the frame's watch record wp.
+func (k *Kernel) dropWatches(frame physmem.Addr, wp watchPage, mask uint64) {
+	wp.lines &^= mask
+	wp.direct &^= mask
+	k.nWatched -= bits.OnesCount64(mask)
+	if wp.lines == 0 {
+		delete(k.watches, frame)
+	} else {
+		k.watches[frame] = wp
+	}
 }
 
 // DisableWatchMemory removes monitoring from [va, va+size): it restores the
@@ -394,12 +497,8 @@ func (k *Kernel) DisableWatchMemory(va vm.VAddr, size uint64) error {
 	if err := checkLineRegion(va, size); err != nil {
 		return err
 	}
-	nLines := int(size / physmem.LineBytes)
-	for i := 0; i < nLines; i++ {
-		lva := va + vm.VAddr(i*physmem.LineBytes)
-		if _, ok := k.watches[lva]; !ok {
-			return fmt.Errorf("kernel: line %#x not watched", uint64(lva))
-		}
+	if err := k.lookupWatched(va, size); err != nil {
+		return err
 	}
 	// Direct-armed regions disarm with per-group check-bit restores; the
 	// commodity path un-scrambles under the bus lock. Mixed regions are
@@ -407,43 +506,42 @@ func (k *Kernel) DisableWatchMemory(va vm.VAddr, size uint64) error {
 	// are disabled with the same extents), but handle lines individually
 	// anyway.
 	anyScrambled := false
-	for i := 0; i < nLines; i++ {
-		if !k.watches[va+vm.VAddr(i*physmem.LineBytes)].direct {
+	for _, s := range k.spans {
+		if s.mask&^s.wp.direct != 0 {
 			anyScrambled = true
 		}
 	}
 	if anyScrambled {
 		k.ctrl.LockBus()
 	}
-	for i := 0; i < nLines; i++ {
-		lva := va + vm.VAddr(i*physmem.LineBytes)
-		entry := k.watches[lva]
-		pl := entry.pline
+	for _, s := range k.spans {
+		for m := s.mask; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			pl := s.frame + physmem.Addr(b*physmem.LineBytes)
 
-		// The line cannot be validly cached (it was flushed at watch time
-		// and every fill since would have faulted), but flush defensively
-		// so a stale copy can never mask the restore.
-		k.cache.FlushLine(pl)
+			// The line cannot be validly cached (it was flushed at watch
+			// time and every fill since would have faulted), but flush
+			// defensively so a stale copy can never mask the restore.
+			k.cache.FlushLine(pl)
 
-		if entry.direct {
-			// Data is intact; recompute honest check bits per group.
-			raw := k.ctrl.PeekLine(pl)
-			for g, w := range raw {
-				ga := pl + physmem.Addr(g*physmem.GroupBytes)
-				k.ctrl.WriteCheckBits(ga, uint8(ecc.Encode(w)))
+			if s.wp.direct&(1<<b) != 0 {
+				// Data is intact; recompute honest check bits per group.
+				raw := k.ctrl.PeekLine(pl)
+				for g, w := range raw {
+					ga := pl + physmem.Addr(g*physmem.GroupBytes)
+					k.ctrl.WriteCheckBits(ga, uint8(ecc.Encode(w)))
+				}
+			} else {
+				raw := k.ctrl.PeekLine(pl)
+				var restored [physmem.GroupsPerLine]uint64
+				for g, w := range raw {
+					restored[g] = ecc.Scramble(w) // involution: unscramble
+				}
+				k.clock.Advance(simtime.CostScrambleWord*physmem.GroupsPerLine + simtime.CostWriteBack)
+				k.ctrl.WriteLine(pl, restored) // ECC enabled: fresh check bits
 			}
-		} else {
-			raw := k.ctrl.PeekLine(pl)
-			var restored [physmem.GroupsPerLine]uint64
-			for g, w := range raw {
-				restored[g] = ecc.Scramble(w) // involution: unscramble
-			}
-			k.clock.Advance(simtime.CostScrambleWord*physmem.GroupsPerLine + simtime.CostWriteBack)
-			k.ctrl.WriteLine(pl, restored) // ECC enabled: fresh check bits
 		}
-
-		delete(k.watches, lva)
-		delete(k.byPhys, pl)
+		k.dropWatches(s.frame, s.wp, s.mask)
 	}
 	if anyScrambled {
 		k.ctrl.UnlockBus()
@@ -475,24 +573,24 @@ func (k *Kernel) DisableWatchMemoryWithData(va vm.VAddr, size uint64, original [
 	if len(original) != nLines*physmem.GroupsPerLine {
 		return fmt.Errorf("kernel: original data has %d words, want %d", len(original), nLines*physmem.GroupsPerLine)
 	}
-	for i := 0; i < nLines; i++ {
-		lva := va + vm.VAddr(i*physmem.LineBytes)
-		if _, ok := k.watches[lva]; !ok {
-			return fmt.Errorf("kernel: line %#x not watched", uint64(lva))
-		}
+	if err := k.lookupWatched(va, size); err != nil {
+		return err
 	}
-	for i := 0; i < nLines; i++ {
-		lva := va + vm.VAddr(i*physmem.LineBytes)
-		pl := k.watches[lva].pline
-		k.cache.FlushLine(pl)
-		k.ctrl.LockBus()
-		var restored [physmem.GroupsPerLine]uint64
-		copy(restored[:], original[i*physmem.GroupsPerLine:])
-		k.clock.Advance(simtime.CostScrambleWord*physmem.GroupsPerLine + simtime.CostWriteBack)
-		k.ctrl.WriteLine(pl, restored)
-		k.ctrl.UnlockBus()
-		delete(k.watches, lva)
-		delete(k.byPhys, pl)
+	for _, s := range k.spans {
+		for m := s.mask; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			pl := s.frame + physmem.Addr(b*physmem.LineBytes)
+			lva := s.wp.vpage + vm.VAddr(b*physmem.LineBytes)
+			i := int(uint64(lva-va) / physmem.LineBytes)
+			k.cache.FlushLine(pl)
+			k.ctrl.LockBus()
+			var restored [physmem.GroupsPerLine]uint64
+			copy(restored[:], original[i*physmem.GroupsPerLine:])
+			k.clock.Advance(simtime.CostScrambleWord*physmem.GroupsPerLine + simtime.CostWriteBack)
+			k.ctrl.WriteLine(pl, restored)
+			k.ctrl.UnlockBus()
+		}
+		k.dropWatches(s.frame, s.wp, s.mask)
 	}
 	for pg := va.PageAddr(); pg < va+vm.VAddr(size); pg += vm.PageBytes {
 		if err := k.as.Unpin(pg); err != nil {
@@ -504,18 +602,13 @@ func (k *Kernel) DisableWatchMemoryWithData(va vm.VAddr, size uint64, original [
 
 // Watched reports whether the line containing va is currently watched.
 func (k *Kernel) Watched(va vm.VAddr) bool {
-	_, ok := k.watches[va.LineAddr()]
-	return ok
+	frame, ok := k.as.FrameOf(va)
+	return ok && k.watches[frame].lines&lineBit(uint64(va)) != 0
 }
 
-// WatchedLines returns the virtual addresses of all watched lines, in
-// unspecified order. Used by the scrub coordinator.
-func (k *Kernel) WatchedLines() []vm.VAddr {
-	out := make([]vm.VAddr, 0, len(k.watches))
-	for lva := range k.watches {
-		out = append(out, lva)
-	}
-	return out
+// watchedPhys reports whether the physical line pl is watched.
+func (k *Kernel) watchedPhys(pl physmem.Addr) bool {
+	return k.watches[pl&^pageMask].lines&lineBit(uint64(pl)) != 0
 }
 
 // Mprotect changes the protection of npages pages at va — the stock
@@ -546,7 +639,8 @@ func (k *Kernel) UnmapPages(va vm.VAddr, npages int) error {
 // copies are typically empty and both capture and restore stay O(1).
 type Image struct {
 	k           *Kernel
-	watches     map[vm.VAddr]watchEntry
+	watches     map[physmem.Addr]watchPage
+	nWatched    int
 	eccHandler  ECCFaultHandler
 	pageHandler PageFaultHandler
 	scrubBefore func()
@@ -578,7 +672,8 @@ func (k *Kernel) CaptureImage() *Image {
 	}
 	img := &Image{
 		k:              k,
-		watches:        make(map[vm.VAddr]watchEntry, len(k.watches)),
+		watches:        make(map[physmem.Addr]watchPage, len(k.watches)),
+		nWatched:       k.nWatched,
 		eccHandler:     k.eccHandler,
 		pageHandler:    k.pageHandler,
 		scrubBefore:    k.scrubBefore,
@@ -593,8 +688,8 @@ func (k *Kernel) CaptureImage() *Image {
 		onRetire:       k.onRetire,
 		stats:          k.stats,
 	}
-	for lva, e := range k.watches {
-		img.watches[lva] = e
+	for frame, wp := range k.watches {
+		img.watches[frame] = wp
 	}
 	for pl, h := range k.health {
 		img.health[pl] = *h
@@ -620,11 +715,10 @@ func (k *Kernel) RestoreImage(img *Image) {
 	// filter, we drop the pointer.
 	k.scrubd = nil
 	clear(k.watches)
-	clear(k.byPhys)
-	for lva, e := range img.watches {
-		k.watches[lva] = e
-		k.byPhys[e.pline] = lva
+	for frame, wp := range img.watches {
+		k.watches[frame] = wp
 	}
+	k.nWatched = img.nWatched
 	k.eccHandler = img.eccHandler
 	k.pageHandler = img.pageHandler
 	k.scrubBefore, k.scrubAfter = img.scrubBefore, img.scrubAfter

@@ -26,7 +26,7 @@
 package kernel
 
 import (
-	"sort"
+	"math/bits"
 
 	"safemem/internal/memctrl"
 	"safemem/internal/obsrv/flight"
@@ -215,8 +215,8 @@ func (k *Kernel) surviveUncorrectable(r memctrl.FaultReport, fault *ECCFault) {
 		flight.F("line", uint64(r.Line)))
 	pl := r.Line
 	if fault.Watched {
-		delete(k.watches, fault.VLine)
-		delete(k.byPhys, pl)
+		frame := pl &^ pageMask
+		k.dropWatches(frame, k.watches[frame], lineBit(uint64(pl)))
 		_ = k.as.Unpin(fault.VLine.PageAddr()) // best effort; watch is gone
 	}
 	// Flush first so no stale cached copy can mask the rewrite, then write
@@ -288,19 +288,8 @@ func (k *Kernel) retireFrame(frame physmem.Addr) {
 	sp := k.tr.Begin("kernel", "retire-page", telemetry.KV("frame", uint64(frame)))
 	defer sp.End()
 	// Watches on the doomed frame survive migration bit-for-bit (raw copy);
-	// only the physical-address bookkeeping needs re-pointing. Sort for
-	// deterministic notification order — map iteration is randomized.
-	type moved struct {
-		lva vm.VAddr
-		e   watchEntry
-	}
-	var onFrame []moved
-	for lva, e := range k.watches {
-		if e.pline >= frame && e.pline < frame+physmem.Addr(vm.PageBytes) {
-			onFrame = append(onFrame, moved{lva, e})
-		}
-	}
-	sort.Slice(onFrame, func(i, j int) bool { return onFrame[i].lva < onFrame[j].lva })
+	// only the frame's watch record needs rekeying.
+	wp := k.watches[frame]
 	old, fresh, err := k.as.RetirePage(va)
 	if err != nil {
 		// No spare frame (all pinned, swap exhausted): abandon this
@@ -313,14 +302,14 @@ func (k *Kernel) retireFrame(frame physmem.Addr) {
 			flight.F("frame", uint64(frame)))
 		return
 	}
-	movedWatches := make([]vm.VAddr, 0, len(onFrame))
-	for _, m := range onFrame {
-		npl := fresh + (m.e.pline - old)
-		delete(k.byPhys, m.e.pline)
-		k.byPhys[npl] = m.lva
-		k.watches[m.lva] = watchEntry{pline: npl, direct: m.e.direct}
-		movedWatches = append(movedWatches, m.lva)
-		k.resStats.WatchesMigrated++
+	movedWatches := make([]vm.VAddr, 0, bits.OnesCount64(wp.lines))
+	if wp.lines != 0 {
+		delete(k.watches, frame)
+		k.watches[fresh] = wp
+		for m := wp.lines; m != 0; m &= m - 1 {
+			movedWatches = append(movedWatches, wp.vpage+vm.VAddr(bits.TrailingZeros64(m)*physmem.LineBytes))
+		}
+		k.resStats.WatchesMigrated += uint64(len(movedWatches))
 	}
 	k.clearHealth(old)
 	k.resStats.PagesRetired++

@@ -19,6 +19,17 @@ func plantBad(r *rig, pa physmem.Addr) {
 	r.ctrl.Memory().WriteGroupDataOnly(pa, ecc.Scramble(data))
 }
 
+// watchedPLine returns the physical line of the watched virtual line va.
+func watchedPLine(t *testing.T, r *rig, va vm.VAddr) physmem.Addr {
+	t.Helper()
+	frame, ok := r.as.FrameOf(va)
+	pl := frame + physmem.Addr(va.PageOffset())
+	if !ok || !r.k.watchedPhys(pl) {
+		t.Fatalf("line %#x not watched", uint64(va))
+	}
+	return pl
+}
+
 func TestUnwatchedFaultPanicsUnderStockPolicy(t *testing.T) {
 	r := newRig(t, 1<<20)
 	mapHeap(t, r, 1)
@@ -128,7 +139,7 @@ func TestHardwareRepairOnWatchedLineFeedsHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := r.k.watches[base].pline
+	pl := watchedPLine(t, r, base)
 	// A real hardware error on the watched line: the stored word no longer
 	// equals Scramble(original), so the handler diagnoses hardware, repairs
 	// from its saved copy, and reports Hardware=true.
@@ -171,7 +182,7 @@ func TestRetirementRemapsWatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldPl := r.k.watches[base].pline
+	oldPl := watchedPLine(t, r, base)
 	oldFrame := oldPl &^ physmem.Addr(vm.PageBytes-1)
 
 	var notified []vm.VAddr
@@ -192,15 +203,12 @@ func TestRetirementRemapsWatches(t *testing.T) {
 	if len(notified) != 1 || notified[0] != base {
 		t.Fatalf("notifier moved watches = %v, want [%#x]", notified, uint64(base))
 	}
-	newPl := r.k.watches[base].pline
+	newPl := watchedPLine(t, r, base)
 	if newPl == oldPl {
 		t.Fatal("watch still points at the retired frame")
 	}
-	if got, ok := r.k.byPhys[newPl]; !ok || got != base {
-		t.Fatal("byPhys not re-pointed")
-	}
-	if _, stale := r.k.byPhys[oldPl]; stale {
-		t.Fatal("stale byPhys entry for retired frame")
+	if r.k.watchedPhys(oldPl) {
+		t.Fatal("stale watch record for the retired frame")
 	}
 	if r.k.ResilienceStats().WatchesMigrated != 1 {
 		t.Fatalf("WatchesMigrated = %d, want 1", r.k.ResilienceStats().WatchesMigrated)

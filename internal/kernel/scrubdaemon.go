@@ -94,10 +94,7 @@ func (k *Kernel) StartScrubDaemon(opts ScrubDaemonOptions) {
 	if k.ctrl.Mode() != memctrl.CorrectAndScrub {
 		k.ctrl.SetMode(memctrl.CorrectAndScrub)
 	}
-	k.ctrl.SetScrubFilter(func(line physmem.Addr) bool {
-		_, watched := k.byPhys[line]
-		return !watched
-	})
+	k.ctrl.SetScrubFilter(func(line physmem.Addr) bool { return !k.watchedPhys(line) })
 	sd := &scrubDaemon{opts: opts, interval: opts.Interval, lastEvents: k.errorEvents()}
 	sd.timer = k.clock.NewTimer(k.clock.Now()+sd.interval, func(now simtime.Cycles) simtime.Cycles {
 		sd.due = true
