@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race check ci bench bench-smoke bench-quick bench-check bench-fleet bench-campaign fleet-smoke campaign storm fuzz-short frontier coverage-floor serve-smoke
+.PHONY: all build vet fmt test race check ci bench bench-smoke bench-quick bench-check bench-gate-test campaign storm fuzz-short frontier coverage-floor serve-smoke
 
 all: check
 
@@ -74,7 +74,7 @@ serve-smoke:
 
 # check is the full verification gate: compile, vet, tests, race tests,
 # short fuzzing, the randomized campaigns (clean and storm hardware), and
-# the throughput-regression gate against the tracked baseline.
+# the host-performance gates against the tracked baselines.
 check: build vet test race fuzz-short campaign storm bench-check
 
 # ci is the continuous-integration gate (.github/workflows/ci.yml): the
@@ -83,10 +83,9 @@ check: build vet test race fuzz-short campaign storm bench-check
 # concurrent serving/observability/telemetry layers, the sample-tool
 # campaign and the pooled machine-reuse path (pooled-vs-reference
 # equivalence, the never-repool taint rule, the machine package) — cheap
-# enough for every push, unlike `make race` — the serving-stack chaos smoke, a
-# one-shard fleet-bench + bench_compare.sh smoke, the per-cycle and
-# per-scenario cost benchmark smoke, and the throughput/campaign regression
-# gates.
+# enough for every push, unlike `make race` — the serving-stack chaos smoke,
+# the benchmark gate's self-test, the per-cycle and per-scenario cost
+# benchmark smoke, and the host-performance regression gates.
 ci: build vet fmt test
 	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier
 	$(MAKE) coverage-floor
@@ -95,7 +94,7 @@ ci: build vet fmt test
 	$(GO) test -race -count=1 -run 'Test(TLB|BatchLane|Recycle)Equivalence|NeverRepooled|TestCleanRunRepooled' ./internal/campaign ./internal/bench
 	$(GO) test -race -count=1 ./internal/machine
 	$(MAKE) serve-smoke
-	$(MAKE) fleet-smoke
+	$(MAKE) bench-gate-test
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check
 
@@ -121,40 +120,44 @@ bench-smoke:
 bench-quick:
 	$(GO) run ./cmd/safemem-bench -experiment throughput
 
-# bench-check guards the perf fast lanes: it reruns the throughput
-# experiment and fails (exit 1) if host-ns/instr regressed more than 25%
-# against the tracked BENCH_throughput.json baseline — on the aggregate
-# total or on any single app's row (a batched-run bail-out regression can
-# triple one workload while barely moving the total) — then reruns the
-# campaign experiment and fails if warm scenarios/sec (any tool row, the
-# total, the short tail, or the fleet jobs/sec leg) regressed more than
-# 25% against BENCH_campaign.json. After a deliberate perf trade-off,
-# accept the new numbers with `make bench-check BENCHFLAGS=-update`.
+# bench-check guards host performance in two legs. The throughput leg
+# reruns the throughput experiment and fails (exit 1) if host-ns/instr
+# regressed more than 25% against the tracked BENCH_throughput.json — on
+# the aggregate total or on any single app's row (a batched-run bail-out
+# regression can triple one workload while barely moving the total) — or if
+# the run's seed, scale or deterministic simulated columns differ from the
+# baseline's. The benchmark leg runs the repository benchmark's campaign and
+# fleet workloads for 5 s each and checks each result against the tracked
+# BENCH_<workload>.json with scripts/bench_gate.sh: it fails if the result
+# is not correct (the seed-1 digests), if its failed share of ops rose, or
+# if ops_per_s fell below 75% of the baseline. After a deliberate perf
+# trade-off, accept the new numbers with `make bench-check BENCHFLAGS=-update`.
 bench-check:
 	$(GO) run ./cmd/safemem-bench -experiment throughput -throughput-check BENCH_throughput.json $(BENCHFLAGS)
-	$(GO) run ./cmd/safemem-bench -experiment campaign -campaign-check BENCH_campaign.json $(BENCHFLAGS)
+	for w in campaign fleet; do \
+		rm -f .bench_build/$$w.json; \
+		bash benchmark/run.sh --workload $$w --seconds 5 --trace 0 --out .bench_build/$$w.json; \
+		status=$$?; \
+		case " $(BENCHFLAGS) " in \
+		*" -update "*) [ $$status -eq 0 ] && cp .bench_build/$$w.json BENCH_$$w.json || exit 1 ;; \
+		*) ./scripts/bench_gate.sh BENCH_$$w.json .bench_build/$$w.json || exit $$? ;; \
+		esac; \
+	done
 
-# bench-campaign refreshes the tracked campaign-throughput baseline
-# (BENCH_campaign.json): per tool config, scenario batches wall-clocked
-# cold (fresh machine per scenario) and warm (pooled machine reset by its
-# pristine-image restore), plus the same for a fleet jobs/sec leg.
-# Simulated work is identical on both paths; the speedup columns describe
-# this machine.
-bench-campaign:
-	$(GO) run ./cmd/safemem-bench -experiment campaign
-
-# bench-fleet refreshes the tracked fleet-throughput baseline
-# (BENCH_fleet.json): shards × apps uninstrumented runs on pooled machines
-# across every host core — aggregate sim-MIPS and sim-MIPS/core.
-bench-fleet:
-	$(GO) run ./cmd/safemem-bench -experiment fleet
-
-# fleet-smoke is the cheap ci variant: build the bench CLI and step one
-# fleet shard without touching the tracked baseline, plus self-compares of
-# the bench_compare.sh delta-table tool against every tracked baseline it
-# understands (all deltas must read +0.0%).
-fleet-smoke:
-	$(GO) run ./cmd/safemem-bench -experiment fleet -fleet-shards 1 -fleet-out ""
-	./scripts/bench_compare.sh BENCH_throughput.json BENCH_throughput.json
-	./scripts/bench_compare.sh BENCH_fleet.json BENCH_fleet.json
-	./scripts/bench_compare.sh BENCH_campaign.json BENCH_campaign.json
+# bench-gate-test checks bench-check's gate against each tracked
+# BENCH_campaign.json / BENCH_fleet.json: the baseline passes against
+# itself, a result fails (exit 1, naming its workload) against a copy of
+# the baseline with ops_per_s doubled, and a truncated result is refused
+# (exit 2).
+bench-gate-test:
+	mkdir -p .bench_build
+	for w in campaign fleet; do \
+		./scripts/bench_gate.sh BENCH_$$w.json BENCH_$$w.json || exit 1; \
+		jq '.[].metrics.ops_per_s.value *= 2' BENCH_$$w.json > .bench_build/$$w-doubled.json || exit 1; \
+		msg=$$(./scripts/bench_gate.sh .bench_build/$$w-doubled.json BENCH_$$w.json 2>&1); \
+		[ $$? -eq 1 ] || { echo "$$w: doubled baseline did not exit 1: $$msg"; exit 1; }; \
+		case "$$msg" in *"$$w"*) ;; *) echo "$$w: gate message does not name the workload: $$msg"; exit 1 ;; esac; \
+		head -c 200 BENCH_$$w.json > .bench_build/$$w-truncated.json; \
+		./scripts/bench_gate.sh BENCH_$$w.json .bench_build/$$w-truncated.json 2>/dev/null; \
+		[ $$? -eq 2 ] || { echo "$$w: truncated result did not exit 2"; exit 1; }; \
+	done

@@ -3,11 +3,9 @@
 //
 // Usage:
 //
-//	safemem-bench [-experiment table2|table3|table4|table5|sample|figure3|throughput|fleet|campaign|frontier|all]
+//	safemem-bench [-experiment table2|table3|table4|table5|sample|figure3|summary|throughput|frontier|all]
 //	              [-seed N] [-scale N] [-iterations N] [-parallel N]
 //	              [-throughput-out FILE] [-throughput-check FILE] [-update]
-//	              [-fleet-out FILE] [-fleet-shards N]
-//	              [-campaign-out FILE] [-campaign-check FILE] [-campaign-scenarios N]
 //	              [-frontier-out FILE] [-frontier-scenarios N]
 //	              [-metrics-out FILE] [-trace-out FILE] [-jsonl-out FILE]
 //	              [-sample-interval MS] [-serve :9090]
@@ -16,7 +14,8 @@
 //
 // Absolute numbers are simulated-cycle measurements; the shapes — who wins,
 // by roughly what factor, where the crossovers fall — are the reproduction
-// target (see EXPERIMENTS.md).
+// target (see EXPERIMENTS.md). Campaign and fleet host throughput are
+// measured by the repository benchmark (benchmark/, run by make bench-check).
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 
 	"safemem/internal/apps"
 	"safemem/internal/bench"
-	"safemem/internal/bench/campbench"
 	"safemem/internal/bench/frontier"
 	"safemem/internal/obsrv"
 	"safemem/internal/obsrv/buildinfo"
@@ -52,25 +50,18 @@ type jsonOutput struct {
 	Figure3 []bench.Figure3Series `json:"figure3,omitempty"`
 	Summary []bench.SummaryRow    `json:"summary,omitempty"`
 	Through *bench.Throughput     `json:"throughput,omitempty"`
-	Fleet   *bench.Fleet          `json:"fleet,omitempty"`
-	Camp    *campbench.Campaign   `json:"campaign,omitempty"`
 	Front   *frontier.Frontier    `json:"frontier,omitempty"`
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: table2, table3, table4, table5, sample, figure3, summary, throughput, fleet, campaign, frontier or all")
+	experiment := flag.String("experiment", "all", "which experiment to run: table2, table3, table4, table5, sample, figure3, summary, throughput, frontier or all")
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	scale := flag.Int("scale", 0, "workload scale multiplier (0 = per-experiment default)")
 	iterations := flag.Int("iterations", 256, "microbenchmark iterations (table2)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for independent experiment cells (results are identical at any value)")
 	throughputOut := flag.String("throughput-out", "BENCH_throughput.json", "where the throughput experiment writes its JSON baseline (empty disables)")
-	throughputCheck := flag.String("throughput-check", "", "compare the throughput run against this JSON baseline instead of writing one; exit 1 on >25% host-ns/instr regression")
+	throughputCheck := flag.String("throughput-check", "", "compare the throughput run against this JSON baseline instead of writing one; exit 1 on >25% host-ns/instr regression or on a seed, scale or simulated-work mismatch")
 	update := flag.Bool("update", false, "with -throughput-check: rewrite the baseline from this run instead of comparing")
-	fleetOut := flag.String("fleet-out", "BENCH_fleet.json", "where the fleet experiment writes its JSON baseline (empty disables)")
-	fleetShards := flag.Int("fleet-shards", 4, "full passes over the app list for the fleet experiment")
-	campaignOut := flag.String("campaign-out", "BENCH_campaign.json", "where the campaign experiment writes its JSON baseline (empty disables)")
-	campaignCheck := flag.String("campaign-check", "", "compare the campaign run against this JSON baseline instead of writing one; exit 1 on >25% warm scenarios/sec regression")
-	campaignScenarios := flag.Int("campaign-scenarios", 0, "scenario count per tool for the campaign experiment (0 = tracked-baseline default)")
 	frontierOut := flag.String("frontier-out", "BENCH_frontier.json", "where the frontier experiment writes its JSON baseline (empty disables)")
 	frontierScenarios := flag.Int("frontier-scenarios", 0, "scenario count for the frontier sweep (0 = tracked-baseline default)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -279,74 +270,6 @@ func main() {
 			fmt.Println(t.Render())
 		}
 	}
-	// fleet wall-clocks the host under full-core contention, so it too only
-	// runs when requested explicitly (not under -experiment all).
-	if *experiment == "fleet" {
-		f, err := bench.RunFleet(cfg, *fleetShards, *parallel)
-		if err != nil {
-			log.Error("fleet failed", "err", err)
-			profiling.Exit(1)
-		}
-		if *fleetOut != "" {
-			if err := f.WriteJSON(*fleetOut); err != nil {
-				fmt.Fprintf(os.Stderr, "safemem-bench: fleet: %v\n", err)
-				profiling.Exit(1)
-			}
-			log.Info("wrote fleet baseline", "path", *fleetOut)
-		}
-		if asJSON {
-			out.Fleet = f
-		} else {
-			fmt.Println(f.Render())
-		}
-	}
-	// campaign wall-clocks cold (fresh machine) versus warm (pooled
-	// machine) executor throughput, so it only runs when requested
-	// explicitly (not under -experiment all).
-	if *experiment == "campaign" {
-		opts := campbench.DefaultOptions()
-		if *campaignScenarios > 0 {
-			opts.Scenarios = *campaignScenarios
-		}
-		campbench.Progress = bench.Progress
-		c, err := campbench.Run(opts)
-		if err != nil {
-			log.Error("campaign failed", "err", err)
-			profiling.Exit(1)
-		}
-		switch {
-		case *campaignCheck != "" && *update:
-			if err := c.WriteJSON(*campaignCheck); err != nil {
-				fmt.Fprintf(os.Stderr, "safemem-bench: campaign: %v\n", err)
-				profiling.Exit(1)
-			}
-			log.Info("updated campaign baseline", "path", *campaignCheck)
-		case *campaignCheck != "":
-			base, err := campbench.Read(*campaignCheck)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "safemem-bench: campaign: %v\n", err)
-				profiling.Exit(1)
-			}
-			if err := c.CheckAgainst(base, 0.25); err != nil {
-				fmt.Println(c.Render())
-				fmt.Fprintf(os.Stderr, "safemem-bench: campaign check vs %s: %v\n", *campaignCheck, err)
-				fmt.Fprintf(os.Stderr, "safemem-bench: (rerun with -update to accept the new baseline)\n")
-				profiling.Exit(1)
-			}
-			log.Info("campaign ok", "warm_per_sec", c.Total.WarmPerSec, "baseline", base.Total.WarmPerSec)
-		case *campaignOut != "" && *campaignScenarios == 0:
-			if err := c.WriteJSON(*campaignOut); err != nil {
-				fmt.Fprintf(os.Stderr, "safemem-bench: campaign: %v\n", err)
-				profiling.Exit(1)
-			}
-			log.Info("wrote campaign baseline", "path", *campaignOut)
-		}
-		if asJSON {
-			out.Camp = c
-		} else {
-			fmt.Println(c.Render())
-		}
-	}
 	// summary re-runs every experiment internally, so it only runs when
 	// requested explicitly (not under -experiment all).
 	if *experiment == "summary" {
@@ -375,7 +298,7 @@ func main() {
 	})
 
 	switch *experiment {
-	case "table2", "table3", "table4", "table5", "sample", "figure3", "summary", "throughput", "fleet", "campaign", "frontier", "all":
+	case "table2", "table3", "table4", "table5", "sample", "figure3", "summary", "throughput", "frontier", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "safemem-bench: unknown experiment %q\n", *experiment)
 		profiling.Exit(2)

@@ -134,7 +134,25 @@ func ReadThroughput(path string) (*Throughput, error) {
 // falling back to byte loads would triple gzip while barely moving the
 // total). Rows present only on one side are skipped — adding an app must
 // not fail the gate until the baseline is regenerated.
+//
+// Host rates are only comparable over the same simulated work, so a seed
+// or scale mismatch, or a shared row whose deterministic sim_instrs or
+// sim_cycles differ, is an error too.
 func (t *Throughput) CheckAgainst(base *Throughput, tolerance float64) error {
+	if t.Seed != base.Seed || t.Scale != base.Scale {
+		return fmt.Errorf("run is seed %d scale %d, baseline is seed %d scale %d",
+			t.Seed, t.Scale, base.Seed, base.Scale)
+	}
+	baseRows := make(map[string]ThroughputRow, len(base.Rows))
+	for _, r := range base.Rows {
+		baseRows[r.App] = r
+	}
+	for _, r := range t.Rows {
+		if b, ok := baseRows[r.App]; ok && (r.SimInstrs != b.SimInstrs || r.SimCycles != b.SimCycles) {
+			return fmt.Errorf("%s simulated work changed: %d instrs / %d cycles vs baseline %d / %d",
+				r.App, r.SimInstrs, r.SimCycles, b.SimInstrs, b.SimCycles)
+		}
+	}
 	cur, ref := t.Total.HostNSPerInstr, base.Total.HostNSPerInstr
 	if ref <= 0 {
 		return fmt.Errorf("throughput baseline has no total rate")
@@ -143,13 +161,9 @@ func (t *Throughput) CheckAgainst(base *Throughput, tolerance float64) error {
 		return fmt.Errorf("host ns/instr regressed: %.4f vs baseline %.4f (+%.0f%%, tolerance %.0f%%)",
 			cur, ref, (cur/ref-1)*100, tolerance*100)
 	}
-	baseRows := make(map[string]float64, len(base.Rows))
-	for _, r := range base.Rows {
-		baseRows[r.App] = r.HostNSPerInstr
-	}
 	for _, r := range t.Rows {
-		bref, ok := baseRows[r.App]
-		if !ok || bref <= 0 {
+		bref := baseRows[r.App].HostNSPerInstr
+		if bref <= 0 {
 			continue
 		}
 		if r.HostNSPerInstr > bref*(1+tolerance) {

@@ -68,19 +68,23 @@ func TestErroredRunNeverRepooled(t *testing.T) {
 
 // TestCleanRunRepooled is the counter-positive: a normally terminating run
 // does recycle its machine (otherwise the counters above prove nothing).
+// It holds under every tool configuration, since one that lost pooled
+// reuse would pay a machine build per scenario and run 10–100× slower.
 func TestCleanRunRepooled(t *testing.T) {
 	s := Generate(3)
-	released, dropped := poolDelta(t, func() {
-		res, err := ExecuteEnv(s, CfgBoth, Env{})
-		if err != nil || res.Err != nil {
-			t.Fatalf("clean run failed: err=%v res.Err=%v", err, res.Err)
+	for _, cfg := range AllConfigs {
+		released, dropped := poolDelta(t, func() {
+			res, err := ExecuteEnv(s, cfg, Env{})
+			if err != nil || res.Err != nil {
+				t.Fatalf("%s: clean run failed: err=%v res.Err=%v", cfg, err, res.Err)
+			}
+		})
+		if released != 1 {
+			t.Errorf("%s: clean run released %d machine(s), want 1", cfg, released)
 		}
-	})
-	if released != 1 {
-		t.Fatalf("clean run released %d machine(s), want 1", released)
-	}
-	if dropped != 0 {
-		t.Fatalf("clean run dropped %d machine(s), want 0", dropped)
+		if dropped != 0 {
+			t.Errorf("%s: clean run dropped %d machine(s), want 0", cfg, dropped)
+		}
 	}
 }
 
