@@ -103,15 +103,17 @@ ci: build vet fmt test
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# bench-smoke runs the machine-recycle, line-write, watch/unwatch and
-# per-scenario campaign benchmarks once each, so they keep compiling and
-# running. Compare RecycleFewDirtyLines across its two DRAM sizes by hand:
-# recycling must cost what the run dirtied, so its ns/op stays roughly flat
-# as MemBytes grows. For numbers, rerun one with a larger -benchtime:
-# WatchUnwatch reports 0 allocs/op, and Scenario's B/op is the host
-# garbage one campaign scenario leaves behind.
+# bench-smoke runs the machine-recycle, batch-lane scan, line-write,
+# watch/unwatch and per-scenario campaign benchmarks once each, so they keep
+# compiling and running. Compare RecycleFewDirtyLines across its two DRAM
+# sizes by hand: recycling must cost what the run dirtied, so its ns/op
+# stays roughly flat as MemBytes grows. For numbers, rerun one with a larger
+# -benchtime: LoadRunScan reports host ns per 64-byte line and 0 allocs/op
+# (and fails if the scan leaves the fast lane), WatchUnwatch reports 0
+# allocs/op, and Scenario's B/op is the host garbage one campaign scenario
+# leaves behind.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Recycle|WriteLine' -benchtime 1x ./internal/machine ./internal/memctrl
+	$(GO) test -run '^$$' -bench 'Recycle|LoadRunScan|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'WatchUnwatch|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/campaign
 
 # bench-quick refreshes the tracked simulator-throughput baseline

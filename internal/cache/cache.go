@@ -311,13 +311,13 @@ type LineRef struct {
 // OpenLine probes for line without charging cycles, counting a hit, or
 // touching LRU state. ok=false means the line is not resident: the run must
 // fall back to the slow path, whose miss fill performs the ECC-checked DRAM
-// read (and with it any watched-line fault).
+// read (and with it any watched-line fault). It is kept small enough to
+// inline: the machine's span engine calls it once per line.
 func (c *Cache) OpenLine(line physmem.Addr) (LineRef, bool) {
-	w := c.find(line)
-	if w == nil {
-		return LineRef{}, false
+	if i := c.findIdx(line); i >= 0 {
+		return LineRef{w: &c.ways[i]}, true
 	}
-	return LineRef{w: w}, true
+	return LineRef{}, false
 }
 
 // Load reads size bytes at byte offset off (0..63) within the opened line,

@@ -5,24 +5,28 @@
 // deferred-work gate on every single access — ~14 host-ns even when the
 // access is a TLB-hit cache-hit that moves one byte. Straight-line runs
 // (copy loops, match loops, table scans, checksums) repeat that work for
-// accesses whose outcome is identical, which is why the byte-granularity
-// apps (gzip, tar) ran an order of magnitude slower per simulated
-// instruction than the compute-heavy servers.
+// accesses whose outcome is identical.
 //
-// RunAccesses and the LoadRun/StoreRun/CopyRun/CompareRun conveniences
-// execute such runs with the checks hoisted to batch granularity:
+// RunAccesses and the LoadRun/StoreRun/LoadByteRun/StoreByteRun/CopyRun/
+// CompareRun conveniences (and Memset and Memcpy, built on them) execute
+// such runs with the checks hoisted to batch granularity:
 //
 //   - translation is resolved once per page window (vm.TranslateRun) and
-//     protection once per access direction, instead of a translate call per
+//     protection checked against it, instead of a translate call per
 //     access;
-//   - the cache line is probed once per line segment (cache.OpenLine) and
-//     data moves directly against the resident line, instead of a full
-//     lookup per access;
-//   - clock, LRU, hit and translate accounting for a segment is settled in
-//     one commit (segFlush) — one Advance of n·(CostInstr+CostCacheHit) —
-//     instead of 2n Advance calls;
-//   - the wake horizon (simtime.Clock.Headroom) clamps every segment so no
-//     timer deadline can fall inside a batched commit.
+//   - the cache line is probed once per line (cache.OpenLine) and data
+//     moves directly against the resident line, instead of a full lookup
+//     per access;
+//   - accounting is committed in bulk. The span engine behind the
+//     contiguous single-stream runs (contiguous LoadRun/StoreRun,
+//     LoadByteRun, StoreByteRun, Memset) commits each kind of state only
+//     as often as it must: the LRU stamp once per line, the page touch
+//     once per page window, and stats, instructions and one clock Advance
+//     once per run (spanRun). RunAccesses, strided runs and the
+//     dual-stream CopyRun and CompareRun settle one line segment at a time
+//     (segFlush, segFlushPair);
+//   - the wake horizon (simtime.Clock.Headroom) bounds every deferred
+//     charge, so no timer deadline can fall inside a batched commit.
 //
 // The lane is a pure host-side optimisation: simulated semantics are
 // bit-identical to issuing the same accesses through Load/Store, pinned by
@@ -65,7 +69,8 @@ import (
 
 // lineBytesLE extracts n bytes (1..8) little-endian from a line's group
 // array starting at byte offset off; off+n must not exceed the line. Used by
-// CompareRun to compare up to eight byte pairs per host step.
+// CompareRun to compare up to eight byte pairs per host step, and by
+// LoadByteRun to extract eight bytes per host step.
 func lineBytesLE(w *[8]uint64, off, n uint64) uint64 {
 	g, b := off>>3, off&7
 	v := w[g] >> (b * 8)
@@ -373,47 +378,49 @@ func (m *Machine) RunAccesses(batch []AccessOp) {
 
 // LoadRun performs len(dst) loads of size bytes spaced stride bytes apart
 // starting at va, in index order, results into dst. Equivalent to the same
-// Load calls; contiguous runs (stride == size) take the tight span path.
+// Load calls; contiguous runs (stride == size) take the span engine.
 func (m *Machine) LoadRun(va vm.VAddr, size int, stride uint64, dst []uint64) {
-	if !m.laneOK() {
+	switch {
+	case !m.laneOK():
 		for i := range dst {
 			dst[i] = m.Load(va+vm.VAddr(uint64(i)*stride), size)
 		}
-		return
-	}
-	m.batch.runs++
-	seg, _ := m.laneSegs()
-	if stride == uint64(size) {
-		m.loadSpan(seg, va, uint64(size), dst)
-	} else {
+	case stride == uint64(size):
+		r := m.spanBegin(false)
+		m.span(&r, &span{kind: spanLoad, size: stride, words: dst}, va, uint64(len(dst)))
+		m.spanEnd(&r)
+	default:
+		m.batch.runs++
+		seg, _ := m.laneSegs()
 		for i := range dst {
 			dst[i] = m.runOp(seg, va+vm.VAddr(uint64(i)*stride), size, false, 0)
 		}
+		m.segFlush(seg)
+		m.laneExit()
 	}
-	m.segFlush(seg)
-	m.laneExit()
 }
 
 // StoreRun performs len(src) stores of size bytes spaced stride bytes
 // apart starting at va, in index order, values from src.
 func (m *Machine) StoreRun(va vm.VAddr, size int, stride uint64, src []uint64) {
-	if !m.laneOK() {
+	switch {
+	case !m.laneOK():
 		for i := range src {
 			m.Store(va+vm.VAddr(uint64(i)*stride), size, src[i])
 		}
-		return
-	}
-	m.batch.runs++
-	seg, _ := m.laneSegs()
-	if stride == uint64(size) {
-		m.storeSpan(seg, va, uint64(size), src)
-	} else {
+	case stride == uint64(size):
+		r := m.spanBegin(true)
+		m.span(&r, &span{kind: spanStore, size: stride, words: src}, va, uint64(len(src)))
+		m.spanEnd(&r)
+	default:
+		m.batch.runs++
+		seg, _ := m.laneSegs()
 		for i := range src {
 			m.runOp(seg, va+vm.VAddr(uint64(i)*stride), size, true, src[i])
 		}
+		m.segFlush(seg)
+		m.laneExit()
 	}
-	m.segFlush(seg)
-	m.laneExit()
 }
 
 // LoadByteRun reads len(b) consecutive bytes at va into b — the batched
@@ -425,39 +432,9 @@ func (m *Machine) LoadByteRun(va vm.VAddr, b []byte) {
 		}
 		return
 	}
-	m.batch.runs++
-	seg, _ := m.laneSegs()
-	for len(b) > 0 {
-		chunk := m.spanChunk(seg, va, 1, uint64(len(b)), false)
-		if chunk == 0 {
-			m.laneReset()
-			m.batch.slowOps++
-			b[0] = uint8(m.Load(va, 1))
-			va++
-			b = b[1:]
-			continue
-		}
-		off := uint64(va - seg.lineVA)
-		// Extract whole words per host step (the bytes are little-endian
-		// within each group); accounting stays one load per byte.
-		w := seg.line.Words()
-		i := uint64(0)
-		for ; i+8 <= chunk; i += 8 {
-			binary.LittleEndian.PutUint64(b[i:], lineBytesLE(w, off+i, 8))
-		}
-		if r := chunk - i; r > 0 {
-			v := lineBytesLE(w, off+i, r)
-			for j := uint64(0); j < r; j++ {
-				b[i+j] = uint8(v >> (8 * j))
-			}
-		}
-		seg.loads += chunk
-		m.batch.fastOps += chunk
-		m.segFlush(seg)
-		va += vm.VAddr(chunk)
-		b = b[chunk:]
-	}
-	m.laneExit()
+	r := m.spanBegin(false)
+	m.span(&r, &span{kind: spanLoadBytes, size: 1, bytes: b}, va, uint64(len(b)))
+	m.spanEnd(&r)
 }
 
 // StoreByteRun writes the bytes of b at consecutive addresses from va —
@@ -469,153 +446,279 @@ func (m *Machine) StoreByteRun(va vm.VAddr, b []byte) {
 		}
 		return
 	}
+	r := m.spanBegin(true)
+	m.span(&r, &span{kind: spanStoreBytes, size: 1, bytes: b}, va, uint64(len(b)))
+	m.spanEnd(&r)
+}
+
+// spanKind is the data movement of a contiguous single-stream run.
+type spanKind uint8
+
+const (
+	spanLoad       spanKind = iota // element i into words[i]
+	spanLoadBytes                  // byte i into bytes[i]
+	spanStore                      // words[i] into element i
+	spanStoreBytes                 // bytes[i] into byte i
+	spanFill                       // the low size bytes of fill into every element
+)
+
+// span is one contiguous single-stream run of size-byte elements: the
+// LoadRun/StoreRun contiguous case, LoadByteRun, StoreByteRun, and each
+// head, body and tail of a Memset.
+type span struct {
+	kind  spanKind
+	size  uint64
+	words []uint64
+	bytes []byte
+	fill  uint64
+}
+
+// move transfers elements [i, i+c) against the resident line l, element i
+// at byte offset off. The caller has checked that none crosses a group.
+func (sp *span) move(l cache.LineRef, off, i, c uint64) {
+	size := sp.size
+	switch sp.kind {
+	case spanLoad:
+		if size == 8 {
+			copy(sp.words[i:i+c], l.Words()[off>>3:])
+			return
+		}
+		for j := uint64(0); j < c; j++ {
+			sp.words[i+j] = l.Load(off+j*size, int(size))
+		}
+	case spanStore:
+		for j := uint64(0); j < c; j++ {
+			l.Store(off+j*size, int(size), sp.words[i+j])
+		}
+	case spanFill:
+		for j := uint64(0); j < c; j++ {
+			l.Store(off+j*size, int(size), sp.fill)
+		}
+	case spanLoadBytes:
+		// Whole words per host step: the bytes are little-endian within
+		// each group.
+		b, w := sp.bytes[i:i+c], l.Words()
+		j := uint64(0)
+		for ; j+8 <= c; j += 8 {
+			binary.LittleEndian.PutUint64(b[j:], lineBytesLE(w, off+j, 8))
+		}
+		if r := c - j; r > 0 {
+			v := lineBytesLE(w, off+j, r)
+			for k := uint64(0); k < r; k++ {
+				b[j+k] = uint8(v >> (8 * k))
+			}
+		}
+	case spanStoreBytes:
+		b := sp.bytes[i : i+c]
+		j := uint64(0)
+		for ; j+8 <= c; j += 8 {
+			l.StoreBytesLE(off+j, 8, binary.LittleEndian.Uint64(b[j:]))
+		}
+		if r := c - j; r > 0 {
+			var v uint64
+			for k := uint64(0); k < r; k++ {
+				v |= uint64(b[j+k]) << (8 * k)
+			}
+			l.StoreBytesLE(off+j, r, v)
+		}
+	}
+}
+
+// slow performs element i, at va, through the per-access path.
+func (sp *span) slow(m *Machine, va vm.VAddr, i uint64) {
+	size := int(sp.size)
+	switch sp.kind {
+	case spanLoad:
+		sp.words[i] = m.Load(va, size)
+	case spanLoadBytes:
+		sp.bytes[i] = uint8(m.Load(va, 1))
+	case spanStore:
+		m.Store(va, size, sp.words[i])
+	case spanStoreBytes:
+		m.Store(va, 1, uint64(sp.bytes[i]))
+	case spanFill:
+		m.Store(va, size, sp.fill)
+	}
+}
+
+// spanRun is the span engine's uncommitted state for one batched run, one
+// access direction throughout. Each kind of state is committed only as
+// often as its semantics need:
+//
+//   - per line: the LRU stamp (Cache.CommitRun) when the run leaves the
+//     line, so relative LRU order — and with it every victim — matches the
+//     per-access path;
+//   - per page window: the page's touch stamp (PageRef.TouchRun) with the
+//     summed count when the run leaves the page (translation ticks are
+//     independent of cache ticks, so deferring it past line commits moves
+//     nothing);
+//   - per run: stats, instructions, the fast-op count and one
+//     Clock.Advance.
+//
+// One counter serves all three: n is the run's fast accesses not yet
+// committed, and lineAt and pageAt are the values n had when the open
+// line and page were last stamped. Any slow access first commits
+// everything (spanSlow). Nothing observes the clock between fast
+// accesses, and limit keeps the deferred charge strictly short of the
+// next wake deadline, so the single Advance fires nothing.
+type spanRun struct {
+	seg   *runSeg
+	write bool
+	need  vm.Prot
+
+	n, lineAt, pageAt uint64
+	// limit is the value of n at which the wake horizon is reached. It is
+	// measured at run entry and after every slow access — the only points
+	// where a deadline or Kern.WorkPending can change, since fast accesses
+	// neither fire wakes nor queue kernel work — and is 0 while kernel
+	// work is pending, so the next access goes slow and drains it.
+	limit uint64
+}
+
+// spanBegin enters a batched run served by the span engine.
+func (m *Machine) spanBegin(write bool) spanRun {
 	m.batch.runs++
 	seg, _ := m.laneSegs()
-	for len(b) > 0 {
-		chunk := m.spanChunk(seg, va, 1, uint64(len(b)), true)
-		if chunk == 0 {
-			m.laneReset()
-			m.batch.slowOps++
-			m.Store(va, 1, uint64(b[0]))
-			va++
-			b = b[1:]
-			continue
-		}
-		off := uint64(va - seg.lineVA)
-		// Deposit whole words per host step (StoreBytesLE masks in n bytes
-		// little-endian); accounting stays one store per byte.
-		i := uint64(0)
-		for ; i+8 <= chunk; i += 8 {
-			seg.line.StoreBytesLE(off+i, 8, binary.LittleEndian.Uint64(b[i:]))
-		}
-		if r := chunk - i; r > 0 {
-			var v uint64
-			for j := uint64(0); j < r; j++ {
-				v |= uint64(b[i+j]) << (8 * j)
-			}
-			seg.line.StoreBytesLE(off+i, r, v)
-		}
-		seg.stores += chunk
-		m.batch.fastOps += chunk
-		m.segFlush(seg)
-		va += vm.VAddr(chunk)
-		b = b[chunk:]
+	r := spanRun{seg: seg, write: write, need: vm.ProtRead, limit: m.spanBudget()}
+	if write {
+		r.need = vm.ProtWrite
 	}
+	return r
+}
+
+// spanBudget returns how many batched accesses fit before the next wake
+// deadline, or 0 while kernel work is pending.
+func (m *Machine) spanBudget() uint64 {
+	if m.Kern.WorkPending() {
+		return 0
+	}
+	return m.wakeBudget(perAccessHitCost)
+}
+
+// spanEnd commits the run and leaves its windows open for the next one.
+func (m *Machine) spanEnd(r *spanRun) {
+	m.spanCommit(r)
 	m.laneExit()
 }
 
-// spanChunk sizes the next fast chunk of a contiguous single-stream run at
-// va: elems size-byte elements, clipped to the wake horizon and the open
-// line segment. 0 means the next element must take the slow path.
-func (m *Machine) spanChunk(seg *runSeg, va vm.VAddr, size, elems uint64, write bool) uint64 {
-	chunk := elems
-	if bud := m.wakeBudget(perAccessHitCost); bud < chunk {
-		chunk = bud
+// spanCommit settles everything r has deferred: line, then page, then run.
+func (m *Machine) spanCommit(r *spanRun) {
+	n := r.n
+	if n == 0 {
+		return
 	}
-	if chunk == 0 || !m.openWindow(seg, va, write) {
-		return 0
+	if n > r.lineAt {
+		m.Cache.CommitRun(r.seg.line, n-r.lineAt)
 	}
-	off := uint64(va - seg.lineVA)
-	if c := (physmem.LineBytes - off) / size; c < chunk {
-		chunk = c
+	if n > r.pageAt {
+		r.seg.page.TouchRun(n - r.pageAt)
 	}
-	return chunk
+	r.n, r.lineAt, r.pageAt, r.limit = 0, 0, 0, r.limit-n
+	if r.write {
+		m.stats.Stores += n
+	} else {
+		m.stats.Loads += n
+	}
+	m.instrs += n
+	m.batch.fastOps += n
+	m.Clock.Advance(simtime.Cycles(n) * perAccessHitCost)
 }
 
-// loadSpan is the tight engine behind contiguous LoadRun.
-func (m *Machine) loadSpan(seg *runSeg, va vm.VAddr, size uint64, dst []uint64) {
-	for len(dst) > 0 {
-		chunk := m.spanChunk(seg, va, size, uint64(len(dst)), false)
-		if chunk == 0 {
-			m.laneReset()
-			m.batch.slowOps++
-			dst[0] = m.Load(va, int(size))
-			va += vm.VAddr(size)
-			dst = dst[1:]
-			continue
-		}
-		off := uint64(va - seg.lineVA)
-		if size == 8 {
-			g := int(off >> 3)
-			for i := 0; i < int(chunk); i++ {
-				dst[i] = seg.line.Word(g + i)
+// span executes n elements of sp from va — each resident line's elements
+// in one step, everything else through spanSlow — and returns the address
+// past the last one.
+func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
+	seg, size, ch := r.seg, sp.size, m.Cache
+	// Power-of-two elements at a size-aligned address never cross an ECC
+	// group, and a shift sizes their line segments. Any other run is
+	// clipped to the elements left in the current group, so the first
+	// crossing element goes slow and panics there.
+	shift := uint64(bits.TrailingZeros64(size))
+	grouped := size == 1<<shift && size <= physmem.GroupBytes && uint64(va)&(size-1) == 0
+	// The hot loop keeps the run counter and the line window in locals;
+	// they go back to r and seg before anything else reads them.
+	cnt, lineAt, limit := r.n, r.lineAt, r.limit
+	line, lineVA, lineOK := seg.line, seg.lineVA, seg.lineOK
+	for i := uint64(0); i < n; {
+		if cnt < limit {
+			if va.LineAddr() != lineVA || !lineOK {
+				// Leaving the open line: stamp it, then probe the next
+				// one, moving the page window first if va left it.
+				if cnt > lineAt {
+					ch.CommitRun(line, cnt-lineAt)
+				}
+				lineAt, lineVA, lineOK = cnt, va.LineAddr(), false
+				if !seg.pageOK || seg.pageVA != va.PageAddr() {
+					r.n = cnt
+					m.spanPage(r, va)
+				}
+				if seg.pageOK {
+					line, lineOK = ch.OpenLine(seg.page.Frame + physmem.Addr(uint64(lineVA-seg.pageVA)))
+				}
 			}
-		} else {
-			for i := uint64(0); i < chunk; i++ {
-				dst[i] = seg.line.Load(off+i*size, int(size))
+			// The prot check stays per line: a window resumed from an
+			// earlier run may have been opened for the other direction.
+			if lineOK && seg.page.Prot&r.need != 0 {
+				off := uint64(va - lineVA)
+				var c uint64
+				if grouped {
+					c = (physmem.LineBytes - off) >> shift
+				} else if size > 0 {
+					c = (physmem.GroupBytes - off%physmem.GroupBytes) / size
+				}
+				if c = min(c, n-i, limit-cnt); c > 0 {
+					if sp.kind == spanLoad && size == 8 && c == physmem.GroupsPerLine {
+						// A whole line of words, the table-scan case,
+						// copied by element: an array assignment between
+						// two pointers compiles to a memmove call.
+						d, w := (*[physmem.GroupsPerLine]uint64)(sp.words[i:]), line.Words()
+						d[0], d[1], d[2], d[3] = w[0], w[1], w[2], w[3]
+						d[4], d[5], d[6], d[7] = w[4], w[5], w[6], w[7]
+					} else {
+						sp.move(line, off, i, c)
+					}
+					cnt += c
+					i += c
+					va += vm.VAddr(c * size)
+					continue
+				}
 			}
 		}
-		seg.loads += chunk
-		m.batch.fastOps += chunk
-		m.segFlush(seg)
-		va += vm.VAddr(chunk * size)
-		dst = dst[chunk:]
+		r.n, r.lineAt = cnt, lineAt
+		seg.line, seg.lineVA, seg.lineOK = line, lineVA, lineOK
+		m.spanSlow(r, sp, va, i)
+		cnt, lineAt, limit = r.n, r.lineAt, r.limit
+		lineOK = seg.lineOK
+		i++
+		va += vm.VAddr(size)
 	}
-}
-
-// storeSpan is the tight engine behind contiguous StoreRun.
-func (m *Machine) storeSpan(seg *runSeg, va vm.VAddr, size uint64, src []uint64) {
-	for len(src) > 0 {
-		chunk := m.spanChunk(seg, va, size, uint64(len(src)), true)
-		if chunk == 0 {
-			m.laneReset()
-			m.batch.slowOps++
-			m.Store(va, int(size), src[0])
-			va += vm.VAddr(size)
-			src = src[1:]
-			continue
-		}
-		off := uint64(va - seg.lineVA)
-		if size == 8 {
-			g := int(off >> 3)
-			for i := 0; i < int(chunk); i++ {
-				seg.line.SetWord(g+i, src[i])
-			}
-		} else {
-			for i := uint64(0); i < chunk; i++ {
-				seg.line.Store(off+i*size, int(size), src[i])
-			}
-		}
-		seg.stores += chunk
-		m.batch.fastOps += chunk
-		m.segFlush(seg)
-		va += vm.VAddr(chunk * size)
-		src = src[chunk:]
-	}
-}
-
-// fillSpan executes elems contiguous stores of size bytes of the constant
-// value v starting at va (Memset's engine); returns the address past the
-// last store.
-func (m *Machine) fillSpan(seg *runSeg, va vm.VAddr, size, v, elems uint64) vm.VAddr {
-	for elems > 0 {
-		chunk := m.spanChunk(seg, va, size, elems, true)
-		if chunk == 0 {
-			m.laneReset()
-			m.batch.slowOps++
-			m.Store(va, int(size), v)
-			va += vm.VAddr(size)
-			elems--
-			continue
-		}
-		off := uint64(va - seg.lineVA)
-		if size == 8 {
-			g := int(off >> 3)
-			for i := 0; i < int(chunk); i++ {
-				seg.line.SetWord(g+i, v)
-			}
-		} else {
-			for i := uint64(0); i < chunk; i++ {
-				seg.line.Store(off+i*size, int(size), v)
-			}
-		}
-		seg.stores += chunk
-		m.batch.fastOps += chunk
-		m.segFlush(seg)
-		va += vm.VAddr(chunk * size)
-		elems -= chunk
-	}
+	r.n, r.lineAt = cnt, lineAt
+	seg.line, seg.lineVA, seg.lineOK = line, lineVA, lineOK
 	return va
+}
+
+// spanPage moves r's page window to the page containing va, touching the
+// page being left. The window stays closed (pageOK false) when the page is
+// unmapped or swapped out.
+func (m *Machine) spanPage(r *spanRun, va vm.VAddr) {
+	seg := r.seg
+	if r.n > r.pageAt {
+		seg.page.TouchRun(r.n - r.pageAt)
+	}
+	r.pageAt = r.n
+	seg.page, seg.pageOK = m.AS.TranslateRun(va)
+	seg.pageVA = va.PageAddr()
+}
+
+// spanSlow performs element i at va through the exact per-access path,
+// committing everything deferred first and dropping both persistent
+// windows, then re-measures the budget.
+func (m *Machine) spanSlow(r *spanRun, sp *span, va vm.VAddr, i uint64) {
+	m.spanCommit(r)
+	m.laneReset()
+	m.batch.slowOps++
+	sp.slow(m, va, i)
+	r.limit = m.spanBudget()
 }
 
 // CopyRun copies n bytes from src to dst (non-overlapping regions) with

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"safemem/internal/cache"
@@ -170,6 +172,13 @@ func batchWorkload(t *testing.T, batched bool) (batchDigest, [3]uint64) {
 		m.Compute(123)
 		m.CopyRun(base+7*vm.PageBytes, base+64, 640)
 		h(uint64(m.CompareRun(base+7*vm.PageBytes, base+64, 640)))
+
+		// Memset with a misaligned head and tail across a page boundary.
+		m.Memset(base+4*vm.PageBytes-13, 0xa5, vm.PageBytes+29)
+		m.LoadByteRun(base+4*vm.PageBytes-16, rb[:64])
+		for _, v := range rb[:64] {
+			h(uint64(v))
+		}
 		return nil
 	})
 	if err != nil {
@@ -358,7 +367,107 @@ func TestBatchPathNoAllocs(t *testing.T) {
 		m.LoadByteRun(0x10200, bs)
 		m.CopyRun(0x11000, 0x10000, 256)
 		m.CompareRun(0x11000, 0x10000, 256)
+		m.Memset(0x10203, 0x5a, 300)
 	}); avg != 0 {
 		t.Fatalf("batched access path allocates %.1f objects per round, want 0", avg)
+	}
+}
+
+// TestBatchStatsPinned pins BatchStats over batchWorkload. The lane
+// counters are exported on /metrics (safemem_machine_batch_runs,
+// safemem_machine_batch_fast_ops, safemem_machine_batch_slow_ops), so a
+// lane change must serve exactly the same accesses in-segment and bail out
+// on exactly the same ones, not merely produce the same simulated state.
+func TestBatchStatsPinned(t *testing.T) {
+	_, lane := batchWorkload(t, true)
+	if want := [3]uint64{24, 13552, 308}; lane != want {
+		t.Errorf("BatchStats (runs, fast, slow) = %v, want %v", lane, want)
+	}
+}
+
+// TestMisalignedRunsPanic pins the ECC-group rule for contiguous runs: an
+// element that crosses an 8-byte group panics on a default machine with
+// the Reference machine's message, after the same accesses, instead of
+// being served from the aligned words around it; runs that stay inside
+// their groups match.
+func TestMisalignedRunsPanic(t *testing.T) {
+	const base = vm.VAddr(0x10000)
+	newM := func(reference bool) *Machine {
+		m := MustNew(Config{MemBytes: 1 << 20, Reference: reference})
+		if err := m.Kern.MapPages(base, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := vm.VAddr(0); i < 256; i += 8 {
+			m.Store64(base+i, uint64(i)*0x0101010101010101+0x0706050403020100)
+		}
+		return m
+	}
+	// panicOf runs f and returns what it panicked with, "" if nothing.
+	panicOf := func(f func()) (msg string) {
+		defer func() {
+			if v := recover(); v != nil {
+				msg = fmt.Sprint(v)
+			}
+		}()
+		f()
+		return ""
+	}
+	type run struct {
+		off vm.VAddr
+		n   int
+	}
+	// Runs that stay inside their groups: aligned runs across lines, a
+	// misaligned head ending at its group's edge, and for the odd size 3
+	// two elements ending at a group's edge.
+	inGroup := map[int][]run{
+		2: {{0, 100}, {2, 40}, {1, 3}},
+		3: {{2, 2}, {10, 2}},
+		4: {{0, 100}, {4, 40}, {1, 1}},
+		8: {{0, 100}, {8, 40}},
+	}
+	for _, size := range []int{2, 3, 4, 8} {
+		stride := uint64(size)
+		for _, c := range inGroup[size] {
+			var got [2][]uint64
+			var stats [2]Stats
+			for i, ref := range []bool{false, true} {
+				m := newM(ref)
+				got[i] = make([]uint64, c.n)
+				m.LoadRun(base+c.off, size, stride, got[i])
+				m.StoreRun(base+128+c.off, size, stride, got[i])
+				m.LoadRun(base+128+c.off, size, stride, got[i])
+				stats[i] = m.Stats()
+			}
+			if !reflect.DeepEqual(got[0], got[1]) || stats[0] != stats[1] {
+				t.Errorf("size %d in-group run at +%d: default %v %+v, reference %v %+v",
+					size, c.off, got[0], stats[0], got[1], stats[1])
+			}
+		}
+		for _, off := range []vm.VAddr{3, 5} {
+			for _, write := range []bool{false, true} {
+				var msg [2]string
+				var stats [2]Stats
+				for i, ref := range []bool{false, true} {
+					m := newM(ref)
+					buf := make([]uint64, 8)
+					msg[i] = panicOf(func() {
+						if write {
+							m.StoreRun(base+off, size, stride, buf)
+						} else {
+							m.LoadRun(base+off, size, stride, buf)
+						}
+					})
+					stats[i] = m.Stats()
+				}
+				if msg[1] == "" || !strings.Contains(msg[1], "crosses ECC-group boundary") {
+					t.Fatalf("size %d write=%v at +%d: reference panic %q, want a group-crossing panic",
+						size, write, off, msg[1])
+				}
+				if msg[0] != msg[1] || stats[0] != stats[1] {
+					t.Errorf("size %d write=%v at +%d: default panicked %q after %+v, reference %q after %+v",
+						size, write, off, msg[0], stats[0], msg[1], stats[1])
+				}
+			}
+		}
 	}
 }

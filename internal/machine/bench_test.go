@@ -88,3 +88,33 @@ func BenchmarkRecycleFewDirtyLines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLoadRunScan measures the batch lane's span engine on the shape
+// that dominates the server apps' host time (their resident-table scans):
+// one aligned 8-byte LoadRun over 128 KiB of resident lines per op.
+// ns/line is host time per 64-byte line; allocs/op must stay 0.
+func BenchmarkLoadRunScan(b *testing.B) {
+	const (
+		base  = vm.VAddr(0x100000)
+		bytes = 128 << 10
+		lines = bytes / physmem.LineBytes
+	)
+	m := MustNew(Config{MemBytes: 1 << 20})
+	if err := m.Kern.MapPages(base, bytes/vm.PageBytes); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]uint64, bytes/8)
+	m.StoreRun(base, 8, 8, buf)
+	m.LoadRun(base, 8, 8, buf)
+	_, _, slow := m.BatchStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.LoadRun(base, 8, 8, buf)
+	}
+	b.StopTimer()
+	if _, _, s := m.BatchStats(); s != slow {
+		b.Fatalf("scan left the fast lane: %d slow accesses over resident lines", s-slow)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+}

@@ -39,6 +39,7 @@ const (
 	fopSnapshot
 	fopRestore
 	fopRecycle
+	fopMemset
 	fopKinds
 )
 
@@ -51,6 +52,12 @@ const (
 	fuzzRegion = fuzzPages * vm.PageBytes
 	fuzzHalf   = fuzzRegion / 2
 )
+
+// fuzzCache is both rigs' cache: 8 sets of 2 ways (1 KiB) over the 32 KiB
+// region, so programs evict lines and the LRU victim order and write-backs
+// are part of what the two machines must agree on. The default 512×8 cache
+// holds the whole region at one line per set and never replaces anything.
+var fuzzCache = cache.Config{Sets: 8, Ways: 2}
 
 type fuzzOp struct {
 	kind byte
@@ -104,7 +111,11 @@ type diffRig struct {
 }
 
 func newDiffRig(t *testing.T, reference bool) *diffRig {
-	r := &diffRig{t: t, m: MustNew(Config{MemBytes: 1 << 20, Reference: reference})}
+	return newRig(t, Config{MemBytes: 1 << 20, Cache: fuzzCache, Reference: reference})
+}
+
+func newRig(t *testing.T, cfg Config) *diffRig {
+	r := &diffRig{t: t, m: MustNew(cfg)}
 	r.setup()
 	return r
 }
@@ -168,7 +179,7 @@ func (r *diffRig) step(op fuzzOp) {
 		m.Store(fuzzBase+vm.VAddr(aligned), int(size), val)
 	case fopLoadRun, fopStoreRun:
 		stride := size * (1 + uint64(op.c>>2&3))
-		n := fitRun(aligned, size, stride, 1+uint64(op.b)%256, fuzzRegion)
+		n := fitRun(aligned, size, stride, 1+uint64(op.b)%2048, fuzzRegion)
 		buf := make([]uint64, n)
 		if op.kind == fopStoreRun {
 			for i := range buf {
@@ -194,6 +205,8 @@ func (r *diffRig) step(op fuzzOp) {
 		for _, v := range buf {
 			r.h(uint64(v))
 		}
+	case fopMemset:
+		m.Memset(fuzzBase+vm.VAddr(off), op.c, fitRun(off, 1, 1, 1+uint64(op.b)%16384, fuzzRegion))
 	case fopCopyRun, fopCompareRun:
 		// Source in the low half, destination in the high half: CopyRun's
 		// regions must not overlap.
@@ -298,7 +311,11 @@ func runDifferential(t *testing.T, ops []fuzzOp) (fast, ref *diffRig) {
 // strided and misaligned byte runs across lines and pages, copies and
 // compares with a planted mismatch, a wake inside a run, a watched line
 // under a run, a protection fault, swapped pages, snapshot/restore and
-// recycle, and single- and double-bit plants.
+// recycle, and single- and double-bit plants. The last four cover the
+// span engine's commit boundaries: LRU victims decided by batched line
+// stamps, a swap-out victim decided by a batched page touch, a wake armed
+// to fall inside a multi-page word run and a multi-page Memset, and
+// protection changes and swap-outs between runs.
 func fuzzSeeds() [][]byte {
 	const page = uint16(vm.PageBytes)
 	return [][]byte{
@@ -373,6 +390,56 @@ func fuzzSeeds() [][]byte {
 			fuzzOp{kind: fopFlipCheck2, a: 1024, b: 1, c: 4},
 			fuzzOp{kind: fopLoadByteRun, a: 1000, b: 100},
 		),
+		// Lines 0, 512, 1024 and 1536 share a set of the 2-way fuzzCache:
+		// the batched loads must stamp line 0 — first as a run ending
+		// mid-line, then as a run leaving it for line 64 — so that the
+		// other line is the victim both times.
+		encodeOps(
+			fuzzOp{kind: fopLoad, a: 0, c: 3},
+			fuzzOp{kind: fopLoad, a: 512, c: 3},
+			fuzzOp{kind: fopLoadRun, a: 8, b: 0, c: 3},
+			fuzzOp{kind: fopLoad, a: 1024, c: 3},
+			fuzzOp{kind: fopLoad, a: 0, c: 3},
+			fuzzOp{kind: fopLoad, a: 1024, c: 3},
+			fuzzOp{kind: fopLoadRun, a: 48, b: 3, c: 3},
+			fuzzOp{kind: fopLoad, a: 1536, c: 3},
+			fuzzOp{kind: fopLoad, a: 0, c: 3},
+		),
+		// Page 0 is touched first, pages 1-7 after it (each in its own
+		// cache set); a batched run leaving page 0 for page 1 must touch
+		// page 0 again, so the swap-out takes page 2 and the last load
+		// finds page 0 present.
+		encodeOps(
+			fuzzOp{kind: fopLoad, a: page - 64, c: 3},
+			fuzzOp{kind: fopLoad, a: page, c: 3},
+			fuzzOp{kind: fopLoad, a: 2*page + 64, c: 3},
+			fuzzOp{kind: fopLoad, a: 3*page + 128, c: 3},
+			fuzzOp{kind: fopLoad, a: 4*page + 192, c: 3},
+			fuzzOp{kind: fopLoad, a: 5*page + 256, c: 3},
+			fuzzOp{kind: fopLoad, a: 6*page + 320, c: 3},
+			fuzzOp{kind: fopLoad, a: 7*page + 384, c: 3},
+			fuzzOp{kind: fopLoadRun, a: page - 8, b: 1, c: 3},
+			fuzzOp{kind: fopSwapOut},
+			fuzzOp{kind: fopLoad, a: page - 8, c: 3},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 2047, c: 3},
+			fuzzOp{kind: fopWake, a: 3000},
+			fuzzOp{kind: fopLoadRun, a: page - 256, b: 2047, c: 3},
+			fuzzOp{kind: fopWake, a: 5000},
+			fuzzOp{kind: fopMemset, a: 3*page - 5, b: 2*page + 100, c: 0x5a},
+			fuzzOp{kind: fopLoadByteRun, a: 3*page - 5, b: 1023},
+		),
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 2047, c: 3},
+			fuzzOp{kind: fopMprotect, a: 1},
+			fuzzOp{kind: fopStoreRun, a: 64, b: 2047, c: 3},
+			fuzzOp{kind: fopSwapOut, c: 2},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 2047, c: 3},
+			fuzzOp{kind: fopMemset, a: page + 3, b: 3 * page, c: 0xff},
+			fuzzOp{kind: fopMprotect, a: 2, c: 1},
+			fuzzOp{kind: fopLoadRun, a: page, b: 2047, c: 2},
+		),
 	}
 }
 
@@ -389,11 +456,27 @@ func FuzzMachineDifferential(f *testing.F) {
 	})
 }
 
+// runAlone runs ops on one rig built from cfg, stopping at the first
+// termination.
+func runAlone(t *testing.T, cfg Config, ops []fuzzOp) *diffRig {
+	r := newRig(t, cfg)
+	for _, op := range ops {
+		if r.run(op).err != "" {
+			break
+		}
+	}
+	return r
+}
+
 // TestReferenceDisablesFastLanes guards the differential fuzzer: over the
 // seed programs the default machine must use the controller's clean-line
 // bitmap, the software TLB and the batch lane, and the Reference machine
-// none of them — otherwise the two sides no longer differ.
+// none of them — otherwise the two sides no longer differ. The programs
+// must also make fuzzCache replace lines: they miss, and write back, more
+// often than on the default cache, where every region line keeps its own
+// set and the only misses are cold fills and refills after flushes.
 func TestReferenceDisablesFastLanes(t *testing.T) {
+	var small, large cache.Stats
 	lanes := func(m *Machine) [3]uint64 {
 		hits, _, _ := m.AS.TLBStats()
 		runs, _, _ := m.BatchStats()
@@ -401,8 +484,14 @@ func TestReferenceDisablesFastLanes(t *testing.T) {
 	}
 	var fast, ref [3]uint64
 	for _, seed := range fuzzSeeds() {
-		f, r := runDifferential(t, decodeOps(seed))
+		ops := decodeOps(seed)
+		f, r := runDifferential(t, ops)
 		fl, rl := lanes(f.m), lanes(r.m)
+		sc, lc := f.m.Cache.Stats(), runAlone(t, Config{MemBytes: 1 << 20}, ops).m.Cache.Stats()
+		small.Misses += sc.Misses
+		small.WriteBacks += sc.WriteBacks
+		large.Misses += lc.Misses
+		large.WriteBacks += lc.WriteBacks
 		for i := range fast {
 			fast[i] += fl[i]
 			ref[i] += rl[i]
@@ -415,5 +504,9 @@ func TestReferenceDisablesFastLanes(t *testing.T) {
 	if ref != [3]uint64{} {
 		t.Errorf("reference machine used a fast lane: clean reads=%d tlb hits=%d batch runs=%d",
 			ref[0], ref[1], ref[2])
+	}
+	if small.Misses <= large.Misses || small.WriteBacks <= large.WriteBacks {
+		t.Errorf("seed programs replace no lines: fuzzCache misses=%d write-backs=%d, default cache misses=%d write-backs=%d",
+			small.Misses, small.WriteBacks, large.Misses, large.WriteBacks)
 	}
 }

@@ -332,23 +332,21 @@ func (m *Machine) Memset(va vm.VAddr, b uint8, n uint64) {
 		}
 		return
 	}
-	m.batch.runs++
-	seg, _ := m.laneSegs()
+	r := m.spanBegin(true)
 	for va < end {
 		if uint64(va)%8 == 0 && end-va >= 8 {
-			va = m.fillSpan(seg, va, 8, word, uint64(end-va)/8)
+			va = m.span(&r, &span{kind: spanFill, size: 8, fill: word}, va, uint64(end-va)/8)
 			continue
 		}
 		// Byte stores up to the next 8-byte boundary, or to the end when
 		// fewer than 8 bytes remain past it.
 		bytes := uint64(end - va)
-		if r := (8 - uint64(va)%8) % 8; r != 0 && r < bytes {
-			bytes = r
+		if head := (8 - uint64(va)%8) % 8; head != 0 && head < bytes {
+			bytes = head
 		}
-		va = m.fillSpan(seg, va, 1, uint64(b), bytes)
+		va = m.span(&r, &span{kind: spanFill, size: 1, fill: uint64(b)}, va, bytes)
 	}
-	m.segFlush(seg)
-	m.laneExit()
+	m.spanEnd(&r)
 }
 
 // Memcpy copies n bytes from src to dst (non-overlapping), word-at-a-time
