@@ -282,11 +282,10 @@ func safeMemOptions(tool Tool) (safemem.Options, bool) {
 }
 
 // machinePools reuses bench machines, one pool per machine configuration.
-// Building a 64 MiB machine costs tens of host milliseconds of arena
-// zeroing, which dominates the short apps; a recycled machine is
-// observationally identical to a fresh one (pinned by
-// TestMachineRecycleEquivalence and the golden tables), so reuse changes
-// host wall-clock only.
+// A recycled machine keeps the cache arrays, page tables and DRAM chunks a
+// cold build and its first run allocate; it is observationally identical
+// to a fresh one (pinned by TestMachineRecycleEquivalence and the golden
+// tables), so reuse changes host wall-clock only.
 var machinePools sync.Map // machine.Config → *machine.Pool
 
 // PoolStats reports (released, dropped) machine counts since process start,

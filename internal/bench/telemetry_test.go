@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,11 +62,18 @@ func TestRunTelemetry(t *testing.T) {
 		"safemem_safemem_detection_latency_cycles_bucket",
 		"safemem_cache_hits",
 		"safemem_memctrl_corrected_single",
+		"safemem_physmem_size_bytes",
+		"safemem_physmem_resident_bytes",
 		`run="squid1/safemem"`,
 	} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("metrics dump missing %q", want)
 		}
+	}
+	// DRAM is sparse: the run wrote some frames, far from all of them.
+	size, resident := metricValue(t, dump, "safemem_physmem_size_bytes"), metricValue(t, dump, "safemem_physmem_resident_bytes")
+	if resident <= 0 || resident >= size {
+		t.Errorf("physmem resident_bytes = %g, want within (0, size_bytes = %g)", resident, size)
 	}
 
 	if len(res.Registry.Samples()) == 0 {
@@ -79,6 +87,25 @@ func TestRunTelemetry(t *testing.T) {
 	if trace.Len() == 0 {
 		t.Fatal("empty Chrome trace")
 	}
+}
+
+// metricValue returns the value of the first sample of the named metric in
+// a Prometheus text dump.
+func metricValue(t *testing.T, dump, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(dump, "\n") {
+		if !strings.HasPrefix(line, name+"{") && !strings.HasPrefix(line, name+" ") {
+			continue
+		}
+		f := strings.Fields(line)
+		v, err := strconv.ParseFloat(f[len(f)-1], 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		return v
+	}
+	t.Fatalf("metrics dump has no %s sample", name)
+	return 0
 }
 
 // TestRunWithoutTelemetry checks runs stay quiet (no sampling, no tracing)

@@ -25,9 +25,10 @@ func totalAlloc() uint64 {
 // before the timer starts, so this is the recycled path.
 //
 // -benchmem's B/op also counts every machine the pool had to rebuild (its
-// sync.Pool can miss, and a crashed run's machine is dropped), each tens of
-// MB; builds/op reports those. garbage-B/op is B/op without them: the host
-// garbage one scenario leaves behind.
+// sync.Pool can miss, and a crashed run's machine is dropped), each about
+// a megabyte before its runs write DRAM; builds/op reports those.
+// garbage-B/op is B/op without the cold builds: the host garbage one
+// scenario leaves behind.
 func BenchmarkScenario(b *testing.B) {
 	before := totalAlloc()
 	machine.MustNew(machine.Config{MemBytes: execMemBytes})

@@ -190,10 +190,12 @@ type ExecResult struct {
 // execMemBytes is the simulated DRAM size of every executor machine.
 const execMemBytes = 32 << 20
 
-// execPool reuses executor machines across scenario runs. A campaign builds
-// several machines per scenario (the baseline plus every judged
-// configuration), and at 32 MiB of simulated DRAM each, constructing them
-// dominates short scenarios. Recycled machines are observationally
+// execPool reuses executor machines across scenario runs. A campaign runs
+// every scenario under several configurations (the baseline plus every
+// judged one); a recycled machine keeps the DRAM chunks, cache and page
+// tables it already allocated, and the heap, tool and slot storage the
+// previous run on it left behind (machine.PutSpare), so a steady-state run
+// allocates little beyond its results. Recycled machines are observationally
 // identical to fresh ones — pinned by TestMachineRecycleEquivalence in
 // internal/machine and by the Reference sweep here (reference_test.go),
 // which swaps this pool for one of Config.Reference machines — so pooling changes host time
@@ -300,7 +302,12 @@ func ExecuteEnv(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
 			nslots = op.Slot + 1
 		}
 	}
-	slots := make([]slotState, nslots)
+	sc, _ := m.TakeSpare(slotsKey{}).(*execSlots)
+	if sc == nil {
+		sc = new(execSlots)
+	}
+	sc.s = append(sc.s[:0], make([]slotState, nslots)...)
+	slots := sc.s
 
 	// Skip semantics make every subsequence of a valid script executable —
 	// the property the shrinker relies on: ops on never-allocated slots are
@@ -415,5 +422,23 @@ func ExecuteEnv(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
 		res.Stats = sampler.SafeMemStats()
 	}
 	clean = res.Err == nil
+	if clean {
+		// The results are copied out: leave the per-run storage to the
+		// next run on this machine.
+		alloc.Release()
+		if tool != nil {
+			tool.Release()
+		}
+		if sampler != nil {
+			sampler.Release()
+		}
+		m.PutSpare(slotsKey{}, sc)
+	}
 	return res, nil
 }
+
+// execSlots is ExecuteEnv's slot table, kept on the machine between runs.
+type execSlots struct{ s []slotState }
+
+// slotsKey is the machine spare slot of an execSlots.
+type slotsKey struct{}

@@ -98,6 +98,16 @@ func Generate(seed uint64) *Scenario {
 		strands = append(strands, missTemplates[i](g))
 	}
 
+	// The script is the prologue, every strand op and the six closer ops:
+	// size it once.
+	nops := 1 + 6
+	for _, st := range strands {
+		for _, b := range st {
+			nops += len(b)
+		}
+	}
+	g.s.Ops = make([]Op, 0, nops)
+
 	// Prologue: pass the tool's warm-up window before any template body, so
 	// every trigger block can rely on leak checks being live.
 	g.s.Ops = append(g.s.Ops, Op{Kind: OpAdvance, Size: genWarmup, Strand: -1})
@@ -111,9 +121,7 @@ func Generate(seed uint64) *Scenario {
 	for len(live) > 0 {
 		k := r.intn(len(live))
 		si := live[k]
-		for _, op := range strands[si][next[si]] {
-			g.s.Ops = append(g.s.Ops, op)
-		}
+		g.s.Ops = append(g.s.Ops, strands[si][next[si]]...)
 		next[si]++
 		if next[si] == len(strands[si]) {
 			live = append(live[:k], live[k+1:]...)

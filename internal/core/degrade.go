@@ -102,11 +102,7 @@ func (t *Tool) degrade(op string, addr vm.VAddr, detail string) {
 // believing a region is monitored when repairing it already failed once —
 // a later fault on it would loop through the same failure.
 func (t *Tool) dropRegion(r *watchRegion) {
-	for line := r.base; line < r.base+vm.VAddr(r.size); line += physmem.LineBytes {
-		if t.byLine[line] == r {
-			delete(t.byLine, line)
-		}
-	}
+	t.unindexLines(r)
 	t.removeRegion(r)
 }
 
@@ -163,24 +159,21 @@ func (t *Tool) corruptionDegraded() bool {
 func (t *Tool) noteLineFault(vline vm.VAddr) bool {
 	now := t.m.Clock.Now()
 	q := t.quarantine[vline]
-	if q == nil {
-		q = &quarantineEntry{}
-		t.quarantine[vline] = q
-	}
 	q.faults++
-	if int(q.faults) < t.opts.QuarantineThreshold {
-		return true
+	rearm := int(q.faults) < t.opts.QuarantineThreshold
+	if !rearm {
+		if q.backoff == 0 {
+			q.backoff = t.opts.QuarantineBackoff
+			t.stats.LinesQuarantined++
+			t.degrade("quarantine", vline,
+				fmt.Sprintf("%d hardware faults on line; re-arm backed off %s", q.faults, q.backoff))
+		} else if q.backoff < t.opts.QuarantineBackoff<<maxQuarantineBackoffShift {
+			q.backoff *= 2
+		}
+		q.until = now + q.backoff
 	}
-	if q.backoff == 0 {
-		q.backoff = t.opts.QuarantineBackoff
-		t.stats.LinesQuarantined++
-		t.degrade("quarantine", vline,
-			fmt.Sprintf("%d hardware faults on line; re-arm backed off %s", q.faults, q.backoff))
-	} else if q.backoff < t.opts.QuarantineBackoff<<maxQuarantineBackoffShift {
-		q.backoff *= 2
-	}
-	q.until = now + q.backoff
-	return false
+	t.quarantine[vline] = q
+	return rearm
 }
 
 // lineQuarantined reports whether any line of [base, base+size) is inside
@@ -188,7 +181,7 @@ func (t *Tool) noteLineFault(vline vm.VAddr) bool {
 func (t *Tool) lineQuarantined(base vm.VAddr, size uint64) bool {
 	now := t.m.Clock.Now()
 	for line := base.LineAddr(); line < base+vm.VAddr(size); line += physmem.LineBytes {
-		if q := t.quarantine[line]; q != nil &&
+		if q, ok := t.quarantine[line]; ok &&
 			int(q.faults) >= t.opts.QuarantineThreshold && now < q.until {
 			return true
 		}
@@ -203,7 +196,7 @@ func (t *Tool) lineQuarantined(base vm.VAddr, size uint64) bool {
 // suspect does not earn extra confirmation time because a DRAM cell
 // hiccuped. If the kernel retires the faulty frame at the same safe point,
 // retirement runs first and the re-arm lands on the migrated page.
-func (t *Tool) rearmAfterRepair(old *watchRegion) {
+func (t *Tool) rearmAfterRepair(old watchRegion) {
 	t.m.Kern.Defer(func() {
 		if t.lineWatched(old.base, old.size) {
 			return // something else (realloc, a fresh watch) got there first
@@ -218,20 +211,28 @@ func (t *Tool) rearmAfterRepair(old *watchRegion) {
 			return
 		}
 		if old.kind == watchLeakSuspect {
-			obj := old.obj
-			if obj == nil || obj.reported || obj.suspect != nil || t.objects[obj.block.Addr] != obj {
+			// The suspect must still be the same live object: its slot
+			// may since have been freed, or reused by a later allocation.
+			oi, ok := t.objects[old.block.Addr]
+			if old.obj < 0 || !ok || oi != old.obj {
+				t.stats.RearmsSkipped++
+				return
+			}
+			if obj := &t.objs[oi]; obj.block.Seq != old.block.Seq || obj.reported || obj.suspect >= 0 {
 				t.stats.RearmsSkipped++
 				return
 			}
 		}
-		r, err := t.watch(old.base, old.size, old.kind, old.block, old.obj)
+		slot, err := t.watch(old.base, old.size, old.kind, &old.block, old.obj)
 		if err != nil {
 			t.degrade("rearm", old.base, err.Error())
 			return
 		}
-		r.watchedAt = old.watchedAt
-		if old.obj != nil && old.obj.suspect == nil && !old.obj.reported {
-			old.obj.suspect = r
+		t.regions[slot].watchedAt = old.watchedAt
+		if old.obj >= 0 {
+			if obj := &t.objs[old.obj]; obj.suspect < 0 && !obj.reported {
+				obj.suspect = slot
+			}
 		}
 		t.stats.WatchesRearmed++
 	})

@@ -68,7 +68,8 @@ func TestDoubleBitOnLeakSuspectRepairedAndRewatched(t *testing.T) {
 		t.Fatal("no suspect ever flagged")
 	}
 	var suspect *watchRegion
-	for _, reg := range r.tool.regions {
+	for _, slot := range r.tool.live {
+		reg := &r.tool.regions[slot]
 		if reg.kind == watchLeakSuspect && (suspect == nil || reg.base < suspect.base) {
 			suspect = reg
 		}
@@ -77,10 +78,10 @@ func TestDoubleBitOnLeakSuspectRepairedAndRewatched(t *testing.T) {
 		t.Fatal("no suspect watch region found")
 	}
 	armedAt := suspect.watchedAt
-	obj := suspect.obj
+	obj, base := suspect.obj, suspect.base
 
-	breakLine(t, r, suspect.base)
-	_ = r.m.Load64(suspect.base) // surfaces the fault; must NOT prune
+	breakLine(t, r, base)
+	_ = r.m.Load64(base) // surfaces the fault; must NOT prune
 
 	st := r.tool.Stats()
 	if st.HardwareErrors != 1 {
@@ -92,11 +93,12 @@ func TestDoubleBitOnLeakSuspectRepairedAndRewatched(t *testing.T) {
 	if st.WatchesRearmed != 1 {
 		t.Fatalf("WatchesRearmed = %d, want 1", st.WatchesRearmed)
 	}
-	if obj.suspect == nil {
+	probe := r.tool.objs[obj].suspect
+	if probe < 0 {
 		t.Fatal("suspect probe not restored")
 	}
-	if obj.suspect.watchedAt != armedAt {
-		t.Fatalf("confirmation clock reset: %s -> %s", armedAt, obj.suspect.watchedAt)
+	if at := r.tool.regions[probe].watchedAt; at != armedAt {
+		t.Fatalf("confirmation clock reset: %s -> %s", armedAt, at)
 	}
 
 	for i := 0; i < 3000 && r.tool.Stats().LeaksReported == 0; i++ {

@@ -12,18 +12,24 @@ type GroupKey struct {
 	Site uint64
 }
 
-// object is SafeMem's per-live-object record. Objects of a group form a
-// doubly-linked list in allocation order, so the oldest objects — the only
-// SLeak candidates — are found in O(1) (Section 3.2.2).
+// object is SafeMem's per-live-object record, stored by value in
+// Tool.objs and named by slot. Objects of a group form a doubly-linked list
+// in allocation order, so the oldest objects — the only SLeak candidates —
+// are found in O(1) (Section 3.2.2).
 type object struct {
-	block      *heap.Block
-	group      *group
-	prev, next *object
+	// block is a copy of the object's heap block; its Seq tells a reused
+	// slot's new object from the one that was freed.
+	block heap.Block
+	group int32
+	// prev and next link the group's live list by object slot, -1 at the
+	// ends.
+	prev, next int32
 	// allocTime is the object's (possibly reset) birth time; pruning a
 	// false positive restarts the clock (Section 3.2.3).
 	allocTime simtime.Cycles
-	// suspect is non-nil while the object is an ECC-watched leak suspect.
-	suspect *watchRegion
+	// suspect is the slot of the object's leak-suspect watch region, -1
+	// while it has none.
+	suspect int32
 	// reported marks objects already reported as leaks.
 	reported bool
 }
@@ -32,8 +38,8 @@ type object struct {
 type group struct {
 	key GroupKey
 
-	// Live-object list, oldest first.
-	head, tail *object
+	// Live-object list by object slot, oldest first; -1 when empty.
+	head, tail int32
 	liveCount  int
 
 	// Lifetime information.
@@ -64,41 +70,36 @@ type group struct {
 // the ALeak/SLeak discriminator of Section 3.2.2.
 func (g *group) everFreed() bool { return g.frees > 0 }
 
-// append adds obj at the tail (newest end) of the live list.
-func (g *group) append(obj *object) {
-	obj.prev = g.tail
-	obj.next = nil
-	if g.tail != nil {
-		g.tail.next = obj
+// appendObject adds object slot oi at the tail (newest end) of g's live
+// list.
+func (t *Tool) appendObject(g *group, oi int32) {
+	obj := &t.objs[oi]
+	obj.prev, obj.next = g.tail, -1
+	if g.tail >= 0 {
+		t.objs[g.tail].next = oi
 	}
-	g.tail = obj
-	if g.head == nil {
-		g.head = obj
+	g.tail = oi
+	if g.head < 0 {
+		g.head = oi
 	}
 	g.liveCount++
 }
 
-// remove unlinks obj from the live list.
-func (g *group) remove(obj *object) {
-	if obj.prev != nil {
-		obj.prev.next = obj.next
+// removeObject unlinks object slot oi from g's live list.
+func (t *Tool) removeObject(g *group, oi int32) {
+	obj := &t.objs[oi]
+	if obj.prev >= 0 {
+		t.objs[obj.prev].next = obj.next
 	} else {
 		g.head = obj.next
 	}
-	if obj.next != nil {
-		obj.next.prev = obj.prev
+	if obj.next >= 0 {
+		t.objs[obj.next].prev = obj.prev
 	} else {
 		g.tail = obj.prev
 	}
-	obj.prev, obj.next = nil, nil
+	obj.prev, obj.next = -1, -1
 	g.liveCount--
-}
-
-// moveToTail re-queues obj as the newest object, used when pruning resets
-// its allocation time.
-func (g *group) moveToTail(obj *object) {
-	g.remove(obj)
-	g.append(obj)
 }
 
 // recordDealloc folds one deallocation into the group's lifetime statistics

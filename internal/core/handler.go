@@ -30,7 +30,7 @@ func (t *Tool) handleECCFault(f *kernel.ECCFault) bool {
 		t.noteMachineError(true)
 		return false
 	}
-	r, ok := t.byLine[f.VLine]
+	slot, ok := t.regionAt(f.VLine)
 	if !ok {
 		// The kernel watches it but SafeMem has no record: some other
 		// component owns the watch. Decline.
@@ -41,7 +41,8 @@ func (t *Tool) handleECCFault(f *kernel.ECCFault) bool {
 	// commodity scramble trick leaves Scramble(original) in memory, while
 	// the direct-ECC interface (Section 2.2.3) leaves the data intact and
 	// corrupts only the check bits.
-	orig := r.originalWord(f.VLine, f.GroupIndex)
+	r := &t.regions[slot]
+	orig := t.originalWord(r, f.VLine, f.GroupIndex)
 	signatureOK := ecc.IsScrambleOf(f.Data, orig)
 	if f.Direct {
 		signatureOK = f.Data == orig
@@ -63,7 +64,7 @@ func (t *Tool) handleECCFault(f *kernel.ECCFault) bool {
 		if rearm {
 			// Re-arm at the kernel's next safe point so monitoring continues;
 			// quarantined lines stay unwatched (their DRAM keeps faulting).
-			t.rearmAfterRepair(r)
+			t.rearmAfterRepair(*r)
 		} else {
 			t.stats.RearmsSkipped++
 		}

@@ -1,8 +1,9 @@
 package safemem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"safemem/internal/simtime"
 	"safemem/internal/telemetry"
@@ -30,7 +31,8 @@ func (t *Tool) maybeCheckLeaks() {
 	defer sp.End()
 	t.m.Clock.Advance(costCheckBase + costCheckPerGroup*simtime.Cycles(len(t.groups)))
 
-	for _, g := range t.sortedGroups() {
+	for _, gi := range t.byKey {
+		g := &t.groups[gi]
 		if g.reported || now < g.suspendUntil {
 			continue
 		}
@@ -54,7 +56,7 @@ func (t *Tool) checkALeak(g *group, now simtime.Cycles) {
 	if now-g.lastAllocTime > t.opts.ALeakRecentWindow {
 		return // not growing: likely an init-time working set
 	}
-	t.flagSuspects(g, now, func(obj *object) bool { return true })
+	t.flagSuspects(g, now, 0)
 }
 
 // checkSLeak applies the sometimes-leak test of Section 3.2.2: only when
@@ -69,24 +71,23 @@ func (t *Tool) checkSLeak(g *group, now simtime.Cycles) {
 	if limit == 0 {
 		return
 	}
-	t.flagSuspects(g, now, func(obj *object) bool {
-		return now-obj.allocTime > limit
-	})
+	t.flagSuspects(g, now, limit)
 }
 
 // flagSuspects walks the oldest live objects of g (the head of the
 // allocation-ordered list) and flags up to MaxSuspectsPerGroup of them that
-// satisfy cond. With pruning enabled each suspect is ECC-watched; without
-// it (the Table 5 "before pruning" configuration) the suspect is reported
-// immediately.
-func (t *Tool) flagSuspects(g *group, now simtime.Cycles, cond func(*object) bool) {
+// had lived longer than minAge at the start of the check (0: any age). With
+// pruning enabled each suspect is ECC-watched; without it (the Table 5
+// "before pruning" configuration) the suspect is reported immediately.
+func (t *Tool) flagSuspects(g *group, now, minAge simtime.Cycles) {
 	checked := 0
-	for obj := g.head; obj != nil && checked < t.opts.MaxSuspectsPerGroup; obj = obj.next {
+	for oi := g.head; oi >= 0 && checked < t.opts.MaxSuspectsPerGroup; oi = t.objs[oi].next {
+		obj := &t.objs[oi]
 		checked++
-		if obj.suspect != nil || obj.reported {
+		if obj.suspect >= 0 || obj.reported {
 			continue
 		}
-		if !cond(obj) {
+		if minAge > 0 && now-obj.allocTime <= minAge {
 			// The list is allocation-ordered, so once an old object fails
 			// the lifetime condition, younger ones will too.
 			break
@@ -108,46 +109,34 @@ func (t *Tool) flagSuspects(g *group, now simtime.Cycles, cond func(*object) boo
 			t.stats.WatchesSuppressed++
 			continue
 		}
-		r, err := t.watch(obj.block.Addr, obj.block.RoundedSize, watchLeakSuspect, obj.block, obj)
+		slot, err := t.watch(obj.block.Addr, obj.block.RoundedSize, watchLeakSuspect, &obj.block, oi)
 		if err != nil {
 			t.degrade("arm-suspect", obj.block.Addr, err.Error())
 			continue
 		}
-		obj.suspect = r
+		obj.suspect = slot
 	}
 }
 
-// sortedGroups returns the groups in deterministic ⟨site, size⟩ order. Group
-// iteration both arms watches (advancing the clock mid-pass) and emits
-// reports, so map order would leak into watch timestamps, detection
-// latencies and report order — unacceptable for reproducible runs (the
-// campaign harness compares whole-run summaries byte for byte).
-func (t *Tool) sortedGroups() []*group {
-	out := make([]*group, 0, len(t.groups))
-	for _, g := range t.groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.Site != out[j].key.Site {
-			return out[i].key.Site < out[j].key.Site
-		}
-		return out[i].key.Size < out[j].key.Size
-	})
-	return out
-}
-
-// sortedSuspectRegions returns the leak-suspect watch regions aged past the
-// confirmation window, in deterministic base-address order (see
-// sortedGroups for why map order must not reach the report stream).
-func (t *Tool) sortedSuspectRegions(now simtime.Cycles) []*watchRegion {
-	var out []*watchRegion
-	for _, r := range t.regions {
-		if r.kind == watchLeakSuspect && r.obj != nil && !r.obj.reported &&
+// sortedSuspectRegions returns the slots of the leak-suspect watch regions
+// aged past the confirmation window, in deterministic base-address order:
+// confirmation emits reports and disarms watches (advancing the clock), so
+// list order would leak into detection latencies and report order —
+// unacceptable for reproducible runs (the campaign harness compares
+// whole-run summaries byte for byte). Groups are walked in ⟨site, size⟩
+// order (byKey) for the same reason. The result is scratch storage, valid
+// until the next call.
+func (t *Tool) sortedSuspectRegions(now simtime.Cycles) []int32 {
+	out := t.confirm[:0]
+	for _, slot := range t.live {
+		r := &t.regions[slot]
+		if r.kind == watchLeakSuspect && r.obj >= 0 && !t.objs[r.obj].reported &&
 			now >= r.watchedAt && now-r.watchedAt >= t.opts.LeakConfirmTime {
-			out = append(out, r)
+			out = append(out, slot)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].base < out[j].base })
+	slices.SortFunc(out, func(a, b int32) int { return cmp.Compare(t.regions[a].base, t.regions[b].base) })
+	t.confirm = out
 	return out
 }
 
@@ -156,11 +145,10 @@ func (t *Tool) sortedSuspectRegions(now simtime.Cycles) []*watchRegion {
 // access them and never did. The clock is re-read here because the watch
 // syscalls of this same pass advanced it past the time the pass started.
 func (t *Tool) confirmSuspects() {
-	now := t.m.Clock.Now()
-	confirmed := t.sortedSuspectRegions(now)
-	for _, r := range confirmed {
-		obj := r.obj
-		t.reportLeak(obj.group, obj)
+	for _, slot := range t.sortedSuspectRegions(t.m.Clock.Now()) {
+		r := &t.regions[slot]
+		obj := &t.objs[r.obj]
+		t.reportLeak(&t.groups[obj.group], obj)
 		t.unwatchOrDegrade(r, false, "unwatch-confirmed-leak")
 	}
 }
@@ -182,10 +170,10 @@ func (t *Tool) reportLeak(g *group, obj *object) {
 			t.opts.SLeakLifetimeFactor, g.maxLifetime, g.key.Size, g.key.Site)
 	}
 	var latency simtime.Cycles
-	if obj.suspect != nil {
+	if obj.suspect >= 0 {
 		// Confirmation latency: time from flagging (and ECC-watching) the
 		// suspect until the report.
-		latency = t.m.Clock.Now() - obj.suspect.watchedAt
+		latency = t.m.Clock.Now() - t.regions[obj.suspect].watchedAt
 	}
 	t.report(BugReport{
 		Kind:       kind,
@@ -204,13 +192,14 @@ func (t *Tool) reportLeak(g *group, obj *object) {
 // current age so similar false positives stop arising.
 func (t *Tool) pruneSuspect(r *watchRegion) {
 	now := t.m.Clock.Now()
-	obj := r.obj
+	oi := r.obj
 	t.stats.SuspectsPruned++
 	t.unwatchOrDegrade(r, false, "unwatch-pruned-suspect")
-	if obj == nil {
+	if oi < 0 {
 		return
 	}
-	g := obj.group
+	obj := &t.objs[oi]
+	g := &t.groups[obj.group]
 	if g.everFreed() {
 		// Raising the expected maximal lifetime to this suspect's age
 		// naturally backs off future flagging in the group (§3.2.3).
@@ -231,5 +220,6 @@ func (t *Tool) pruneSuspect(r *watchRegion) {
 		g.suspendUntil = now + 4*t.opts.CheckingPeriod
 	}
 	obj.allocTime = now
-	g.moveToTail(obj)
+	t.removeObject(g, oi)
+	t.appendObject(g, oi)
 }

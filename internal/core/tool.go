@@ -1,11 +1,14 @@
 package safemem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"safemem/internal/heap"
+	"safemem/internal/kernel"
 	"safemem/internal/machine"
+	"safemem/internal/memctrl"
 	"safemem/internal/obsrv/flight"
 	"safemem/internal/physmem"
 	"safemem/internal/simtime"
@@ -30,22 +33,41 @@ type Tool struct {
 	alloc *heap.Allocator
 	opts  Options
 
-	groups  map[GroupKey]*group
-	objects map[vm.VAddr]*object // by user pointer
+	// Leak bookkeeping (group.go): the groups by index, looked up by key
+	// and listed in ⟨site, size⟩ order; the live objects by value in
+	// slots, freed slots reused, looked up by user pointer.
+	groups   []group
+	groupIdx map[GroupKey]int32
+	byKey    []int32
+	objs     []object
+	freeObjs []int32
+	objects  map[vm.VAddr]int32
 
-	// ECC-watch bookkeeping (SafeMem's "private memory region"): the
-	// live regions, in no particular order (each knows its slot), and the
-	// per-line index.
-	regions []*watchRegion
-	byLine  map[vm.VAddr]*watchRegion
+	// ECC-watch bookkeeping (SafeMem's "private memory region", watch.go):
+	// the regions by value in slots, freed slots reused; the live slots in
+	// arming order with swap-remove (each region knows its position); the
+	// per-page line index and its count of watched lines; and the saved
+	// original words of every live region in one store, with a spare
+	// buffer to compact into.
+	regions      []watchRegion
+	freeRegions  []int32
+	live         []int32
+	pages        []linePage
+	freePages    []int32
+	byPage       map[vm.VAddr]int32
+	watchedLines int
+	orig         []uint64
+	origSpare    []uint64
+	origDead     int
 
 	lastCheck     simtime.Cycles
 	startTime     simtime.Cycles
-	savedForScrub []*watchRegion
+	savedForScrub []watchRegion
+	confirm       []int32
 
 	// Hardware-fault degradation state (degrade.go): per-line quarantine
 	// history, the machine-wide error window, and the arming-pause deadline.
-	quarantine     map[vm.VAddr]*quarantineEntry
+	quarantine     map[vm.VAddr]quarantineEntry
 	hwWindow       []windowEvent
 	degradedUntil  simtime.Cycles
 	degradedEvents []DegradedEvent
@@ -56,7 +78,17 @@ type Tool struct {
 
 	tr      *telemetry.Tracer
 	latency *telemetry.Histogram
+
+	// The callbacks Attach registers, bound once per Tool value.
+	onECC         kernel.ECCFaultHandler
+	onScrubBefore func()
+	onScrubAfter  func()
+	onFault       memctrl.FaultObserver
+	source        func(emit func(string, float64))
 }
+
+// spareKey is the machine spare slot of a released Tool.
+type spareKey struct{}
 
 // Attach wires a SafeMem tool onto machine m and allocator alloc. The
 // allocator must be cache-line aligned (Section 4); with corruption
@@ -103,52 +135,116 @@ func AttachWithoutHook(m *machine.Machine, alloc *heap.Allocator, opts Options) 
 	if opts.DegradeWindow == 0 {
 		opts.DegradeWindow = simtime.FromMicroseconds(300)
 	}
-	t := &Tool{
-		m:          m,
-		alloc:      alloc,
-		opts:       opts,
-		groups:     make(map[GroupKey]*group),
-		objects:    make(map[vm.VAddr]*object),
-		byLine:     make(map[vm.VAddr]*watchRegion),
-		quarantine: make(map[vm.VAddr]*quarantineEntry),
-		startTime:  m.Clock.Now(),
-		lastCheck:  m.Clock.Now(),
+	t, _ := m.TakeSpare(spareKey{}).(*Tool)
+	if t == nil {
+		t = allocTool()
 	}
-	m.Kern.RegisterECCFaultHandler(t.handleECCFault)
-	m.Kern.SetScrubHooks(t.scrubBefore, t.scrubAfter)
+	t.reset(m, alloc, opts)
+	m.Kern.RegisterECCFaultHandler(t.onECC)
+	m.Kern.SetScrubHooks(t.onScrubBefore, t.onScrubAfter)
+	m.Ctrl.AddFaultObserver(t.onFault)
+	t.tr = m.Telemetry.Tracer()
+	t.latency = m.Telemetry.Histogram("safemem", "detection_latency_cycles", telemetry.LatencyBuckets)
+	m.Telemetry.RegisterSource("safemem", t.source)
+	return t, nil
+}
+
+// allocTool allocates a Tool's maps and binds its callbacks.
+func allocTool() *Tool {
+	t := &Tool{
+		groupIdx:   make(map[GroupKey]int32),
+		objects:    make(map[vm.VAddr]int32),
+		byPage:     make(map[vm.VAddr]int32),
+		quarantine: make(map[vm.VAddr]quarantineEntry),
+	}
+	t.onECC = t.handleECCFault
+	t.onScrubBefore = t.scrubBefore
+	t.onScrubAfter = t.scrubAfter
 	// Machine-wide error pressure: corrected single-bit events feed the
 	// degradation window here. Uncorrectable events do NOT — at the
 	// controller they are indistinguishable from tripped watches, so the
 	// fault handler classifies them (signature check) and reports only the
 	// genuine hardware ones via noteMachineError.
-	m.Ctrl.AddFaultObserver(func(_ physmem.Addr, uncorrectable bool) {
+	t.onFault = func(_ physmem.Addr, uncorrectable bool) {
 		if !uncorrectable {
 			t.noteMachineError(false)
 		}
-	})
-	t.tr = m.Telemetry.Tracer()
-	t.latency = m.Telemetry.Histogram("safemem", "detection_latency_cycles", telemetry.LatencyBuckets)
-	m.Telemetry.RegisterSource("safemem", func(emit func(string, float64)) {
-		s := t.Stats()
-		emit("allocs", float64(s.Allocs))
-		emit("frees", float64(s.Frees))
-		emit("leak_checks", float64(s.LeakChecks))
-		emit("suspects_flagged", float64(s.SuspectsFlagged))
-		emit("suspects_pruned", float64(s.SuspectsPruned))
-		emit("leaks_reported", float64(s.LeaksReported))
-		emit("corruption_reported", float64(s.CorruptionReported))
-		emit("hardware_errors", float64(s.HardwareErrors))
-		emit("watched_lines", float64(s.WatchedLines))
-		emit("max_watched_lines", float64(s.MaxWatchedLines))
-		emit("uninit_writes", float64(s.UninitWrites))
-		emit("degraded_events", float64(s.DegradedEvents))
-		emit("lines_quarantined", float64(s.LinesQuarantined))
-		emit("watches_rearmed", float64(s.WatchesRearmed))
-		emit("rearms_skipped", float64(s.RearmsSkipped))
-		emit("watches_suppressed", float64(s.WatchesSuppressed))
-		emit("degrade_periods", float64(s.DegradePeriods))
-	})
-	return t, nil
+	}
+	t.source = t.emitTelemetry
+	return t
+}
+
+// reset puts t into the state of a freshly attached tool, keeping only the
+// capacity of its slices and maps and its bound callbacks.
+func (t *Tool) reset(m *machine.Machine, alloc *heap.Allocator, opts Options) {
+	clear(t.groupIdx)
+	clear(t.objects)
+	clear(t.byPage)
+	clear(t.quarantine)
+	*t = Tool{
+		m:     m,
+		alloc: alloc,
+		opts:  opts,
+
+		groups:   t.groups[:0],
+		groupIdx: t.groupIdx,
+		byKey:    t.byKey[:0],
+		objs:     t.objs[:0],
+		freeObjs: t.freeObjs[:0],
+		objects:  t.objects,
+
+		regions:     t.regions[:0],
+		freeRegions: t.freeRegions[:0],
+		live:        t.live[:0],
+		pages:       t.pages[:0],
+		freePages:   t.freePages[:0],
+		byPage:      t.byPage,
+		orig:        t.orig[:0],
+		origSpare:   t.origSpare[:0],
+
+		startTime:     m.Clock.Now(),
+		lastCheck:     m.Clock.Now(),
+		savedForScrub: t.savedForScrub[:0],
+		confirm:       t.confirm[:0],
+
+		quarantine:     t.quarantine,
+		hwWindow:       t.hwWindow[:0],
+		degradedEvents: t.degradedEvents[:0],
+		reports:        t.reports[:0],
+
+		onECC:         t.onECC,
+		onScrubBefore: t.onScrubBefore,
+		onScrubAfter:  t.onScrubAfter,
+		onFault:       t.onFault,
+		source:        t.source,
+	}
+}
+
+// Release ends the tool's run: the caller promises not to use t again, and
+// the next Attach on the same machine reuses t's storage
+// (machine.PutSpare). Results must be read (Reports, Stats) before.
+func (t *Tool) Release() { t.m.PutSpare(spareKey{}, t) }
+
+// emitTelemetry is the tool's telemetry source.
+func (t *Tool) emitTelemetry(emit func(string, float64)) {
+	s := t.Stats()
+	emit("allocs", float64(s.Allocs))
+	emit("frees", float64(s.Frees))
+	emit("leak_checks", float64(s.LeakChecks))
+	emit("suspects_flagged", float64(s.SuspectsFlagged))
+	emit("suspects_pruned", float64(s.SuspectsPruned))
+	emit("leaks_reported", float64(s.LeaksReported))
+	emit("corruption_reported", float64(s.CorruptionReported))
+	emit("hardware_errors", float64(s.HardwareErrors))
+	emit("watched_lines", float64(s.WatchedLines))
+	emit("max_watched_lines", float64(s.MaxWatchedLines))
+	emit("uninit_writes", float64(s.UninitWrites))
+	emit("degraded_events", float64(s.DegradedEvents))
+	emit("lines_quarantined", float64(s.LinesQuarantined))
+	emit("watches_rearmed", float64(s.WatchesRearmed))
+	emit("rearms_skipped", float64(s.RearmsSkipped))
+	emit("watches_suppressed", float64(s.WatchesSuppressed))
+	emit("degrade_periods", float64(s.DegradePeriods))
 }
 
 // Options returns the tool's configuration.
@@ -164,7 +260,7 @@ func (t *Tool) Reports() []BugReport {
 // Stats returns a copy of the activity counters.
 func (t *Tool) Stats() Stats {
 	s := t.stats
-	s.WatchedLines = uint64(len(t.byLine))
+	s.WatchedLines = uint64(t.watchedLines)
 	return s
 }
 
@@ -172,7 +268,8 @@ func (t *Tool) Stats() Stats {
 // allocation order — the input to the Figure 3 lifetime-stability study.
 func (t *Tool) Groups() []GroupInfo {
 	out := make([]GroupInfo, 0, len(t.groups))
-	for _, g := range t.groups {
+	for _, gi := range t.byKey {
+		g := &t.groups[gi]
 		out = append(out, GroupInfo{
 			Key:           g.key,
 			LiveCount:     g.liveCount,
@@ -185,12 +282,6 @@ func (t *Tool) Groups() []GroupInfo {
 			LastAllocTime: g.lastAllocTime,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key.Site != out[j].Key.Site {
-			return out[i].Key.Site < out[j].Key.Site
-		}
-		return out[i].Key.Size < out[j].Key.Size
-	})
 	return out
 }
 
@@ -238,11 +329,11 @@ func (t *Tool) Shutdown() []BugReport {
 	defer sp.End()
 	before := len(t.reports)
 	now := t.m.Clock.Now()
-	confirm := t.sortedSuspectRegions(now)
-	for _, r := range confirm {
-		t.reportLeak(r.obj.group, r.obj)
+	for _, slot := range t.sortedSuspectRegions(now) {
+		obj := &t.objs[t.regions[slot].obj]
+		t.reportLeak(&t.groups[obj.group], obj)
 	}
-	t.unwatchAll()
+	t.savedForScrub = t.unwatchAll(t.savedForScrub[:0])[:0]
 	out := make([]BugReport, len(t.reports)-before)
 	copy(out, t.reports[before:])
 	return out
@@ -260,18 +351,21 @@ func (t *Tool) OnAlloc(b *heap.Block) {
 
 	if t.opts.DetectLeaks {
 		t.m.Clock.Advance(costLeakAlloc)
-		key := GroupKey{Size: b.Size, Site: b.Site}
-		g := t.groups[key]
-		if g == nil {
-			g = &group{key: key, lastUpdate: now, lastMaxChange: now}
-			t.groups[key] = g
+		gi := t.groupOf(GroupKey{Size: b.Size, Site: b.Site}, now)
+		var oi int32
+		if n := len(t.freeObjs); n > 0 {
+			oi, t.freeObjs = t.freeObjs[n-1], t.freeObjs[:n-1]
+		} else {
+			oi = int32(len(t.objs))
+			t.objs = append(t.objs, object{})
 		}
-		obj := &object{block: b, group: g, allocTime: now}
-		g.append(obj)
+		t.objs[oi] = object{block: *b, group: gi, allocTime: now, suspect: -1}
+		g := &t.groups[gi]
+		t.appendObject(g, oi)
 		g.lastAllocTime = now
 		g.totalBytes += b.Size
 		g.totalAllocs++
-		t.objects[b.Addr] = obj
+		t.objects[b.Addr] = oi
 	}
 
 	if t.opts.DetectCorruption {
@@ -282,7 +376,7 @@ func (t *Tool) OnAlloc(b *heap.Block) {
 	if t.opts.DetectUninitRead && !t.lineWatched(b.Addr, b.RoundedSize) {
 		if t.corruptionDegraded() || t.lineQuarantined(b.Addr, b.RoundedSize) {
 			t.stats.WatchesSuppressed++
-		} else if _, err := t.watch(b.Addr, b.RoundedSize, watchUninit, b, nil); err != nil {
+		} else if _, err := t.watch(b.Addr, b.RoundedSize, watchUninit, b, -1); err != nil {
 			t.degrade("arm-uninit", b.Addr, err.Error())
 		}
 	}
@@ -298,7 +392,7 @@ func (t *Tool) armPad(base vm.VAddr, kind watchKind, b *heap.Block) {
 		t.stats.WatchesSuppressed++
 		return
 	}
-	if _, err := t.watch(base, PadLineBytes, kind, b, nil); err != nil {
+	if _, err := t.watch(base, PadLineBytes, kind, b, -1); err != nil {
 		t.degrade("arm-"+kind.String(), base, err.Error())
 	}
 }
@@ -310,17 +404,19 @@ func (t *Tool) OnFree(b *heap.Block) {
 
 	if t.opts.DetectLeaks {
 		t.m.Clock.Advance(costLeakFree)
-		if obj, ok := t.objects[b.Addr]; ok {
-			if obj.suspect != nil {
+		if oi, ok := t.objects[b.Addr]; ok {
+			if s := t.objs[oi].suspect; s >= 0 {
 				// Freeing a watched suspect exonerates it.
 				t.stats.SuspectsPruned++
-				t.unwatchOrDegrade(obj.suspect, false, "unwatch-on-free")
+				t.unwatchOrDegrade(&t.regions[s], false, "unwatch-on-free")
 			}
-			g := obj.group
-			g.remove(obj)
+			obj := &t.objs[oi]
+			g := &t.groups[obj.group]
+			t.removeObject(g, oi)
 			g.totalBytes -= b.Size
 			g.recordDealloc(now, now-obj.allocTime, t.opts.LifetimeTolerance)
 			delete(t.objects, b.Addr)
+			t.freeObjs = append(t.freeObjs, oi)
 		}
 	}
 
@@ -330,7 +426,7 @@ func (t *Tool) OnFree(b *heap.Block) {
 	if t.opts.DetectCorruption {
 		if t.corruptionDegraded() || t.lineQuarantined(b.FullAddr, b.FullSize) {
 			t.stats.WatchesSuppressed++
-		} else if _, err := t.watch(b.FullAddr, b.FullSize, watchFreed, b, nil); err != nil {
+		} else if _, err := t.watch(b.FullAddr, b.FullSize, watchFreed, b, -1); err != nil {
 			t.degrade("arm-freed", b.FullAddr, err.Error())
 		}
 	}
@@ -341,5 +437,32 @@ func (t *Tool) OnFree(b *heap.Block) {
 // scrubBefore / scrubAfter implement the scrub-coordination protocol
 // (Section 2.2.2): all watches are temporarily disabled while the memory
 // controller scrubs, then re-armed.
-func (t *Tool) scrubBefore() { t.savedForScrub = t.unwatchAll() }
-func (t *Tool) scrubAfter()  { t.rewatchAll(t.savedForScrub); t.savedForScrub = nil }
+func (t *Tool) scrubBefore() { t.savedForScrub = t.unwatchAll(t.savedForScrub[:0]) }
+func (t *Tool) scrubAfter() {
+	t.rewatchAll(t.savedForScrub)
+	t.savedForScrub = t.savedForScrub[:0]
+}
+
+// groupOf returns the index of the group with the given key, creating it
+// (born at now) and inserting it into the ⟨site, size⟩ order.
+func (t *Tool) groupOf(key GroupKey, now simtime.Cycles) int32 {
+	if gi, ok := t.groupIdx[key]; ok {
+		return gi
+	}
+	gi := int32(len(t.groups))
+	t.groups = append(t.groups, group{key: key, head: -1, tail: -1, lastUpdate: now, lastMaxChange: now})
+	t.groupIdx[key] = gi
+	at, _ := slices.BinarySearchFunc(t.byKey, key, func(i int32, k GroupKey) int {
+		return cmpKey(t.groups[i].key, k)
+	})
+	t.byKey = slices.Insert(t.byKey, at, gi)
+	return gi
+}
+
+// cmpKey orders group keys by site, then size.
+func cmpKey(a, b GroupKey) int {
+	if c := cmp.Compare(a.Site, b.Site); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Size, b.Size)
+}

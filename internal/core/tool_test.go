@@ -2,6 +2,7 @@ package safemem
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"safemem/internal/heap"
@@ -374,5 +375,61 @@ func TestFreeingSuspectExoneratesIt(t *testing.T) {
 	}
 	if n := r.tool.Stats().LeaksReported; n != 0 {
 		t.Fatalf("freed object reported as leak: %v", kinds(r.tool.Reports()))
+	}
+}
+
+// TestReleasedToolRerunsIdentically pins the spare-reuse path: a tool and
+// allocator released on a machine are reused by the next run on it after
+// Recycle, and that run reports exactly what the first one did — leaks,
+// overflows and freed-buffer accesses, with their times and latencies.
+func TestReleasedToolRerunsIdentically(t *testing.T) {
+	m := machine.MustNew(machine.Config{MemBytes: 16 << 20})
+	opts := DefaultOptions()
+	opts.WarmupTime, opts.CheckingPeriod, opts.ALeakLiveThreshold = 0, 20_000, 8
+	opts.LeakConfirmTime = 40_000
+	run := func() (*Tool, *heap.Allocator, []BugReport, Stats) {
+		alloc := heap.MustNew(m, HeapOptions(true))
+		tool, err := Attach(m, alloc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(func() error {
+			for i := 0; i < 40; i++ {
+				m.Call(0x5150)
+				if _, err := alloc.Malloc(48); err != nil {
+					return err
+				}
+				m.Return()
+				m.Compute(5_000)
+			}
+			p, err := alloc.Malloc(64)
+			if err != nil {
+				return err
+			}
+			m.Store8(p+64, 1)
+			if err := alloc.Free(p); err != nil {
+				return err
+			}
+			m.Load8(p)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		tool.Shutdown()
+		return tool, alloc, tool.Reports(), tool.Stats()
+	}
+	tool1, alloc1, reps1, st1 := run()
+	if len(reps1) < 3 {
+		t.Fatalf("first run reported %v, want a leak, an overflow and a freed access", kinds(reps1))
+	}
+	tool1.Release()
+	alloc1.Release()
+	m.Recycle()
+	tool2, alloc2, reps2, st2 := run()
+	if tool2 != tool1 || alloc2 != alloc1 {
+		t.Fatal("the released tool and allocator were not reused")
+	}
+	if !reflect.DeepEqual(reps2, reps1) || st2 != st1 {
+		t.Fatalf("rerun on reused storage diverges:\nfirst:  %v %+v\nsecond: %v %+v", reps1, st1, reps2, st2)
 	}
 }

@@ -18,13 +18,15 @@ func TestUnwatchOverlappingDisarmsEachRegionOnce(t *testing.T) {
 	// hand-made regions. Its own guard pads sit outside [p, p+1024).
 	p := r.malloc(t, 1024)
 	const L = physmem.LineBytes
-	watch := func(off, lines uint64) *watchRegion {
+	// Each region is returned as a copy: its slot may be reused once it is
+	// removed.
+	watch := func(off, lines uint64) watchRegion {
 		t.Helper()
-		reg, err := r.tool.watch(p+vm.VAddr(off), lines*L, watchFreed, nil, nil)
+		slot, err := r.tool.watch(p+vm.VAddr(off), lines*L, watchFreed, nil, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reg
+		return r.tool.regions[slot]
 	}
 	before := watch(0, 2)     // starts before the swept range
 	adjacent := watch(2*L, 1) // abuts before
@@ -47,12 +49,12 @@ func TestUnwatchOverlappingDisarmsEachRegionOnce(t *testing.T) {
 	if got := r.tool.Stats().DegradedEvents - degraded; got != 1 {
 		t.Fatalf("degraded events = %d, want 1 (the broken region)", got)
 	}
-	for _, reg := range []*watchRegion{before, adjacent, broken, spaced} {
+	for _, reg := range []watchRegion{before, adjacent, broken, spaced} {
 		if r.tool.Watched(reg.base, reg.size) || r.m.Kern.Watched(reg.base) {
 			t.Errorf("region at +%d still watched", reg.base-p)
 		}
-		if reg.slot != -1 {
-			t.Errorf("region at +%d still listed (slot %d)", reg.base-p, reg.slot)
+		if pos := r.tool.regions[reg.slot].pos; pos != -1 {
+			t.Errorf("region at +%d still listed (position %d)", reg.base-p, pos)
 		}
 	}
 	if !r.tool.Watched(outside.base, outside.size) || !r.m.Kern.Watched(outside.base) {

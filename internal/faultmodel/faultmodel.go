@@ -137,8 +137,26 @@ type Process struct {
 	stormUntil  simtime.Cycles
 	nextStormAt simtime.Cycles
 
+	// pending holds the queued plants and re-fires in queue order, from
+	// head on; each has one kernel Defer of runPending, so they run
+	// interleaved with other deferred work exactly as one closure each
+	// would, without a closure allocation per fault.
+	pending    []pendingPlant
+	head       int
+	runPending func()
+
 	stopped bool
 	stats   Stats
+}
+
+// pendingPlant is one deferred plant (refire false) or weak/stuck cell
+// re-assertion (refire true).
+type pendingPlant struct {
+	refire bool
+	va     vm.VAddr
+	double bool
+	b1, b2 uint
+	cell   weakCell
 }
 
 // Start launches the fault process on m, planting through in. The process
@@ -183,6 +201,7 @@ func Start(m *machine.Machine, in *inject.Injector, cfg Config) *Process {
 		}
 	}
 	p := &Process{m: m, in: in, cfg: cfg, r: rng{state: cfg.Seed ^ 0xd1a6f0}}
+	p.runPending = p.runNext
 	now := m.Clock.Now()
 	p.nextEvent = now + p.r.exp(p.interval(now))
 	if cfg.StormInterval > 0 {
@@ -388,43 +407,57 @@ func (p *Process) spawn(now simtime.Cycles) {
 
 // deferPlant queues one plant for the next deferred-work point.
 func (p *Process) deferPlant(va vm.VAddr, double bool, b1, b2 uint) {
-	p.m.Kern.Defer(func() {
-		if p.stopped {
-			return
-		}
-		if !p.in.PlantSpecific(va, double, b1, b2) {
-			p.stats.Skipped++
-			return
-		}
-		dbl := uint64(0)
-		if double {
-			dbl = 1
-		}
-		flight.Emit(flight.KindFaultPlant, "faultmodel", p.m.Clock.Now(), "fault planted",
-			flight.F("addr", uint64(va)), flight.F("bit", uint64(b1)), flight.F("double", dbl))
-	})
+	p.pending = append(p.pending, pendingPlant{va: va, double: double, b1: b1, b2: b2})
+	p.m.Kern.Defer(p.runPending)
 }
 
-// deferRefire queues a weak/stuck cell re-assertion. A stuck cell only
-// plants when the stored bit disagrees with the held value — a write-back
-// may have "repaired" it, which is exactly when the cell strikes again.
+// deferRefire queues a weak/stuck cell re-assertion.
 func (p *Process) deferRefire(c weakCell) {
-	p.m.Kern.Defer(func() {
-		if p.stopped {
+	p.pending = append(p.pending, pendingPlant{refire: true, cell: c})
+	p.m.Kern.Defer(p.runPending)
+}
+
+// runNext runs the oldest queued plant or re-fire.
+func (p *Process) runNext() {
+	e := p.pending[p.head]
+	p.head++
+	if p.head == len(p.pending) {
+		p.pending, p.head = p.pending[:0], 0
+	}
+	if p.stopped {
+		return
+	}
+	if e.refire {
+		p.refire(e.cell)
+		return
+	}
+	if !p.in.PlantSpecific(e.va, e.double, e.b1, e.b2) {
+		p.stats.Skipped++
+		return
+	}
+	dbl := uint64(0)
+	if e.double {
+		dbl = 1
+	}
+	flight.Emit(flight.KindFaultPlant, "faultmodel", p.m.Clock.Now(), "fault planted",
+		flight.F("addr", uint64(e.va)), flight.F("bit", uint64(e.b1)), flight.F("double", dbl))
+}
+
+// refire re-asserts a weak/stuck cell. A stuck cell only plants when the
+// stored bit disagrees with the held value — a write-back may have
+// "repaired" it, which is exactly when the cell strikes again.
+func (p *Process) refire(c weakCell) {
+	if c.stuck {
+		cur, resident := p.in.DataBit(c.va, c.bit)
+		if !resident || cur == c.stuckVal {
 			return
 		}
-		if c.stuck {
-			cur, resident := p.in.DataBit(c.va, c.bit)
-			if !resident || cur == c.stuckVal {
-				return
-			}
-		}
-		if p.in.PlantSpecific(c.va, false, c.bit, 0) {
-			p.stats.Refires++
-		} else {
-			p.stats.Skipped++
-		}
-	})
+	}
+	if p.in.PlantSpecific(c.va, false, c.bit, 0) {
+		p.stats.Refires++
+	} else {
+		p.stats.Skipped++
+	}
 }
 
 // site picks a fault address from the configured targets.

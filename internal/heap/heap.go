@@ -26,7 +26,10 @@ const (
 	costFree   simtime.Cycles = 60
 )
 
-// Block describes one live allocation.
+// Block describes one live allocation. The allocator stores blocks by value
+// and reuses a freed block's slot, so a *Block it hands out (to hooks, from
+// BlockAt, BlockContaining or LiveBlocks) is valid until the next Malloc,
+// Free or Realloc; copy the Block to keep it.
 type Block struct {
 	// Addr and Size are the user-visible pointer and requested size.
 	Addr vm.VAddr
@@ -57,7 +60,7 @@ func (b *Block) PadAfter() vm.VAddr { return b.Addr + vm.VAddr(b.RoundedSize) }
 
 // Hook observes allocation events. Both methods run after the allocator's
 // own bookkeeping; OnFree runs before the extent is returned to the free
-// list.
+// list. The *Block is valid only for the duration of the call.
 type Hook interface {
 	OnAlloc(b *Block)
 	OnFree(b *Block)
@@ -103,17 +106,28 @@ type extent struct {
 
 // Allocator is the simulated heap. Not safe for concurrent use.
 type Allocator struct {
-	m      *machine.Machine
-	opts   Options
-	brk    vm.VAddr // end of mapped arena
-	free   []extent // sorted by addr
-	blocks map[vm.VAddr]*Block
-	hooks  []Hook
-	seq    uint64
-	stats  Stats
+	m    *machine.Machine
+	opts Options
+	brk  vm.VAddr // end of mapped arena
+	free []extent // sorted by addr
+	// Live blocks are stored by value in slots; a freed slot goes on
+	// freeSlots and the next Malloc reuses it. blocks maps a user pointer
+	// to its slot.
+	slots     []Block
+	freeSlots []int32
+	blocks    map[vm.VAddr]int32
+	hooks     []Hook
+	seq       uint64
+	stats     Stats
+	// source is the telemetry emitter, built once per Allocator value.
+	source func(emit func(string, float64))
 }
 
-// New creates an allocator on machine m.
+// spareKey is the machine spare slot of a released Allocator.
+type spareKey struct{}
+
+// New creates an allocator on machine m. When a previous run on m ended
+// with Release, its allocator's storage is reset and reused.
 func New(m *machine.Machine, opts Options) (*Allocator, error) {
 	if opts.Base == 0 {
 		opts.Base = 0x1000000
@@ -133,27 +147,47 @@ func New(m *machine.Machine, opts Options) (*Allocator, error) {
 	if opts.PadBytes%opts.Align != 0 {
 		return nil, fmt.Errorf("heap: padding %d not a multiple of alignment %d", opts.PadBytes, opts.Align)
 	}
-	a := &Allocator{
-		m:      m,
-		opts:   opts,
-		brk:    opts.Base,
-		blocks: make(map[vm.VAddr]*Block),
+	a, _ := m.TakeSpare(spareKey{}).(*Allocator)
+	if a == nil {
+		a = &Allocator{blocks: make(map[vm.VAddr]int32)}
+		a.source = a.emitTelemetry
 	}
-	m.Telemetry.RegisterSource("heap", func(emit func(string, float64)) {
-		s := a.stats
-		emit("mallocs", float64(s.Mallocs))
-		emit("frees", float64(s.Frees))
-		emit("reallocs", float64(s.Reallocs))
-		emit("bytes_live", float64(s.BytesLive))
-		emit("bytes_peak", float64(s.BytesPeak))
-		emit("waste_live", float64(s.WasteLive))
-		emit("waste_peak", float64(s.WastePeak))
-		emit("total_user", float64(s.TotalUser))
-		emit("total_waste", float64(s.TotalWaste))
-		emit("arena_bytes", float64(s.ArenaBytes))
-		emit("failed_alloc", float64(s.FailedAlloc))
-	})
+	clear(a.blocks)
+	clear(a.hooks)
+	*a = Allocator{
+		m:         m,
+		opts:      opts,
+		brk:       opts.Base,
+		free:      a.free[:0],
+		slots:     a.slots[:0],
+		freeSlots: a.freeSlots[:0],
+		blocks:    a.blocks,
+		hooks:     a.hooks[:0],
+		source:    a.source,
+	}
+	m.Telemetry.RegisterSource("heap", a.source)
 	return a, nil
+}
+
+// Release ends the allocator's run: the caller promises to use neither a
+// nor anything it returned again, and the next New on the same machine
+// reuses a's storage (machine.PutSpare).
+func (a *Allocator) Release() { a.m.PutSpare(spareKey{}, a) }
+
+// emitTelemetry is the allocator's telemetry source.
+func (a *Allocator) emitTelemetry(emit func(string, float64)) {
+	s := a.stats
+	emit("mallocs", float64(s.Mallocs))
+	emit("frees", float64(s.Frees))
+	emit("reallocs", float64(s.Reallocs))
+	emit("bytes_live", float64(s.BytesLive))
+	emit("bytes_peak", float64(s.BytesPeak))
+	emit("waste_live", float64(s.WasteLive))
+	emit("waste_peak", float64(s.WastePeak))
+	emit("total_user", float64(s.TotalUser))
+	emit("total_waste", float64(s.TotalWaste))
+	emit("arena_bytes", float64(s.ArenaBytes))
+	emit("failed_alloc", float64(s.FailedAlloc))
 }
 
 // MustNew is New, panicking on error.
@@ -180,8 +214,8 @@ func (a *Allocator) Live() int { return len(a.blocks) }
 // LiveBlocks returns all live blocks sorted by address (for scanners).
 func (a *Allocator) LiveBlocks() []*Block {
 	out := make([]*Block, 0, len(a.blocks))
-	for _, b := range a.blocks {
-		out = append(out, b)
+	for _, i := range a.blocks {
+		out = append(out, &a.slots[i])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
@@ -189,16 +223,19 @@ func (a *Allocator) LiveBlocks() []*Block {
 
 // BlockAt returns the live block whose user pointer is va.
 func (a *Allocator) BlockAt(va vm.VAddr) (*Block, bool) {
-	b, ok := a.blocks[va]
-	return b, ok
+	i, ok := a.blocks[va]
+	if !ok {
+		return nil, false
+	}
+	return &a.slots[i], true
 }
 
 // BlockContaining returns the live block whose user range contains va.
 func (a *Allocator) BlockContaining(va vm.VAddr) (*Block, bool) {
 	// Binary search over sorted addresses would need an index; the map scan
 	// here is only used by tests and bug reporters, never on hot paths.
-	for _, b := range a.blocks {
-		if va >= b.Addr && va < b.Addr+vm.VAddr(b.Size) {
+	for _, i := range a.blocks {
+		if b := &a.slots[i]; va >= b.Addr && va < b.Addr+vm.VAddr(b.Size) {
 			return b, true
 		}
 	}
@@ -291,7 +328,16 @@ func (a *Allocator) Malloc(size uint64) (vm.VAddr, error) {
 			return 0, fmt.Errorf("heap: fragmentation prevented allocation of %d bytes", full)
 		}
 	}
-	b := &Block{
+	var slot int32
+	if n := len(a.freeSlots); n > 0 {
+		slot = a.freeSlots[n-1]
+		a.freeSlots = a.freeSlots[:n-1]
+	} else {
+		slot = int32(len(a.slots))
+		a.slots = append(a.slots, Block{})
+	}
+	b := &a.slots[slot]
+	*b = Block{
 		Addr:        addr + vm.VAddr(a.opts.PadBytes),
 		Size:        size,
 		RoundedSize: roundUp(size, a.opts.Align),
@@ -303,7 +349,7 @@ func (a *Allocator) Malloc(size uint64) (vm.VAddr, error) {
 		Seq:         a.seq,
 	}
 	a.seq++
-	a.blocks[b.Addr] = b
+	a.blocks[b.Addr] = slot
 	a.stats.Mallocs++
 	a.stats.BytesLive += size
 	a.stats.TotalUser += size
@@ -337,14 +383,16 @@ func (a *Allocator) Calloc(n, size uint64) (vm.VAddr, error) {
 // an error (the simulator's stand-in for heap corruption UB).
 func (a *Allocator) Free(va vm.VAddr) error {
 	a.m.Clock.Advance(costFree)
-	b, ok := a.blocks[va]
+	slot, ok := a.blocks[va]
 	if !ok {
 		return fmt.Errorf("heap: free of unknown pointer %#x", uint64(va))
 	}
+	b := &a.slots[slot]
 	for _, h := range a.hooks {
 		h.OnFree(b)
 	}
 	delete(a.blocks, va)
+	a.freeSlots = append(a.freeSlots, slot)
 	a.stats.Frees++
 	a.stats.BytesLive -= b.Size
 	a.stats.WasteLive -= b.FullSize - b.Size
@@ -358,16 +406,16 @@ func (a *Allocator) Realloc(va vm.VAddr, newSize uint64) (vm.VAddr, error) {
 	if va == 0 {
 		return a.Malloc(newSize)
 	}
-	old, ok := a.blocks[va]
+	slot, ok := a.blocks[va]
 	if !ok {
 		return 0, fmt.Errorf("heap: realloc of unknown pointer %#x", uint64(va))
 	}
+	n := a.slots[slot].Size
 	a.stats.Reallocs++
 	newVA, err := a.Malloc(newSize)
 	if err != nil {
 		return 0, err
 	}
-	n := old.Size
 	if newSize < n {
 		n = newSize
 	}

@@ -175,7 +175,8 @@ type Kernel struct {
 	healthObserver bool
 	pendingRetire  []physmem.Addr
 	retireQueued   map[physmem.Addr]bool
-	deferred       []func()
+	deferred       []func() // queued callbacks, from deferHead on
+	deferHead      int
 	inDeferred     bool
 	onRetire       RetireNotifier
 	scrubd         *scrubDaemon
@@ -684,7 +685,7 @@ func (k *Kernel) CaptureImage() *Image {
 		healthObserver: k.healthObserver,
 		pendingRetire:  append([]physmem.Addr(nil), k.pendingRetire...),
 		retireQueued:   make(map[physmem.Addr]bool, len(k.retireQueued)),
-		deferred:       append([]func(){}, k.deferred...),
+		deferred:       append([]func(){}, k.deferred[k.deferHead:]...),
 		onRetire:       k.onRetire,
 		stats:          k.stats,
 	}
@@ -735,7 +736,8 @@ func (k *Kernel) RestoreImage(img *Image) {
 	for f := range img.retireQueued {
 		k.retireQueued[f] = true
 	}
-	k.deferred = append(k.deferred[:0], img.deferred...)
+	clear(k.deferred)
+	k.deferred, k.deferHead = append(k.deferred[:0], img.deferred...), 0
 	k.inDeferred = false
 	k.onRetire = img.onRetire
 	k.panicked = false

@@ -238,7 +238,7 @@ func (k *Kernel) Defer(fn func()) { k.deferred = append(k.deferred, fn) }
 // The machine's access loop checks it so the no-work common case is a
 // couple of loads and branches instead of a call into the queue drain.
 func (k *Kernel) WorkPending() bool {
-	return len(k.pendingRetire) > 0 || len(k.deferred) > 0 ||
+	return len(k.pendingRetire) > 0 || len(k.deferred) > k.deferHead ||
 		(k.scrubd != nil && k.scrubd.due)
 }
 
@@ -258,9 +258,15 @@ func (k *Kernel) RunDeferredWork() {
 			k.pendingRetire = k.pendingRetire[1:]
 			delete(k.retireQueued, frame)
 			k.retireFrame(frame)
-		case len(k.deferred) > 0:
-			fn := k.deferred[0]
-			k.deferred = k.deferred[1:]
+		case len(k.deferred) > k.deferHead:
+			// Pop by head index, and rewind an emptied queue, so the
+			// queue's storage is reused instead of sliced away.
+			fn := k.deferred[k.deferHead]
+			k.deferred[k.deferHead] = nil
+			k.deferHead++
+			if k.deferHead == len(k.deferred) {
+				k.deferred, k.deferHead = k.deferred[:0], 0
+			}
 			fn()
 		case k.scrubd != nil && k.scrubd.due:
 			k.scrubDaemonStep()

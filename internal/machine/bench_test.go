@@ -66,6 +66,17 @@ func TestAccessPathNoAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkMachineNew measures a cold New of the campaign executor's
+// configuration (32 MiB of DRAM): what a machine pool pays on every miss.
+// DRAM chunks are allocated on first write, so B/op covers the cache,
+// page tables, bitmaps and the pristine snapshot, not the simulated DRAM.
+func BenchmarkMachineNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MustNew(Config{MemBytes: 32 << 20})
+	}
+}
+
 // BenchmarkRecycleFewDirtyLines measures Recycle after a run that wrote
 // back 16 lines spread across DRAM. Recycling costs O(work the run did), so
 // ns/op stays roughly flat as MemBytes grows eightfold: only host cache

@@ -117,6 +117,41 @@ type Machine struct {
 	// pristine is the snapshot New captures of the just-built machine;
 	// Recycle restores it.
 	pristine *Snapshot
+	// spares is host-side storage per-run objects left for the next run on
+	// this machine (PutSpare).
+	spares []spare
+}
+
+// spare is one PutSpare entry.
+type spare struct{ key, val any }
+
+// PutSpare parks val, the storage of a per-run object whose run on this
+// machine is over (a heap allocator, a SafeMem tool), under key. The next
+// run on this machine takes it back with TakeSpare and resets it instead
+// of allocating afresh, so a pooled machine's runs stop producing host
+// garbage. Spares hold no simulated state: Recycle keeps them, and a
+// machine its Pool drops takes them along. The caller must not use val
+// after parking it.
+func (m *Machine) PutSpare(key, val any) {
+	for i := range m.spares {
+		if m.spares[i].key == key {
+			m.spares[i].val = val
+			return
+		}
+	}
+	m.spares = append(m.spares, spare{key, val})
+}
+
+// TakeSpare removes and returns the value parked under key, or nil.
+func (m *Machine) TakeSpare(key any) any {
+	for i := range m.spares {
+		if m.spares[i].key == key {
+			v := m.spares[i].val
+			m.spares[i].val = nil
+			return v
+		}
+	}
+	return nil
 }
 
 // access describes the load/store currently executing, if any.

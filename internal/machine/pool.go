@@ -6,9 +6,12 @@ import (
 )
 
 // Pool reuses machines of one Config across runs, so short runs stop paying
-// machine construction (tens of host milliseconds of arena zeroing at the
-// default DRAM size). Get hands out a pristine machine: a recycled one when
-// the pool holds any, else a freshly built one. Done ends the run and holds
+// machine construction (a cold New allocates the cache arrays, page tables
+// and bitmaps, under a millisecond at the default DRAM size, and its first
+// run then allocates every DRAM chunk it writes) and can reuse the per-run
+// storage earlier runs parked on the machine (PutSpare). Get hands out a
+// pristine machine: a recycled one when the pool holds any, else a freshly
+// built one. Done ends the run and holds
 // the taint rule: only a machine whose run ended cleanly is recycled back
 // into the pool; one whose run errored, panicked or failed set-up is
 // dropped, trading one rebuild for certainty. Callers defer Done, so a

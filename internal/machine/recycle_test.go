@@ -5,6 +5,7 @@ import (
 
 	"safemem/internal/kernel"
 	"safemem/internal/memctrl"
+	"safemem/internal/physmem"
 	"safemem/internal/simtime"
 	"safemem/internal/vm"
 )
@@ -88,6 +89,60 @@ func TestMachineRecycleEquivalence(t *testing.T) {
 		{MemBytes: 1 << 22, DirectECCAccess: true},
 	} {
 		testRecycleEquivalence(t, cfg)
+	}
+	testRecycleResidentChunks(t)
+}
+
+// testRecycleResidentChunks runs a program whose footprint allocates DRAM
+// chunks mid-run, one per frame it writes, and checks that Recycle keeps
+// those chunks yet leaves the machine equal to a fresh one: every stored
+// bit of DRAM and the digest of the next run.
+func testRecycleResidentChunks(t *testing.T) {
+	cfg := Config{MemBytes: 1 << 22}
+	const pages = 6
+	fresh, m := MustNew(cfg), MustNew(cfg)
+	start := m.Phys.ResidentBytes()
+	var mid uint64
+	err := m.Run(func() error {
+		if err := m.Kern.MapPages(0x40000, pages); err != nil {
+			return err
+		}
+		for i := vm.VAddr(0); i < pages*vm.PageBytes; i += 64 {
+			m.Store64(0x40000+i, uint64(i)|1)
+		}
+		m.Cache.FlushAll()
+		mid = m.Phys.ResidentBytes()
+		// A watch spanning a page boundary, tripped and disarmed.
+		if _, err := m.Kern.WatchMemory(0x40000+vm.PageBytes-64, 128); err != nil {
+			return err
+		}
+		m.Kern.RegisterECCFaultHandler(func(f *kernel.ECCFault) bool {
+			return m.Kern.DisableWatchMemory(f.VLine, 64) == nil
+		})
+		m.Load64(0x40000 + vm.PageBytes)
+		return m.Kern.DisableWatchMemory(0x40000+vm.PageBytes-64, 64)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid < start+pages*physmem.ChunkBytes {
+		t.Fatalf("resident DRAM grew from %d to %d bytes mid-run, want at least %d more (one chunk per written frame)",
+			start, mid, pages*physmem.ChunkBytes)
+	}
+	end := m.Phys.ResidentBytes()
+	m.Recycle()
+	if got := m.Phys.ResidentBytes(); got != end {
+		t.Fatalf("Recycle changed resident DRAM from %d to %d bytes; it restores lines in place", end, got)
+	}
+	for a := physmem.Addr(0); uint64(a) < cfg.MemBytes; a += physmem.GroupBytes {
+		d, c := m.Phys.ReadGroupRaw(a)
+		fd, fc := fresh.Phys.ReadGroupRaw(a)
+		if d != fd || c != fc {
+			t.Fatalf("recycled DRAM group %#x = %#x/%#x, fresh machine has %#x/%#x", uint64(a), d, c, fd, fc)
+		}
+	}
+	if got, want := runRecycleWorkload(t, m), runRecycleWorkload(t, fresh); got != want {
+		t.Fatalf("run after recycling a chunk-allocating run diverges:\nfresh:    %+v\nrecycled: %+v", want, got)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 type Snapshot struct {
 	m     *Machine
 	clock *simtime.ClockImage
-	phys  *physmem.Image
+	phys  physmem.Image
 	ctrl  *memctrl.Image
 	cache *cache.Image
 	as    *vm.Image
@@ -80,7 +80,7 @@ func (m *Machine) Restore(s *Snapshot) {
 		panic("machine: Restore with a snapshot captured from a different machine")
 	}
 	m.Clock.RestoreImage(s.clock)
-	m.Phys.RestoreImage(s.phys)
+	m.Phys.RestoreImage(&s.phys)
 	m.Ctrl.RestoreImage(s.ctrl)
 	m.Cache.RestoreImage(s.cache)
 	m.AS.RestoreImage(s.as)

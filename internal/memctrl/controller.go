@@ -392,10 +392,7 @@ func (c *Controller) ReadLine(a physmem.Addr) [physmem.GroupsPerLine]uint64 {
 	var out [physmem.GroupsPerLine]uint64
 	if c.fastPath && c.mode != Disabled && c.lineClean(a) {
 		c.fastLineReads++
-		for i := 0; i < physmem.GroupsPerLine; i++ {
-			out[i], _ = c.mem.ReadGroupRaw(a + physmem.Addr(i*physmem.GroupBytes))
-		}
-		return out
+		return c.mem.ReadLineData(a)
 	}
 	errsBefore := c.stats.CorrectedSingle + c.stats.Uncorrectable
 	for i := 0; i < physmem.GroupsPerLine; i++ {
@@ -501,9 +498,5 @@ func (c *Controller) PeekLine(a physmem.Addr) [physmem.GroupsPerLine]uint64 {
 	if !a.IsLineAligned() {
 		panic(fmt.Sprintf("memctrl: PeekLine at unaligned address %#x", uint64(a)))
 	}
-	var out [physmem.GroupsPerLine]uint64
-	for i := 0; i < physmem.GroupsPerLine; i++ {
-		out[i], _ = c.mem.ReadGroupRaw(a + physmem.Addr(i*physmem.GroupBytes))
-	}
-	return out
+	return c.mem.ReadLineData(a)
 }

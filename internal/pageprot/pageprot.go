@@ -68,7 +68,9 @@ type watch struct {
 	base  vm.VAddr // page aligned
 	pages int
 	kind  BugKind
-	block *heap.Block
+	// block is the buffer the region guards, copied: the allocator reuses
+	// a freed block's storage.
+	block heap.Block
 }
 
 // Stats counts tool activity.
@@ -131,7 +133,7 @@ func (t *Tool) protect(base vm.VAddr, pages int, kind BugKind, b *heap.Block) {
 	if err := t.m.Kern.Mprotect(base, pages, vm.ProtNone); err != nil {
 		panic(fmt.Sprintf("pageprot: mprotect: %v", err))
 	}
-	w := &watch{base: base, pages: pages, kind: kind, block: b}
+	w := &watch{base: base, pages: pages, kind: kind, block: *b}
 	for i := 0; i < pages; i++ {
 		t.byPage[base+vm.VAddr(i*vm.PageBytes)] = w
 	}
@@ -188,11 +190,9 @@ func (t *Tool) handlePageFault(f *vm.Fault) bool {
 	rep.Time = t.m.Clock.Now()
 	rep.Addr = f.Addr
 	rep.Write = f.Write
-	if w.block != nil {
-		rep.BufferAddr = w.block.Addr
-		rep.BufferSize = w.block.Size
-		rep.Site = w.block.Site
-	}
+	rep.BufferAddr = w.block.Addr
+	rep.BufferSize = w.block.Size
+	rep.Site = w.block.Site
 	t.reports = append(t.reports, rep)
 	t.unprotect(w)
 	if t.stopOnBug {

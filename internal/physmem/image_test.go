@@ -95,7 +95,7 @@ func TestRestoreImageDirtySummary(t *testing.T) {
 	}
 	for round, lines := range cases {
 		n := mutate(uint64(round+1), slices.Clone(lines)...)
-		fastRestore(t, m, img, n)
+		fastRestore(t, m, &img, n)
 		assertSameMemory(t, m, ref)
 	}
 
@@ -106,10 +106,10 @@ func TestRestoreImageDirtySummary(t *testing.T) {
 	m.CaptureImage()
 	assertNoDirty(t, m)
 	mutate(4, 6, 4098)
-	m.RestoreImage(img)
+	m.RestoreImage(&img)
 	assertSameMemory(t, m, ref)
 	n := mutate(5, 0, 4095, 4096, last)
-	fastRestore(t, m, img, n)
+	fastRestore(t, m, &img, n)
 	assertSameMemory(t, m, ref)
 }
 

@@ -7,11 +7,20 @@
 // check policy — when check bits are regenerated, when errors are corrected
 // or reported — belongs to package memctrl, mirroring the hardware split
 // between DRAM modules and the chipset.
+//
+// Storage is sparse. DRAM is a directory of page-sized chunks, each holding
+// the data words and the check bits of 512 groups in two arrays. A chunk is
+// allocated by the first mutation of one of its groups; an absent chunk
+// reads as zero data with zero check bits, which is a valid codeword
+// (ecc.Encode(0) == 0). Reads, scrubs and image captures never allocate, so
+// a machine pays host memory only for the frames it has written. Chunks are
+// never freed: a restore rewrites dirty lines in place.
 package physmem
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"safemem/internal/telemetry"
 )
@@ -43,16 +52,28 @@ func (a Addr) GroupInLine() int { return int(a.LineOffset() / GroupBytes) }
 // IsLineAligned reports whether a is aligned to a line boundary.
 func (a Addr) IsLineAligned() bool { return a%LineBytes == 0 }
 
-// group is one stored ECC group: 64 data bits plus 8 check bits.
-type group struct {
-	data  uint64
-	check uint8
+// chunkGroups is the number of ECC groups a chunk stores: one 4 KiB page,
+// so a mapped frame costs exactly one chunk.
+const chunkGroups = 512
+
+// chunk is one lazily allocated stretch of DRAM: the data words and check
+// bits of chunkGroups consecutive groups, stored as two arrays.
+type chunk struct {
+	data  [chunkGroups]uint64
+	check [chunkGroups]uint8
 }
+
+// ChunkBytes is the size of one chunk's storage: what ResidentBytes
+// counts per allocated chunk.
+const ChunkBytes = chunkGroups * (GroupBytes + 1)
 
 // Memory is the simulated DRAM. The zero value is unusable; create with New.
 type Memory struct {
-	groups []group
-	size   uint64
+	// chunks is the chunk directory; a nil entry has never been written
+	// and reads as all-zero groups.
+	chunks   []*chunk
+	resident int
+	size     uint64
 
 	// onMutate, when set, observes every mutation of stored bits — raw
 	// writes, data-only writes, and bit flips — with the line address of the
@@ -112,7 +133,7 @@ func New(size uint64) (*Memory, error) {
 	}
 	words := (size/LineBytes + 63) / 64
 	return &Memory{
-		groups:   make([]group, size/GroupBytes),
+		chunks:   make([]*chunk, (size/GroupBytes+chunkGroups-1)/chunkGroups),
 		size:     size,
 		touched:  make([]uint64, words),
 		dirty:    make([]uint64, words),
@@ -132,10 +153,16 @@ func MustNew(size uint64) *Memory {
 // Size returns the memory size in bytes.
 func (m *Memory) Size() uint64 { return m.size }
 
-// RegisterTelemetry registers the DRAM geometry with the registry.
+// ResidentBytes returns the host memory held by allocated chunks: the
+// simulated DRAM's real footprint, as opposed to Size.
+func (m *Memory) ResidentBytes() uint64 { return uint64(m.resident) * ChunkBytes }
+
+// RegisterTelemetry registers the DRAM geometry and resident footprint with
+// the registry.
 func (m *Memory) RegisterTelemetry(reg *telemetry.Registry) {
 	reg.RegisterSource("physmem", func(emit func(string, float64)) {
 		emit("size_bytes", float64(m.size))
+		emit("resident_bytes", float64(m.ResidentBytes()))
 		emit("lines", float64(m.Lines()))
 	})
 }
@@ -155,11 +182,38 @@ func (m *Memory) groupIndex(a Addr) uint64 {
 	return uint64(a) / GroupBytes
 }
 
+// chunkOf returns the chunk holding group idx, allocating it on first use.
+// Only mutations call it.
+func (m *Memory) chunkOf(idx uint64) *chunk {
+	c := m.chunks[idx/chunkGroups]
+	if c == nil {
+		c = new(chunk)
+		m.chunks[idx/chunkGroups] = c
+		m.resident++
+	}
+	return c
+}
+
 // ReadGroupRaw returns the stored data word and check bits of the ECC group
 // at a, without any ECC checking.
 func (m *Memory) ReadGroupRaw(a Addr) (data uint64, check uint8) {
-	g := m.groups[m.groupIndex(a)]
-	return g.data, g.check
+	idx := m.groupIndex(a)
+	c := m.chunks[idx/chunkGroups]
+	if c == nil {
+		return 0, 0
+	}
+	return c.data[idx%chunkGroups], c.check[idx%chunkGroups]
+}
+
+// ReadLineData returns the stored data words of the line at a without any
+// ECC checking: eight ReadGroupRaw calls' data, one chunk lookup.
+func (m *Memory) ReadLineData(a Addr) (out [GroupsPerLine]uint64) {
+	idx := m.lineIndex(a)
+	if c := m.chunks[idx/chunkGroups]; c != nil {
+		i := idx % chunkGroups
+		copy(out[:], c.data[i:i+GroupsPerLine])
+	}
+	return out
 }
 
 // WriteGroupRaw stores both the data word and the check bits of the group at
@@ -167,7 +221,8 @@ func (m *Memory) ReadGroupRaw(a Addr) (data uint64, check uint8) {
 // injector.
 func (m *Memory) WriteGroupRaw(a Addr, data uint64, check uint8) {
 	idx := m.groupIndex(a)
-	m.groups[idx] = group{data: data, check: check}
+	c := m.chunkOf(idx)
+	c.data[idx%chunkGroups], c.check[idx%chunkGroups] = data, check
 	m.noteMutate(idx / GroupsPerLine)
 }
 
@@ -177,40 +232,39 @@ func (m *Memory) WriteGroupRaw(a Addr, data uint64, check uint8) {
 // check bits now mismatch the new data.
 func (m *Memory) WriteGroupDataOnly(a Addr, data uint64) {
 	idx := m.groupIndex(a)
-	m.groups[idx].data = data
+	m.chunkOf(idx).data[idx%chunkGroups] = data
 	m.noteMutate(idx / GroupsPerLine)
 }
 
-// lineGroups returns the eight stored groups of the line at a, panicking
-// on a misaligned or out-of-range line address.
-func (m *Memory) lineGroups(a Addr) (line uint64, gs []group) {
+// lineIndex returns the index of the first group of the line at a,
+// panicking on a misaligned or out-of-range line address. A line never
+// straddles two chunks.
+func (m *Memory) lineIndex(a Addr) uint64 {
 	if !a.IsLineAligned() {
 		panic(fmt.Sprintf("physmem: address %#x not line aligned", uint64(a)))
 	}
-	gi := m.groupIndex(a)
-	return gi / GroupsPerLine, m.groups[gi : gi+GroupsPerLine : gi+GroupsPerLine]
+	return m.groupIndex(a)
 }
 
 // WriteLineRaw stores the data words and check bits of all eight groups of
 // the line at a. It is equivalent to eight WriteGroupRaw calls, but records
 // the mutation — bitmaps and hook — once for the line.
 func (m *Memory) WriteLineRaw(a Addr, data [GroupsPerLine]uint64, check [GroupsPerLine]uint8) {
-	line, gs := m.lineGroups(a)
-	for i := range gs {
-		gs[i] = group{data: data[i], check: check[i]}
-	}
-	m.noteMutate(line)
+	idx := m.lineIndex(a)
+	c, i := m.chunkOf(idx), idx%chunkGroups
+	copy(c.data[i:i+GroupsPerLine], data[:])
+	copy(c.check[i:i+GroupsPerLine], check[:])
+	m.noteMutate(idx / GroupsPerLine)
 }
 
 // WriteLineDataOnly stores the data words of the line at a, leaving every
 // group's check bits untouched: eight WriteGroupDataOnly calls with one
 // mutation record.
 func (m *Memory) WriteLineDataOnly(a Addr, data [GroupsPerLine]uint64) {
-	line, gs := m.lineGroups(a)
-	for i := range gs {
-		gs[i].data = data[i]
-	}
-	m.noteMutate(line)
+	idx := m.lineIndex(a)
+	i := idx % chunkGroups
+	copy(m.chunkOf(idx).data[i:i+GroupsPerLine], data[:])
+	m.noteMutate(idx / GroupsPerLine)
 }
 
 // FlipDataBit inverts one data bit of the group at a, leaving the check bits
@@ -220,37 +274,58 @@ func (m *Memory) FlipDataBit(a Addr, bit uint) {
 		panic("physmem: data bit out of range")
 	}
 	idx := m.groupIndex(a)
-	m.groups[idx].data ^= 1 << bit
+	m.chunkOf(idx).data[idx%chunkGroups] ^= 1 << bit
 	m.noteMutate(idx / GroupsPerLine)
 }
 
-// Image is an immutable checkpoint of a Memory's stored bits, taken with
-// CaptureImage. It records only the touched lines — for a freshly built
-// machine's pristine image, that is no lines at all.
+// savedLine is one line's stored bits as an image records them.
+type savedLine struct {
+	data  [GroupsPerLine]uint64
+	check [GroupsPerLine]uint8
+}
+
+// Image is a checkpoint of a Memory's stored bits, taken with CaptureImage.
+// It records only the touched lines — for a freshly built machine's
+// pristine image, that is no lines at all, and the image holds no host
+// memory beyond its header.
 type Image struct {
-	mem     *Memory
-	gen     uint64
+	mem *Memory
+	gen uint64
+	// touched is the memory's touched bitmap at capture, nil when no line
+	// had ever been mutated.
 	touched []uint64
-	lines   map[uint64]*[GroupsPerLine]group
+	lines   map[uint64]*savedLine
+}
+
+// touchedWord returns word wi of the image's touched bitmap.
+func (img *Image) touchedWord(wi int) uint64 {
+	if img.touched == nil {
+		return 0
+	}
+	return img.touched[wi]
 }
 
 // CaptureImage checkpoints the memory's current contents. It also resets
 // the dirty-since-capture bitmap, so a later RestoreImage re-copies only
 // lines mutated in between. The image belongs to this memory; restoring it
-// elsewhere panics.
-func (m *Memory) CaptureImage() *Image {
-	img := &Image{
-		mem:     m,
-		touched: append([]uint64(nil), m.touched...),
-		lines:   make(map[uint64]*[GroupsPerLine]group),
-	}
+// elsewhere panics. Capturing allocates no chunks, and nothing at all for a
+// memory that was never written.
+func (m *Memory) CaptureImage() Image {
+	img := Image{mem: m}
 	for wi, w := range m.touched {
 		for w != 0 {
+			if img.touched == nil {
+				img.touched = slices.Clone(m.touched)
+				img.lines = make(map[uint64]*savedLine)
+			}
 			b := uint64(bits.TrailingZeros64(w))
 			w &^= 1 << b
 			line := uint64(wi)<<6 + b
-			saved := new([GroupsPerLine]group)
-			copy(saved[:], m.groups[line*GroupsPerLine:(line+1)*GroupsPerLine])
+			gi := line * GroupsPerLine
+			c, i := m.chunks[gi/chunkGroups], gi%chunkGroups
+			saved := new(savedLine)
+			copy(saved.data[:], c.data[i:i+GroupsPerLine])
+			copy(saved.check[:], c.check[i:i+GroupsPerLine])
 			img.lines[line] = saved
 		}
 	}
@@ -263,15 +338,18 @@ func (m *Memory) CaptureImage() *Image {
 
 // restoreLine puts one line back to its image content (or zero, when the
 // image never held it) and fires the mutate hook, exactly as an explicit
-// write would, so a controller's known-clean bitmap cannot go stale.
+// write would, so a controller's known-clean bitmap cannot go stale. A
+// line restored to zero in a chunk that was never allocated stays absent.
 func (m *Memory) restoreLine(img *Image, line uint64) {
 	gi := line * GroupsPerLine
+	i := gi % chunkGroups
 	if saved, ok := img.lines[line]; ok {
-		copy(m.groups[gi:gi+GroupsPerLine], saved[:])
-	} else {
-		for g := gi; g < gi+GroupsPerLine; g++ {
-			m.groups[g] = group{}
-		}
+		c := m.chunkOf(gi)
+		copy(c.data[i:i+GroupsPerLine], saved.data[:])
+		copy(c.check[i:i+GroupsPerLine], saved.check[:])
+	} else if c := m.chunks[gi/chunkGroups]; c != nil {
+		clear(c.data[i : i+GroupsPerLine])
+		clear(c.check[i : i+GroupsPerLine])
 	}
 	if m.onMutate != nil {
 		m.onMutate(Addr(line * LineBytes))
@@ -284,7 +362,7 @@ func (m *Memory) restoreLine(img *Image, line uint64) {
 // only the lines dirtied in between are re-copied; otherwise every line
 // either side ever touched is restored — slower, never wrong. Afterwards
 // the image is valid for the next O(dirty) restore. The mutate hook fires
-// once per restored line.
+// once per restored line. Restored lines keep their chunks.
 func (m *Memory) RestoreImage(img *Image) {
 	if img.mem != m {
 		panic("physmem: RestoreImage with an image captured from a different memory")
@@ -310,7 +388,7 @@ func (m *Memory) RestoreImage(img *Image) {
 					d &^= 1 << b
 					m.restoreLine(img, wi<<6+b)
 				}
-				m.touched[wi] &^= w &^ img.touched[wi]
+				m.touched[wi] &^= w &^ img.touchedWord(int(wi))
 				m.dirty[wi] = 0
 			}
 		}
@@ -319,13 +397,13 @@ func (m *Memory) RestoreImage(img *Image) {
 	// Full path: the bitmaps' provenance is unknown (a different image was
 	// captured or restored since), so walk the union of both touched sets.
 	for wi := range m.touched {
-		w := m.touched[wi] | img.touched[wi]
+		w := m.touched[wi] | img.touchedWord(wi)
 		for w != 0 {
 			b := uint64(bits.TrailingZeros64(w))
 			w &^= 1 << b
 			m.restoreLine(img, uint64(wi)<<6+b)
 		}
-		m.touched[wi] = img.touched[wi]
+		m.touched[wi] = img.touchedWord(wi)
 		m.dirty[wi] = 0
 	}
 	clear(m.dirtySum)
@@ -339,6 +417,6 @@ func (m *Memory) FlipCheckBit(a Addr, bit uint) {
 		panic("physmem: check bit out of range")
 	}
 	idx := m.groupIndex(a)
-	m.groups[idx].check ^= 1 << bit
+	m.chunkOf(idx).check[idx%chunkGroups] ^= 1 << bit
 	m.noteMutate(idx / GroupsPerLine)
 }

@@ -171,6 +171,11 @@ func (t *Tool) SafeMemStats() safemem.Stats { return t.inner.Stats() }
 // Reports returns the inner detector's bug reports, in detection order.
 func (t *Tool) Reports() []safemem.BugReport { return t.inner.Reports() }
 
+// Release ends the run: the caller promises not to use t again, and the
+// inner detector's storage is left for the next Attach on the same machine
+// (safemem.Tool.Release).
+func (t *Tool) Release() { t.inner.Release() }
+
 // Shutdown runs the inner detector's program-exit pass and disarms every
 // watch. Returns the newly produced reports.
 func (t *Tool) Shutdown() []safemem.BugReport { return t.inner.Shutdown() }
