@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race check ci bench bench-smoke bench-quick bench-check bench-gate-test campaign storm fuzz-short frontier coverage-floor serve-smoke
+.PHONY: all build vet fmt test race check ci bench bench-smoke bench-check bench-gate-test campaign storm fuzz-short frontier coverage-floor serve-smoke
 
 all: check
 
@@ -74,7 +74,7 @@ serve-smoke:
 
 # check is the full verification gate: compile, vet, tests, race tests,
 # short fuzzing, the randomized campaigns (clean and storm hardware), and
-# the host-performance gates against the tracked baselines.
+# the host-speed gate (bench-check) against the tracked benchmark baselines.
 check: build vet test race fuzz-short campaign storm bench-check
 
 # ci is the continuous-integration gate (.github/workflows/ci.yml): the
@@ -85,7 +85,7 @@ check: build vet test race fuzz-short campaign storm bench-check
 # equivalence, the never-repool taint rule, the machine package) — cheap
 # enough for every push, unlike `make race` — the serving-stack chaos smoke,
 # the benchmark gate's self-test, the per-cycle and per-scenario cost
-# benchmark smoke, and the host-performance regression gates.
+# benchmark smoke, and the host-speed gate over the repository benchmark.
 ci: build vet fmt test
 	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier
 	$(MAKE) coverage-floor
@@ -118,27 +118,17 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'WatchUnwatch|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/campaign
 
-# bench-quick refreshes the tracked simulator-throughput baseline
-# (BENCH_throughput.json): each app runs uninstrumented and wall-clocked.
-# Simulated columns are deterministic; host columns describe this machine.
-bench-quick:
-	$(GO) run ./cmd/safemem-bench -experiment throughput
-
-# bench-check guards host performance in two legs. The throughput leg
-# reruns the throughput experiment and fails (exit 1) if host-ns/instr
-# regressed more than 25% against the tracked BENCH_throughput.json — on
-# the aggregate total or on any single app's row (a batched-run bail-out
-# regression can triple one workload while barely moving the total) — or if
-# the run's seed, scale or deterministic simulated columns differ from the
-# baseline's. The benchmark leg runs the repository benchmark's campaign and
-# fleet workloads for 5 s each and checks each result against the tracked
-# BENCH_<workload>.json with scripts/bench_gate.sh: it fails if the result
-# is not correct (the seed-1 digests), if its failed share of ops rose, or
-# if ops_per_s fell below 75% of the baseline. After a deliberate perf
-# trade-off, accept the new numbers with `make bench-check BENCHFLAGS=-update`.
+# bench-check guards host performance through the repository benchmark. It
+# runs the apps-bare, apps-safemem, campaign and fleet workloads for 5 s
+# each and checks each result against the tracked BENCH_<workload>.json
+# with scripts/bench_gate.sh: it fails if the result is not correct (the
+# seed-1 digests), if its failed share of ops rose, or if ops_per_s fell
+# below 75% of the baseline. Per-app batch-lane behaviour is pinned
+# deterministically by TestAppLaneCountsPinned (internal/bench), not here.
+# After a deliberate perf trade-off, accept the new numbers with
+# `make bench-check BENCHFLAGS=-update`.
 bench-check:
-	$(GO) run ./cmd/safemem-bench -experiment throughput -throughput-check BENCH_throughput.json $(BENCHFLAGS)
-	for w in campaign fleet; do \
+	for w in apps-bare apps-safemem campaign fleet; do \
 		rm -f .bench_build/$$w.json; \
 		bash benchmark/run.sh --workload $$w --seconds 5 --trace 0 --out .bench_build/$$w.json; \
 		status=$$?; \
@@ -149,13 +139,12 @@ bench-check:
 	done
 
 # bench-gate-test checks bench-check's gate against each tracked
-# BENCH_campaign.json / BENCH_fleet.json: the baseline passes against
-# itself, a result fails (exit 1, naming its workload) against a copy of
-# the baseline with ops_per_s doubled, and a truncated result is refused
-# (exit 2).
+# BENCH_<workload>.json: the baseline passes against itself, a result fails
+# (exit 1, naming its workload) against a copy of the baseline with
+# ops_per_s doubled, and a truncated result is refused (exit 2).
 bench-gate-test:
 	mkdir -p .bench_build
-	for w in campaign fleet; do \
+	for w in apps-bare apps-safemem campaign fleet; do \
 		./scripts/bench_gate.sh BENCH_$$w.json BENCH_$$w.json || exit 1; \
 		jq '.[].metrics.ops_per_s.value *= 2' BENCH_$$w.json > .bench_build/$$w-doubled.json || exit 1; \
 		msg=$$(./scripts/bench_gate.sh .bench_build/$$w-doubled.json BENCH_$$w.json 2>&1); \

@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	safemem-bench [-experiment table2|table3|table4|table5|sample|figure3|summary|throughput|frontier|all]
+//	safemem-bench [-experiment table2|table3|table4|table5|sample|figure3|summary|frontier|all]
 //	              [-seed N] [-scale N] [-iterations N] [-parallel N]
-//	              [-throughput-out FILE] [-throughput-check FILE] [-update]
 //	              [-frontier-out FILE] [-frontier-scenarios N]
 //	              [-metrics-out FILE] [-trace-out FILE] [-jsonl-out FILE]
 //	              [-sample-interval MS] [-serve :9090]
@@ -14,8 +13,9 @@
 //
 // Absolute numbers are simulated-cycle measurements; the shapes — who wins,
 // by roughly what factor, where the crossovers fall — are the reproduction
-// target (see EXPERIMENTS.md). Campaign and fleet host throughput are
-// measured by the repository benchmark (benchmark/, run by make bench-check).
+// target (see EXPERIMENTS.md). Host speed, of the apps, the campaign and the
+// fleet alike, is measured by the repository benchmark (benchmark/, gated by
+// make bench-check).
 package main
 
 import (
@@ -49,19 +49,15 @@ type jsonOutput struct {
 	Sample  []bench.SampleRow     `json:"sample,omitempty"`
 	Figure3 []bench.Figure3Series `json:"figure3,omitempty"`
 	Summary []bench.SummaryRow    `json:"summary,omitempty"`
-	Through *bench.Throughput     `json:"throughput,omitempty"`
 	Front   *frontier.Frontier    `json:"frontier,omitempty"`
 }
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: table2, table3, table4, table5, sample, figure3, summary, throughput, frontier or all")
+	experiment := flag.String("experiment", "all", "which experiment to run: table2, table3, table4, table5, sample, figure3, summary, frontier or all")
 	seed := flag.Int64("seed", 42, "workload generator seed")
 	scale := flag.Int("scale", 0, "workload scale multiplier (0 = per-experiment default)")
 	iterations := flag.Int("iterations", 256, "microbenchmark iterations (table2)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for independent experiment cells (results are identical at any value)")
-	throughputOut := flag.String("throughput-out", "BENCH_throughput.json", "where the throughput experiment writes its JSON baseline (empty disables)")
-	throughputCheck := flag.String("throughput-check", "", "compare the throughput run against this JSON baseline instead of writing one; exit 1 on >25% host-ns/instr regression or on a seed, scale or simulated-work mismatch")
-	update := flag.Bool("update", false, "with -throughput-check: rewrite the baseline from this run instead of comparing")
 	frontierOut := flag.String("frontier-out", "BENCH_frontier.json", "where the frontier experiment writes its JSON baseline (empty disables)")
 	frontierScenarios := flag.Int("frontier-scenarios", 0, "scenario count for the frontier sweep (0 = tracked-baseline default)")
 	format := flag.String("format", "text", "output format: text or json")
@@ -230,46 +226,6 @@ func main() {
 			fmt.Println(f.Render())
 		}
 	}
-	// throughput wall-clocks the host, so like summary it only runs when
-	// requested explicitly (not under -experiment all).
-	if *experiment == "throughput" {
-		t, err := bench.RunThroughput(cfg)
-		if err != nil {
-			log.Error("throughput failed", "err", err)
-			profiling.Exit(1)
-		}
-		switch {
-		case *throughputCheck != "" && *update:
-			if err := t.WriteJSON(*throughputCheck); err != nil {
-				fmt.Fprintf(os.Stderr, "safemem-bench: throughput: %v\n", err)
-				profiling.Exit(1)
-			}
-			log.Info("updated throughput baseline", "path", *throughputCheck)
-		case *throughputCheck != "":
-			base, err := bench.ReadThroughput(*throughputCheck)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "safemem-bench: throughput: %v\n", err)
-				profiling.Exit(1)
-			}
-			if err := t.CheckAgainst(base, 0.25); err != nil {
-				fmt.Println(t.Render())
-				fmt.Fprintf(os.Stderr, "safemem-bench: throughput check vs %s: %v\n", *throughputCheck, err)
-				fmt.Fprintf(os.Stderr, "safemem-bench: (rerun with -update to accept the new baseline)\n")
-				profiling.Exit(1)
-			}
-			log.Info("throughput ok", "host_ns_per_instr", t.Total.HostNSPerInstr, "baseline", base.Total.HostNSPerInstr)
-		case *throughputOut != "":
-			if err := t.WriteJSON(*throughputOut); err != nil {
-				fmt.Fprintf(os.Stderr, "safemem-bench: throughput: %v\n", err)
-				profiling.Exit(1)
-			}
-		}
-		if asJSON {
-			out.Through = t
-		} else {
-			fmt.Println(t.Render())
-		}
-	}
 	// summary re-runs every experiment internally, so it only runs when
 	// requested explicitly (not under -experiment all).
 	if *experiment == "summary" {
@@ -298,7 +254,7 @@ func main() {
 	})
 
 	switch *experiment {
-	case "table2", "table3", "table4", "table5", "sample", "figure3", "summary", "throughput", "frontier", "all":
+	case "table2", "table3", "table4", "table5", "sample", "figure3", "summary", "frontier", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "safemem-bench: unknown experiment %q\n", *experiment)
 		profiling.Exit(2)

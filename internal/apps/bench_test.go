@@ -9,8 +9,8 @@ import (
 
 // benchApp runs one uninstrumented app per iteration and reports host
 // nanoseconds per simulated instruction — the per-app view of the
-// throughput experiment, convenient for profiling a single workload
-// (go test -bench App/gzip -cpuprofile ...).
+// repository benchmark's apps-bare workload, convenient for profiling a
+// single workload (go test -bench App/gzip -cpuprofile ...).
 func benchApp(b *testing.B, name string) {
 	app, ok := Get(name)
 	if !ok {

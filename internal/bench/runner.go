@@ -189,11 +189,12 @@ type Result struct {
 	// Cycles is the simulated CPU time of the run.
 	Cycles simtime.Cycles
 	// Instrs is the simulated-instruction count (loads + stores + compute
-	// cycles) — the denominator of the throughput experiment.
+	// cycles).
 	Instrs uint64
 	// HostNS is host wall-clock spent inside Machine.Run — the simulated
 	// program only, excluding machine construction/recycling, heap setup and
-	// tool attachment. The throughput and fleet experiments aggregate it.
+	// tool attachment. The repository benchmark's traced apps runs divide
+	// it by Instrs for their per-app host ns/instr rows.
 	HostNS int64
 
 	// Tool-specific outputs (only the attached tool's fields are set).

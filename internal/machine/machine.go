@@ -104,8 +104,8 @@ type Machine struct {
 	stats    Stats
 	// instrs counts executed simulated instructions: one per load/store plus
 	// one per Compute cycle (CostInstr is 1). Kept outside Stats so existing
-	// result records and JSON summaries are unchanged; the throughput
-	// experiment reads it to convert host wall-clock into ns-per-instruction.
+	// result records and JSON summaries are unchanged; the repository
+	// benchmark reads it to convert host wall-clock into ns-per-instruction.
 	instrs uint64
 	cur    access
 	// batch is the batched-access fast lane's windows and host-side

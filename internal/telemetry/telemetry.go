@@ -183,10 +183,10 @@ type Registry struct {
 
 	mu       sync.Mutex
 	clock    *simtime.Clock
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	order    []string // registration order of owned metrics, for stable export
+	counters map[metricKey]*Counter
+	gauges   map[metricKey]*Gauge
+	hists    map[metricKey]*Histogram
+	order    []metricKey // registration order of owned metrics, for stable export
 	sources  []sourceEntry
 	// sourceCache holds the source values as of the last simulation-thread
 	// read (sampler tick, SampleNow, Snapshot). LiveSnapshot serves these to
@@ -216,9 +216,9 @@ func NewRegistry(run string, cfg Config) *Registry {
 	return &Registry{
 		run:      run,
 		cfg:      cfg,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters: make(map[metricKey]*Counter),
+		gauges:   make(map[metricKey]*Gauge),
+		hists:    make(map[metricKey]*Histogram),
 		tracer:   &Tracer{max: cfg.MaxTraceEvents},
 	}
 }
@@ -245,13 +245,15 @@ func (r *Registry) AttachClock(clock *simtime.Clock) {
 // tracing is disabled or no clock is attached).
 func (r *Registry) Tracer() *Tracer { return r.tracer }
 
-func key(component, name string) string { return component + "/" + name }
+// metricKey identifies an owned metric. A struct key, not a joined
+// string, so looking up an existing metric allocates nothing.
+type metricKey struct{ component, name string }
 
 // Counter returns the counter component/name, creating it on first use.
 func (r *Registry) Counter(component, name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := key(component, name)
+	k := metricKey{component, name}
 	if c, ok := r.counters[k]; ok {
 		return c
 	}
@@ -265,7 +267,7 @@ func (r *Registry) Counter(component, name string) *Counter {
 func (r *Registry) Gauge(component, name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := key(component, name)
+	k := metricKey{component, name}
 	if g, ok := r.gauges[k]; ok {
 		return g
 	}
@@ -281,7 +283,7 @@ func (r *Registry) Gauge(component, name string) *Gauge {
 func (r *Registry) Histogram(component, name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := key(component, name)
+	k := metricKey{component, name}
 	if h, ok := r.hists[k]; ok {
 		return h
 	}

@@ -42,6 +42,24 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestLookupExistingAllocFree pins that finding an existing metric
+// allocates nothing: components look their metrics up again on every
+// attach to a recycled machine.
+func TestLookupExistingAllocFree(t *testing.T) {
+	r := NewRegistry("", Config{})
+	comp, name := "comp", "events"
+	r.Counter(comp, name)
+	r.Gauge(comp, name)
+	r.Histogram(comp, name, LatencyBuckets)
+	if avg := testing.AllocsPerRun(100, func() {
+		r.Counter(comp, name)
+		r.Gauge(comp, name)
+		r.Histogram(comp, name, LatencyBuckets)
+	}); avg != 0 {
+		t.Fatalf("looking up existing metrics allocates %.1f objects, want 0", avg)
+	}
+}
+
 func TestSnapshotIncludesSources(t *testing.T) {
 	r := NewRegistry("", Config{})
 	r.Counter("b", "z").Inc()
