@@ -104,18 +104,19 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # bench-smoke runs the cold machine build, machine-recycle, batch-lane
-# scan, line-write, watch/unwatch and per-scenario campaign benchmarks once
-# each, so they keep compiling and running. Compare RecycleFewDirtyLines
-# across its two DRAM sizes by hand: recycling must cost what the run
-# dirtied, so its ns/op stays roughly flat as MemBytes grows. For numbers,
-# rerun one with a larger -benchtime: MachineNew reports the ns and host
-# bytes of a cold 32 MiB New (DRAM is sparse, so B/op is far below the
-# simulated size), LoadRunScan reports host ns per 64-byte line and 0
-# allocs/op (and fails if the scan leaves the fast lane), WatchUnwatch
-# reports 0 allocs/op, and Scenario's garbage-B/op is the host garbage one
-# campaign scenario leaves behind.
+# single- and two-stream, line-write, watch/unwatch and per-scenario
+# campaign benchmarks once each, so they keep compiling and running.
+# Compare RecycleFewDirtyLines across its two DRAM sizes by hand: recycling
+# must cost what the run dirtied, so its ns/op stays roughly flat as
+# MemBytes grows. For numbers, rerun one with a larger -benchtime:
+# MachineNew reports the ns and host bytes of a cold 32 MiB New (DRAM is
+# sparse, so B/op is far below the simulated size), LoadRunScan (a 128 KiB
+# scan) and CopyCompareRun (a 128 KiB copy, then a compare of the two
+# copies) report host ns per 64-byte line and 0 allocs/op and fail if they
+# leave the fast lane, WatchUnwatch reports 0 allocs/op, and Scenario's
+# garbage-B/op is the host garbage one campaign scenario leaves behind.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
+	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|CopyCompareRun|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'WatchUnwatch|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/campaign
 
 # bench-check guards host performance through the repository benchmark. It

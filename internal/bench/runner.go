@@ -35,9 +35,9 @@ var Telemetry *telemetry.Session
 
 // Parallel is the worker count runCells uses to execute independent
 // experiment cells concurrently (the -parallel flag of safemem-bench).
-// Values below 2 keep the legacy fully-sequential order. Every cell builds
-// its own machine, so results are identical at any worker count; only host
-// wall-clock changes.
+// Values below 2 run one worker, which runs the cells in index order.
+// Every cell builds its own machine, so results are identical at any
+// worker count; only host wall-clock changes.
 var Parallel = 1
 
 // Progress, when set, is called after each experiment cell completes:
@@ -56,44 +56,32 @@ func noteProgress(label string, done, total int) {
 }
 
 // runCells executes n independent cell functions, each writing only its own
-// result slot, on up to workers goroutines (the experiments pass Parallel),
-// reporting each finished cell to the Progress hook under label. Cells must
-// not share simulator state (each run gets its own pristine machine). The
-// returned error is the lowest-indexed cell error, matching what a
-// sequential sweep would have reported first; later cells still run to
-// completion either way.
+// result slot, on up to workers goroutines but at least one (the
+// experiments pass Parallel), reporting each finished cell to the Progress
+// hook under label. Cells must not share simulator state (each run gets its
+// own pristine machine). The returned error is the lowest-indexed cell
+// error, matching what a sequential sweep would have reported first; later
+// cells still run to completion either way.
 func runCells(label string, workers, n int, cell func(i int) error) error {
 	var done atomic.Int64
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	finish := func(i int, err error) {
-		errs[i] = err
-		noteProgress(label, int(done.Add(1)), n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < max(1, min(workers, n)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = cell(i)
+				noteProgress(label, int(done.Add(1)), n)
+			}
+		}()
 	}
-	if workers < 2 {
-		for i := 0; i < n; i++ {
-			finish(i, cell(i))
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					finish(i, cell(i))
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	for i := 0; i < n; i++ {
+		idx <- i
 	}
+	close(idx)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

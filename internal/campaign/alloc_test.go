@@ -14,7 +14,7 @@ var raceEnabled = false
 // of what remains is per-run output: the result records, their report
 // copies and bug-report strings, the sampler's site map, and the
 // telemetry sources each run registers.
-const steadyStateAllocs = 105
+const steadyStateAllocs = 97
 
 // TestScenarioSteadyStateAllocs pins the garbage-free scenario path: once
 // a pooled machine and the per-run storage its previous runs left behind

@@ -39,9 +39,9 @@ func TestDirectWatchFaultsWithIntactData(t *testing.T) {
 		t.Fatalf("check bits not scramble-flipped")
 	}
 
-	var faults []*ECCFault
+	var faults []ECCFault
 	r.k.RegisterECCFaultHandler(func(f *ECCFault) bool {
-		faults = append(faults, f)
+		faults = append(faults, *f)
 		return r.k.DisableWatchMemory(f.VLine, 64) == nil
 	})
 	if got := r.load(t, base); got != 0x1234567890abcdef {

@@ -130,9 +130,9 @@ func TestCoordinatedScrubRacesWatchArm(t *testing.T) {
 			}
 		},
 	)
-	var faults []*ECCFault
+	var faults []ECCFault
 	r.k.RegisterECCFaultHandler(func(f *ECCFault) bool {
-		faults = append(faults, f)
+		faults = append(faults, *f)
 		return true
 	})
 

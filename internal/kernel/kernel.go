@@ -60,7 +60,9 @@ type ECCFault struct {
 // ECCFaultHandler is a user-level ECC fault handler. It returns true when
 // it handled the fault (after repairing memory, e.g. via
 // DisableWatchMemory); returning false sends the kernel to panic mode, the
-// behaviour of unmodified Linux/Windows on ECC errors (Section 2.1).
+// behaviour of unmodified Linux/Windows on ECC errors (Section 2.1). The
+// fault record is valid only until the handler returns: the kernel reuses
+// it for later interrupts.
 type ECCFaultHandler func(*ECCFault) bool
 
 // PageFaultHandler is a user-level page-protection fault handler (SIGSEGV
@@ -159,6 +161,12 @@ type Kernel struct {
 
 	eccHandler  ECCFaultHandler
 	pageHandler PageFaultHandler
+	// faults holds the ECCFault record of each interrupt nesting depth,
+	// reused across interrupts; faultDepth counts the depths in use. A
+	// handler can re-enter the kernel (an unwatch that faults again), so a
+	// nested interrupt must not overwrite the record its caller holds.
+	faults     []*ECCFault
+	faultDepth int
 
 	// scrub coordination hooks (SafeMem temporarily unwatches everything
 	// around a scrub pass, Section 2.2.2).
@@ -281,7 +289,13 @@ func (k *Kernel) handleECCInterrupt(r memctrl.FaultReport) {
 	if k.panicked {
 		return
 	}
-	fault := &ECCFault{
+	if k.faultDepth == len(k.faults) {
+		k.faults = append(k.faults, new(ECCFault))
+	}
+	fault := k.faults[k.faultDepth]
+	k.faultDepth++
+	defer func() { k.faultDepth-- }()
+	*fault = ECCFault{
 		PLine:       r.Line,
 		GroupIndex:  r.Group.GroupInLine(),
 		Data:        r.Data,

@@ -94,9 +94,9 @@ func TestWatchFaultsOnFirstAccessAndHandlerRepairs(t *testing.T) {
 		t.Fatal("Watched() false for watched line")
 	}
 
-	var faults []*ECCFault
+	var faults []ECCFault
 	r.k.RegisterECCFaultHandler(func(f *ECCFault) bool {
-		faults = append(faults, f)
+		faults = append(faults, *f)
 		if !f.Watched {
 			return false
 		}
@@ -454,5 +454,37 @@ func TestWatchUnmappedTailFailsCleanly(t *testing.T) {
 	}
 	if r.as.Pinned(base) != 0 {
 		t.Fatal("pin leaked")
+	}
+}
+
+// TestNestedECCFaultKeepsOuterRecord pins the reuse of fault records: a
+// handler that faults again on another watched line gets a second record,
+// and its own record still describes its line afterwards.
+func TestNestedECCFaultKeepsOuterRecord(t *testing.T) {
+	r := newRig(t, 1<<20)
+	mapHeap(t, r, 1)
+	for _, line := range []vm.VAddr{base, base + physmem.LineBytes} {
+		if _, err := r.k.WatchMemory(line, physmem.LineBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lines []vm.VAddr
+	r.k.RegisterECCFaultHandler(func(f *ECCFault) bool {
+		line, pline := f.VLine, f.PLine
+		if err := r.k.DisableWatchMemory(line, physmem.LineBytes); err != nil {
+			t.Fatal(err)
+		}
+		if line == base {
+			r.load(t, base+physmem.LineBytes)
+		}
+		if f.VLine != line || f.PLine != pline {
+			t.Errorf("fault record on %#x now reads line %#x", uint64(line), uint64(f.VLine))
+		}
+		lines = append(lines, line)
+		return true
+	})
+	r.load(t, base)
+	if want := []vm.VAddr{base + physmem.LineBytes, base}; len(lines) != 2 || lines[0] != want[0] || lines[1] != want[1] {
+		t.Errorf("handled lines %#x, want %#x", lines, want)
 	}
 }

@@ -7,9 +7,9 @@
 // (copy loops, match loops, table scans, checksums) repeat that work for
 // accesses whose outcome is identical.
 //
-// RunAccesses and the LoadRun/StoreRun/LoadByteRun/StoreByteRun/CopyRun/
-// CompareRun conveniences (and Memset and Memcpy, built on them) execute
-// such runs with the checks hoisted to batch granularity:
+// The LoadRun/StoreRun/LoadByteRun/StoreByteRun/CopyRun/CompareRun
+// conveniences (and Memset and Memcpy, built on them) execute such runs
+// with the checks hoisted to batch granularity:
 //
 //   - translation is resolved once per page window (vm.TranslateRun) and
 //     protection checked against it, instead of a translate call per
@@ -17,16 +17,16 @@
 //   - the cache line is probed once per line (cache.OpenLine) and data
 //     moves directly against the resident line, instead of a full lookup
 //     per access;
-//   - accounting is committed in bulk. The span engine behind the
-//     contiguous single-stream runs (contiguous LoadRun/StoreRun,
-//     LoadByteRun, StoreByteRun, Memset) commits each kind of state only
-//     as often as it must: the LRU stamp once per line, the page touch
-//     once per page window, and stats, instructions and one clock Advance
-//     once per run (spanRun). RunAccesses, strided runs and the
-//     dual-stream CopyRun and CompareRun settle one line segment at a time
-//     (segFlush, segFlushPair);
+//   - accounting is committed in bulk by one engine (spanRun) behind every
+//     entry point, single-stream (contiguous runs, Memset) and two-stream
+//     (CopyRun, CompareRun) alike. It commits each kind of state only as
+//     often as it must: each stream's LRU stamp once per line, its page
+//     touch once per page window, and stats, instructions and one clock
+//     Advance once per run;
 //   - the wake horizon (simtime.Clock.Headroom) bounds every deferred
 //     charge, so no timer deadline can fall inside a batched commit.
+//
+// Strided runs (stride != size) are served per access.
 //
 // The lane is a pure host-side optimisation: simulated semantics are
 // bit-identical to issuing the same accesses through Load/Store, pinned by
@@ -86,25 +86,25 @@ func lineBytesLE(w *[8]uint64, off, n uint64) uint64 {
 // batchLane is the machine's fast-lane state: host-side counters (outside
 // Stats, like the TLB counters — they describe the simulator, not the
 // simulated machine, and must not perturb goldens) and the persistent run
-// segments. Machine.Recycle resets all of it so a pooled machine can never
+// windows. Machine.Recycle resets all of it so a pooled machine can never
 // leak a stale batch window across tenants.
 type batchLane struct {
 	runs    uint64 // batched runs entered through the lane
-	fastOps uint64 // accesses served in-segment
+	fastOps uint64 // accesses served in the lane
 	slowOps uint64 // accesses that bailed to the per-access path
 
-	// Persistent run segments, reused across runs. Windows left open at the
-	// end of a run stay valid for the next one as long as neither the cache
-	// residency epoch nor the translation epoch has moved (laneSegs checks);
-	// consecutive runs over the same lines (gzip's match/hash loops) then
-	// skip the translate and line probe entirely.
+	// Persistent run windows, one per stream, reused across runs. Windows
+	// left open at the end of a run stay valid for the next one as long as
+	// neither the cache residency epoch nor the translation epoch has moved
+	// (laneSegs checks); consecutive runs over the same lines (gzip's
+	// match/hash loops) then skip the translate and line probe entirely.
 	a, b       runSeg
 	cacheEpoch uint64
 	vmEpoch    uint64
 }
 
 // BatchStats returns the host-side fast-lane counters: batched runs
-// entered, accesses served in-segment, and accesses that fell back to the
+// entered, accesses served in the lane, and accesses that fell back to the
 // per-access slow path.
 func (m *Machine) BatchStats() (runs, fastOps, slowOps uint64) {
 	return m.batch.runs, m.batch.fastOps, m.batch.slowOps
@@ -122,9 +122,8 @@ func (m *Machine) laneOK() bool {
 const perAccessHitCost = simtime.CostInstr + simtime.CostCacheHit
 
 // runSeg is the open fast-lane window of one access stream: a page window
-// (translation hoisted to page granularity) containing an open line segment
-// (cache probe hoisted to line granularity) with uncommitted access counts.
-// Dual-stream runs (CopyRun, CompareRun) hold one runSeg per stream.
+// (translation hoisted to page granularity) containing a line window
+// (cache probe hoisted to line granularity).
 type runSeg struct {
 	page   vm.PageRef
 	pageVA vm.VAddr
@@ -133,94 +132,27 @@ type runSeg struct {
 	line   cache.LineRef
 	lineVA vm.VAddr
 	lineOK bool
-
-	// Uncommitted in-segment accesses, settled by segFlush.
-	loads  uint64
-	stores uint64
-
-	// budget is the remaining accesses runOp may batch before the wake
-	// horizon could be reached (single-stream runs only; dual-stream runs
-	// budget per chunk instead).
-	budget uint64
 }
 
-// segFlush commits the open line segment: the counter, clock, cache-LRU and
-// translate accounting that n per-access hits would have produced, settled
-// in one step. The single Advance cannot fire a wake — every path that
-// accumulates ops bounds them by the headroom measured when the segment
-// opened.
-func (m *Machine) segFlush(seg *runSeg) {
-	if n := seg.loads + seg.stores; n > 0 {
-		m.stats.Loads += seg.loads
-		m.stats.Stores += seg.stores
-		m.instrs += n
-		m.Cache.CommitRun(seg.line, n)
-		seg.page.TouchRun(n)
-		seg.loads, seg.stores = 0, 0
-		m.Clock.Advance(simtime.Cycles(n) * perAccessHitCost)
-	}
-}
-
-// segFlushPair commits two segments of a dual-stream run — first in access
-// order, then second — folding both cycle charges into one Advance. The
-// commit order (first before second) is what preserves the interleaved
-// stream's relative LRU and touch stamps.
-func (m *Machine) segFlushPair(first, second *runSeg) {
-	na := first.loads + first.stores
-	nb := second.loads + second.stores
-	if na > 0 {
-		m.stats.Loads += first.loads
-		m.stats.Stores += first.stores
-		m.instrs += na
-		m.Cache.CommitRun(first.line, na)
-		first.page.TouchRun(na)
-		first.loads, first.stores = 0, 0
-	}
-	if nb > 0 {
-		m.stats.Loads += second.loads
-		m.stats.Stores += second.stores
-		m.instrs += nb
-		m.Cache.CommitRun(second.line, nb)
-		second.page.TouchRun(nb)
-		second.loads, second.stores = 0, 0
-	}
-	if n := na + nb; n > 0 {
-		m.Clock.Advance(simtime.Cycles(n) * perAccessHitCost)
-	}
-}
-
-// segReset flushes and additionally drops the segment's windows and wake
-// budget.
-func (m *Machine) segReset(seg *runSeg) {
-	m.segFlush(seg)
-	seg.pageOK = false
-	seg.lineOK = false
-	seg.budget = 0
-}
-
-// laneReset commits and drops BOTH persistent segments. Required before any
-// slow-path access or fired wake: the access may change any translation,
-// cache or timer state either window caches, including windows left open by
-// a previous run.
+// laneReset drops BOTH persistent windows. Required before any slow-path
+// access: the access may change any translation, cache or timer state
+// either window caches, including windows left open by a previous run.
+// Whatever a run deferred is committed first (spanSlow).
 func (m *Machine) laneReset() {
-	m.segReset(&m.batch.a)
-	m.segReset(&m.batch.b)
+	m.batch.a.pageOK, m.batch.a.lineOK = false, false
+	m.batch.b.pageOK, m.batch.b.lineOK = false, false
 }
 
-// laneSegs returns the machine's persistent run segments, revalidated
+// laneSegs returns the machine's persistent run windows, revalidated
 // against the cache-residency and translation epochs: when neither epoch has
 // moved since the last run ended, any still-open windows are provably intact
-// and the new run resumes without re-probing; otherwise both segments are
-// dropped. Wake budgets never persist — simulated time advances between
-// runs, so headroom must be re-measured.
+// and the new run resumes without re-probing; otherwise both are dropped.
 func (m *Machine) laneSegs() (*runSeg, *runSeg) {
 	a, b := &m.batch.a, &m.batch.b
 	if ce, ve := m.Cache.Epoch(), m.AS.Epoch(); m.batch.cacheEpoch != ce || m.batch.vmEpoch != ve {
 		*a = runSeg{}
 		*b = runSeg{}
 		m.batch.cacheEpoch, m.batch.vmEpoch = ce, ve
-	} else {
-		a.budget, b.budget = 0, 0
 	}
 	return a, b
 }
@@ -232,195 +164,35 @@ func (m *Machine) laneExit() {
 	m.batch.cacheEpoch, m.batch.vmEpoch = m.Cache.Epoch(), m.AS.Epoch()
 }
 
-// openWindow ensures seg's page and line windows cover an access at va in
-// the given direction, opening or switching them as needed (committing the
-// previous segment first). false means the access must take the slow path:
-// pending kernel work, an unmapped/swapped page, a protection violation, or
-// a non-resident line.
-func (m *Machine) openWindow(seg *runSeg, va vm.VAddr, write bool) bool {
-	if m.Kern.WorkPending() {
-		// The per-access path drains deferred work after every access; a
-		// slow access here preserves that boundary exactly.
-		return false
-	}
-	pageVA := va.PageAddr()
-	if !seg.pageOK || seg.pageVA != pageVA {
-		if seg.loads|seg.stores != 0 {
-			m.segFlush(seg)
-		}
-		seg.lineOK = false
-		pr, ok := m.AS.TranslateRun(va)
-		if !ok {
-			return false
-		}
-		seg.page, seg.pageVA, seg.pageOK = pr, pageVA, true
-	}
-	need := vm.ProtRead
-	if write {
-		need = vm.ProtWrite
-	}
-	if seg.page.Prot&need == 0 {
-		return false
-	}
-	lineVA := va.LineAddr()
-	if !seg.lineOK || seg.lineVA != lineVA {
-		if seg.loads|seg.stores != 0 {
-			m.segFlush(seg)
-		}
-		seg.lineOK = false
-		lr, ok := m.Cache.OpenLine(seg.page.Frame + physmem.Addr(uint64(lineVA-seg.pageVA)))
-		if !ok {
-			return false
-		}
-		seg.line, seg.lineVA, seg.lineOK = lr, lineVA, true
-	}
-	return true
-}
-
-// wakeBudget returns how many batched accesses fit strictly before the next
-// wake deadline, given costPerAccess cycles each (effectively unlimited
-// when no timer is armed).
-func (m *Machine) wakeBudget(costPerAccess simtime.Cycles) uint64 {
-	if h, bounded := m.Clock.Headroom(); bounded {
-		return uint64(h / costPerAccess)
-	}
-	return ^uint64(0)
-}
-
-// pairBudget returns how many more dual-stream elements (two accesses each)
-// fit strictly before the next wake deadline, counting both segments'
-// uncommitted accesses against the headroom. When the pending charges alone
-// exhaust it, the pair is committed — advancing the clock — and the horizon
-// re-measured.
-func (m *Machine) pairBudget(first, second *runSeg) uint64 {
-	h, bounded := m.Clock.Headroom()
-	if !bounded {
-		return ^uint64(0)
-	}
-	pend := simtime.Cycles(first.loads+first.stores+second.loads+second.stores) * perAccessHitCost
-	if h <= pend {
-		m.segFlushPair(first, second)
-		h, _ = m.Clock.Headroom()
-		pend = 0
-	}
-	return uint64((h - pend) / (2 * perAccessHitCost))
-}
-
-// runOp performs one access of a batched run: in-segment when the open
-// window covers it, through the exact per-access slow path otherwise.
-// Returns the loaded value (0 for stores).
-func (m *Machine) runOp(seg *runSeg, va vm.VAddr, size int, write bool, v uint64) uint64 {
-	if uint64(va)&7+uint64(size) <= 8 {
-		if seg.budget == 0 {
-			m.segFlush(seg)
-			seg.budget = m.wakeBudget(perAccessHitCost)
-		}
-		if seg.budget > 0 && m.openWindow(seg, va, write) {
-			off := uint64(va - seg.lineVA)
-			seg.budget--
-			m.batch.fastOps++
-			if write {
-				seg.line.Store(off, size, v)
-				seg.stores++
-				return 0
-			}
-			seg.loads++
-			return seg.line.Load(off, size)
-		}
-	}
-	m.laneReset()
-	m.batch.slowOps++
-	if write {
-		m.Store(va, size, v)
-		return 0
-	}
-	return m.Load(va, size)
-}
-
-// AccessOp is one element of a RunAccesses batch: a load or store of Size
-// bytes at VA. For stores Val is the value to write; for loads Val receives
-// the result.
-type AccessOp struct {
-	VA    vm.VAddr
-	Val   uint64
-	Size  uint8
-	Write bool
-}
-
-// RunAccesses executes the batch in order, exactly equivalent to issuing
-// each op through Load/Store, with validation and accounting amortized to
-// batch granularity where nothing interesting is in play.
-func (m *Machine) RunAccesses(batch []AccessOp) {
-	if !m.laneOK() {
-		for i := range batch {
-			op := &batch[i]
-			if op.Write {
-				m.Store(op.VA, int(op.Size), op.Val)
-			} else {
-				op.Val = m.Load(op.VA, int(op.Size))
-			}
-		}
-		return
-	}
-	m.batch.runs++
-	seg, _ := m.laneSegs()
-	for i := range batch {
-		op := &batch[i]
-		if op.Write {
-			m.runOp(seg, op.VA, int(op.Size), true, op.Val)
-		} else {
-			op.Val = m.runOp(seg, op.VA, int(op.Size), false, 0)
-		}
-	}
-	m.segFlush(seg)
-	m.laneExit()
-}
-
 // LoadRun performs len(dst) loads of size bytes spaced stride bytes apart
 // starting at va, in index order, results into dst. Equivalent to the same
 // Load calls; contiguous runs (stride == size) take the span engine.
 func (m *Machine) LoadRun(va vm.VAddr, size int, stride uint64, dst []uint64) {
-	switch {
-	case !m.laneOK():
+	if !m.laneOK() || stride != uint64(size) {
 		for i := range dst {
 			dst[i] = m.Load(va+vm.VAddr(uint64(i)*stride), size)
 		}
-	case stride == uint64(size):
-		r := m.spanBegin(false)
-		m.span(&r, &span{kind: spanLoad, size: stride, words: dst}, va, uint64(len(dst)))
-		m.spanEnd(&r)
-	default:
-		m.batch.runs++
-		seg, _ := m.laneSegs()
-		for i := range dst {
-			dst[i] = m.runOp(seg, va+vm.VAddr(uint64(i)*stride), size, false, 0)
-		}
-		m.segFlush(seg)
-		m.laneExit()
+		return
 	}
+	var r spanRun
+	m.spanBegin(&r, vm.ProtRead, vm.ProtNone)
+	m.span(&r, &span{kind: spanLoad, size: stride, words: dst}, va, uint64(len(dst)))
+	m.spanEnd(&r)
 }
 
 // StoreRun performs len(src) stores of size bytes spaced stride bytes
 // apart starting at va, in index order, values from src.
 func (m *Machine) StoreRun(va vm.VAddr, size int, stride uint64, src []uint64) {
-	switch {
-	case !m.laneOK():
+	if !m.laneOK() || stride != uint64(size) {
 		for i := range src {
 			m.Store(va+vm.VAddr(uint64(i)*stride), size, src[i])
 		}
-	case stride == uint64(size):
-		r := m.spanBegin(true)
-		m.span(&r, &span{kind: spanStore, size: stride, words: src}, va, uint64(len(src)))
-		m.spanEnd(&r)
-	default:
-		m.batch.runs++
-		seg, _ := m.laneSegs()
-		for i := range src {
-			m.runOp(seg, va+vm.VAddr(uint64(i)*stride), size, true, src[i])
-		}
-		m.segFlush(seg)
-		m.laneExit()
+		return
 	}
+	var r spanRun
+	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone)
+	m.span(&r, &span{kind: spanStore, size: stride, words: src}, va, uint64(len(src)))
+	m.spanEnd(&r)
 }
 
 // LoadByteRun reads len(b) consecutive bytes at va into b — the batched
@@ -432,7 +204,8 @@ func (m *Machine) LoadByteRun(va vm.VAddr, b []byte) {
 		}
 		return
 	}
-	r := m.spanBegin(false)
+	var r spanRun
+	m.spanBegin(&r, vm.ProtRead, vm.ProtNone)
 	m.span(&r, &span{kind: spanLoadBytes, size: 1, bytes: b}, va, uint64(len(b)))
 	m.spanEnd(&r)
 }
@@ -446,12 +219,13 @@ func (m *Machine) StoreByteRun(va vm.VAddr, b []byte) {
 		}
 		return
 	}
-	r := m.spanBegin(true)
+	var r spanRun
+	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone)
 	m.span(&r, &span{kind: spanStoreBytes, size: 1, bytes: b}, va, uint64(len(b)))
 	m.spanEnd(&r)
 }
 
-// spanKind is the data movement of a contiguous single-stream run.
+// spanKind is the data movement of a contiguous run.
 type spanKind uint8
 
 const (
@@ -460,28 +234,38 @@ const (
 	spanStore                      // words[i] into element i
 	spanStoreBytes                 // bytes[i] into byte i
 	spanFill                       // the low size bytes of fill into every element
+	spanCopy                       // element i of stream a into element i of stream b
+	spanCompare                    // byte i of stream a against byte i of stream b, until they differ
 )
 
-// span is one contiguous single-stream run of size-byte elements: the
-// LoadRun/StoreRun contiguous case, LoadByteRun, StoreByteRun, and each
-// head, body and tail of a Memset.
+// span is one contiguous run of size-byte elements: the LoadRun/StoreRun
+// contiguous case, LoadByteRun, StoreByteRun, each head, body and tail of
+// a Memset, and each word or byte stretch of a CopyRun or CompareRun. The
+// last two are two-stream spans: element i is an access at va+i·size on
+// stream a, then one at the same address plus delta on stream b.
 type span struct {
 	kind  spanKind
 	size  uint64
 	words []uint64
 	bytes []byte
 	fill  uint64
+	delta vm.VAddr
+	// stop is set by a compare's first mismatching element, which ends
+	// the span after both its bytes were loaded.
+	stop bool
 }
 
-// move transfers elements [i, i+c) against the resident line l, element i
-// at byte offset off. The caller has checked that none crosses a group.
-func (sp *span) move(l cache.LineRef, off, i, c uint64) {
+// move transfers elements [i, i+c) against the resident line l (element i
+// at byte offset off) and, for a two-stream span, lb (at boff). The caller
+// has checked that none crosses a group. It returns how many elements it
+// performed: c, or fewer when a compare stopped.
+func (sp *span) move(l, lb cache.LineRef, off, boff, i, c uint64) uint64 {
 	size := sp.size
 	switch sp.kind {
 	case spanLoad:
 		if size == 8 {
 			copy(sp.words[i:i+c], l.Words()[off>>3:])
-			return
+			break
 		}
 		for j := uint64(0); j < c; j++ {
 			sp.words[i+j] = l.Load(off+j*size, int(size))
@@ -521,7 +305,28 @@ func (sp *span) move(l cache.LineRef, off, i, c uint64) {
 			}
 			l.StoreBytesLE(off+j, r, v)
 		}
+	case spanCopy:
+		if size == 8 {
+			lb.CopyWords(int(boff>>3), l, int(off>>3), int(c))
+			break
+		}
+		for j := uint64(0); j < c; j++ {
+			lb.Store(boff+j, 1, l.Load(off+j, 1))
+		}
+	case spanCompare:
+		// Up to 8 byte pairs per step with a masked word XOR; the first
+		// differing byte's index falls out of the trailing-zero count.
+		aw, bw := l.Words(), lb.Words()
+		for j := uint64(0); j < c; {
+			k := min(c-j, 8)
+			if x := lineBytesLE(aw, off+j, k) ^ lineBytesLE(bw, boff+j, k); x != 0 {
+				sp.stop = true
+				return j + uint64(bits.TrailingZeros64(x))/8 + 1
+			}
+			j += k
+		}
 	}
+	return c
 }
 
 // slow performs element i, at va, through the per-access path.
@@ -538,61 +343,91 @@ func (sp *span) slow(m *Machine, va vm.VAddr, i uint64) {
 		m.Store(va, 1, uint64(sp.bytes[i]))
 	case spanFill:
 		m.Store(va, size, sp.fill)
+	case spanCopy:
+		m.Store(va+sp.delta, size, m.Load(va, size))
+	case spanCompare:
+		sp.stop = m.Load(va, 1) != m.Load(va+sp.delta, 1)
 	}
 }
 
-// spanRun is the span engine's uncommitted state for one batched run, one
-// access direction throughout. Each kind of state is committed only as
-// often as its semantics need:
+// spanStream is one access stream of a run: its persistent window, the
+// protection its accesses need, and the values the run counter had when
+// its open line and page were last stamped.
+type spanStream struct {
+	seg            *runSeg
+	need           vm.Prot
+	lineAt, pageAt uint64
+}
+
+// spanRun is the span engine's uncommitted state for one batched run of
+// one access stream, or of two: stream a (s[0], on window batch.a) and
+// stream b (s[1], on batch.b), accessed in that order in every element.
+// Each kind of state is committed only as often as its semantics need:
 //
-//   - per line: the LRU stamp (Cache.CommitRun) when the run leaves the
+//   - per line: a stream's LRU stamp (Cache.CommitRun) when it leaves the
 //     line, so relative LRU order — and with it every victim — matches the
 //     per-access path;
-//   - per page window: the page's touch stamp (PageRef.TouchRun) with the
-//     summed count when the run leaves the page (translation ticks are
+//   - per page window: a stream's page touch (PageRef.TouchRun) with the
+//     summed count when it leaves the page (translation ticks are
 //     independent of cache ticks, so deferring it past line commits moves
 //     nothing);
 //   - per run: stats, instructions, the fast-op count and one
 //     Clock.Advance.
 //
-// One counter serves all three: n is the run's fast accesses not yet
-// committed, and lineAt and pageAt are the values n had when the open
-// line and page were last stamped. Any slow access first commits
-// everything (spanSlow). Nothing observes the clock between fast
-// accesses, and limit keeps the deferred charge strictly short of the
-// next wake deadline, so the single Advance fires nothing.
+// One counter serves all three: n is the run's fast elements not yet
+// committed, and each stream's lineAt and pageAt are the values n had when
+// its open line and page were last stamped. A stream's last access to a
+// line or page comes just before it leaves it, so stamping at the leave
+// keeps the per-access order of last accesses — provided that when both
+// streams leave at the same element, stream a (the one accessed first)
+// stamps first. Any slow access first commits everything (spanSlow).
+// Nothing observes the clock between fast accesses, and limit keeps the
+// deferred charge strictly short of the next wake deadline, so the single
+// Advance fires nothing.
 type spanRun struct {
-	seg   *runSeg
-	write bool
-	need  vm.Prot
+	s [2]spanStream
+	// acc is the accesses per element (1, or 2 in a two-stream run), and
+	// stores how many of them are stores (at most one stream stores).
+	acc, stores uint64
 
-	n, lineAt, pageAt uint64
+	n uint64
 	// limit is the value of n at which the wake horizon is reached. It is
 	// measured at run entry and after every slow access — the only points
 	// where a deadline or Kern.WorkPending can change, since fast accesses
 	// neither fire wakes nor queue kernel work — and is 0 while kernel
-	// work is pending, so the next access goes slow and drains it.
+	// work is pending, so the next element goes slow and drains it.
 	limit uint64
 }
 
-// spanBegin enters a batched run served by the span engine.
-func (m *Machine) spanBegin(write bool) spanRun {
+// spanBegin enters r, a batched run served by the span engine: stream a
+// needs protection a, and stream b, unless b is ProtNone, needs b. It
+// fills r in place: a spanRun is too large to return cheaply.
+func (m *Machine) spanBegin(r *spanRun, a, b vm.Prot) {
 	m.batch.runs++
-	seg, _ := m.laneSegs()
-	r := spanRun{seg: seg, write: write, need: vm.ProtRead, limit: m.spanBudget()}
-	if write {
-		r.need = vm.ProtWrite
+	sa, sb := m.laneSegs()
+	r.s[0] = spanStream{seg: sa, need: a}
+	r.s[1] = spanStream{seg: sb, need: b}
+	r.acc, r.stores, r.n = 1, 0, 0
+	if b != vm.ProtNone {
+		r.acc = 2
 	}
-	return r
+	if a == vm.ProtWrite || b == vm.ProtWrite {
+		r.stores = 1
+	}
+	r.limit = m.spanBudget(r)
 }
 
-// spanBudget returns how many batched accesses fit before the next wake
-// deadline, or 0 while kernel work is pending.
-func (m *Machine) spanBudget() uint64 {
+// spanBudget returns how many elements of r fit strictly before the next
+// wake deadline (effectively unlimited when no timer is armed), or 0 while
+// kernel work is pending.
+func (m *Machine) spanBudget(r *spanRun) uint64 {
 	if m.Kern.WorkPending() {
 		return 0
 	}
-	return m.wakeBudget(perAccessHitCost)
+	if h, bounded := m.Clock.Headroom(); bounded {
+		return uint64(h / (simtime.Cycles(r.acc) * perAccessHitCost))
+	}
+	return ^uint64(0)
 }
 
 // spanEnd commits the run and leaves its windows open for the next one.
@@ -601,64 +436,84 @@ func (m *Machine) spanEnd(r *spanRun) {
 	m.laneExit()
 }
 
-// spanCommit settles everything r has deferred: line, then page, then run.
+// spanCommit settles everything r has deferred: each stream's line and
+// page, stream a first, then the run.
 func (m *Machine) spanCommit(r *spanRun) {
 	n := r.n
 	if n == 0 {
 		return
 	}
-	if n > r.lineAt {
-		m.Cache.CommitRun(r.seg.line, n-r.lineAt)
+	for k := range r.acc {
+		m.streamCommit(&r.s[k], n)
 	}
-	if n > r.pageAt {
-		r.seg.page.TouchRun(n - r.pageAt)
-	}
-	r.n, r.lineAt, r.pageAt, r.limit = 0, 0, 0, r.limit-n
-	if r.write {
-		m.stats.Stores += n
-	} else {
-		m.stats.Loads += n
-	}
-	m.instrs += n
-	m.batch.fastOps += n
-	m.Clock.Advance(simtime.Cycles(n) * perAccessHitCost)
+	r.n, r.limit = 0, r.limit-n
+	acc, stores := n*r.acc, n*r.stores
+	m.stats.Loads += acc - stores
+	m.stats.Stores += stores
+	m.instrs += acc
+	m.batch.fastOps += acc
+	m.Clock.Advance(simtime.Cycles(acc) * perAccessHitCost)
 }
 
-// span executes n elements of sp from va — each resident line's elements
-// in one step, everything else through spanSlow — and returns the address
-// past the last one.
+// streamCommit stamps s's open line and page with its accesses since they
+// were last stamped, n being the run counter now.
+func (m *Machine) streamCommit(s *spanStream, n uint64) {
+	if n > s.lineAt {
+		m.Cache.CommitRun(s.seg.line, n-s.lineAt)
+	}
+	if n > s.pageAt {
+		s.seg.page.TouchRun(n - s.pageAt)
+	}
+	s.lineAt, s.pageAt = 0, 0
+}
+
+// spanPage moves s's page window to the page containing va, touching the
+// page being left. The window stays closed (pageOK false) when the page is
+// unmapped or swapped out.
+func (m *Machine) spanPage(r *spanRun, s *spanStream, va vm.VAddr) {
+	seg := s.seg
+	if r.n > s.pageAt {
+		seg.page.TouchRun(r.n - s.pageAt)
+	}
+	s.pageAt = r.n
+	seg.page, seg.pageOK = m.AS.TranslateRun(va)
+	seg.pageVA = va.PageAddr()
+}
+
+// span executes n elements of the single-stream span sp from va — each
+// resident line's elements in one step, everything else through spanSlow —
+// and returns the address past the last one.
 func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
-	seg, size, ch := r.seg, sp.size, m.Cache
+	s, size, ch := &r.s[0], sp.size, m.Cache
+	seg := s.seg
 	// Power-of-two elements at a size-aligned address never cross an ECC
 	// group, and a shift sizes their line segments. Any other run is
 	// clipped to the elements left in the current group, so the first
 	// crossing element goes slow and panics there.
 	shift := uint64(bits.TrailingZeros64(size))
 	grouped := size == 1<<shift && size <= physmem.GroupBytes && uint64(va)&(size-1) == 0
-	// The hot loop keeps the run counter and the line window in locals;
-	// they go back to r and seg before anything else reads them.
-	cnt, lineAt, limit := r.n, r.lineAt, r.limit
+	// The hot loop inlines spanOpen's line step and keeps the run counter
+	// and the line window in locals, which go back to r and seg before
+	// anything else reads them: a spanOpen call per line costs the table
+	// scans about a fifth of their host time.
+	cnt, lineAt, limit := r.n, s.lineAt, r.limit
 	line, lineVA, lineOK := seg.line, seg.lineVA, seg.lineOK
 	for i := uint64(0); i < n; {
 		if cnt < limit {
 			if va.LineAddr() != lineVA || !lineOK {
-				// Leaving the open line: stamp it, then probe the next
-				// one, moving the page window first if va left it.
 				if cnt > lineAt {
 					ch.CommitRun(line, cnt-lineAt)
 				}
 				lineAt, lineVA, lineOK = cnt, va.LineAddr(), false
 				if !seg.pageOK || seg.pageVA != va.PageAddr() {
 					r.n = cnt
-					m.spanPage(r, va)
+					m.spanPage(r, s, va)
 				}
 				if seg.pageOK {
 					line, lineOK = ch.OpenLine(seg.page.Frame + physmem.Addr(uint64(lineVA-seg.pageVA)))
 				}
 			}
-			// The prot check stays per line: a window resumed from an
-			// earlier run may have been opened for the other direction.
-			if lineOK && seg.page.Prot&r.need != 0 {
+			if lineOK && seg.page.Prot&s.need != 0 {
 				off := uint64(va - lineVA)
 				var c uint64
 				if grouped {
@@ -675,7 +530,7 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 						d[0], d[1], d[2], d[3] = w[0], w[1], w[2], w[3]
 						d[4], d[5], d[6], d[7] = w[4], w[5], w[6], w[7]
 					} else {
-						sp.move(line, off, i, c)
+						sp.move(line, cache.LineRef{}, off, 0, i, c)
 					}
 					cnt += c
 					i += c
@@ -684,30 +539,65 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 				}
 			}
 		}
-		r.n, r.lineAt = cnt, lineAt
+		r.n, s.lineAt = cnt, lineAt
 		seg.line, seg.lineVA, seg.lineOK = line, lineVA, lineOK
 		m.spanSlow(r, sp, va, i)
-		cnt, lineAt, limit = r.n, r.lineAt, r.limit
+		cnt, lineAt, limit = r.n, s.lineAt, r.limit
 		lineOK = seg.lineOK
 		i++
 		va += vm.VAddr(size)
 	}
-	r.n, r.lineAt = cnt, lineAt
+	r.n, s.lineAt = cnt, lineAt
 	seg.line, seg.lineVA, seg.lineOK = line, lineVA, lineOK
 	return va
 }
 
-// spanPage moves r's page window to the page containing va, touching the
-// page being left. The window stays closed (pageOK false) when the page is
-// unmapped or swapped out.
-func (m *Machine) spanPage(r *spanRun, va vm.VAddr) {
-	seg := r.seg
-	if r.n > r.pageAt {
-		seg.page.TouchRun(r.n - r.pageAt)
+// pair executes n elements of the two-stream span sp from va (stream b at
+// va+sp.delta) — each stretch that stays on both streams' resident lines
+// in one step, everything else through spanSlow — and returns the address
+// past the last one performed. A compare stops after its first
+// mismatching element.
+func (m *Machine) pair(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
+	sa, sb, shift := r.s[0].seg, r.s[1].seg, uint64(bits.TrailingZeros64(sp.size))
+	for i := uint64(0); i < n && !sp.stop; {
+		// Stream a moves first: when both streams leave a line at this
+		// element, a's stamp must precede b's, as its last access did.
+		if r.n < r.limit && m.spanOpen(r, &r.s[0], va) && m.spanOpen(r, &r.s[1], va+sp.delta) {
+			off, boff := uint64(va-sa.lineVA), uint64(va+sp.delta-sb.lineVA)
+			c := min((physmem.LineBytes-max(off, boff))>>shift, n-i, r.limit-r.n)
+			c = sp.move(sa.line, sb.line, off, boff, i, c)
+			r.n += c
+			i += c
+			va += vm.VAddr(c * sp.size)
+			continue
+		}
+		m.spanSlow(r, sp, va, i)
+		i++
+		va += vm.VAddr(sp.size)
 	}
-	r.pageAt = r.n
-	seg.page, seg.pageOK = m.AS.TranslateRun(va)
-	seg.pageVA = va.PageAddr()
+	return va
+}
+
+// spanOpen moves s's windows to cover an access at va, stamping the line —
+// and when va left it, the page — that s is leaving, and reports whether
+// the access can be served in the lane: its line is resident and its page
+// grants what s needs. The prot check stays per call: a window resumed
+// from an earlier run may have been opened for the other direction.
+func (m *Machine) spanOpen(r *spanRun, s *spanStream, va vm.VAddr) bool {
+	seg := s.seg
+	if lineVA := va.LineAddr(); !seg.lineOK || seg.lineVA != lineVA {
+		if r.n > s.lineAt {
+			m.Cache.CommitRun(seg.line, r.n-s.lineAt)
+		}
+		s.lineAt, seg.lineVA, seg.lineOK = r.n, lineVA, false
+		if !seg.pageOK || seg.pageVA != va.PageAddr() {
+			m.spanPage(r, s, va)
+		}
+		if seg.pageOK {
+			seg.line, seg.lineOK = m.Cache.OpenLine(seg.page.Frame + physmem.Addr(uint64(lineVA-seg.pageVA)))
+		}
+	}
+	return seg.lineOK && seg.page.Prot&s.need != 0
 }
 
 // spanSlow performs element i at va through the exact per-access path,
@@ -716,9 +606,9 @@ func (m *Machine) spanPage(r *spanRun, va vm.VAddr) {
 func (m *Machine) spanSlow(r *spanRun, sp *span, va vm.VAddr, i uint64) {
 	m.spanCommit(r)
 	m.laneReset()
-	m.batch.slowOps++
+	m.batch.slowOps += r.acc
 	sp.slow(m, va, i)
-	r.limit = m.spanBudget()
+	r.limit = m.spanBudget(r)
 }
 
 // CopyRun copies n bytes from src to dst (non-overlapping regions) with
@@ -738,83 +628,26 @@ func (m *Machine) CopyRun(dst, src vm.VAddr, n uint64) {
 		}
 		return
 	}
-	m.batch.runs++
-	sseg, dseg := m.laneSegs()
-	for n > 0 {
-		if uint64(dst)%8 == 0 && uint64(src)%8 == 0 && n >= 8 {
-			words := m.copySpan(dseg, sseg, dst, src, 8, n/8)
-			dst, src, n = dst+vm.VAddr(words*8), src+vm.VAddr(words*8), n-words*8
+	var r spanRun
+	m.spanBegin(&r, vm.ProtRead, vm.ProtWrite)
+	sp := span{kind: spanCopy, delta: dst - src}
+	for end := src + vm.VAddr(n); src < end; {
+		left := uint64(end - src)
+		if uint64(src)%8 == 0 && uint64(sp.delta)%8 == 0 && left >= 8 {
+			sp.size = 8
+			src = m.pair(&r, &sp, src, left/8)
 			continue
 		}
-		// Byte elements: all of n when the pointers can never co-align
-		// ((dst-src)%8 != 0), otherwise only up to the next co-alignment
-		// point — identical to the per-iteration test of the open-coded loop.
-		bytes := n
-		if uint64(dst)%8 == uint64(src)%8 && n >= 8 {
-			bytes = (8 - uint64(dst)%8) % 8
+		// Byte elements: all of the rest when the pointers can never
+		// co-align, otherwise only up to the next co-alignment point —
+		// identical to the per-iteration test of the open-coded loop.
+		if uint64(sp.delta)%8 == 0 && left >= 8 {
+			left = 8 - uint64(src)%8
 		}
-		done := m.copySpan(dseg, sseg, dst, src, 1, bytes)
-		dst, src, n = dst+vm.VAddr(done), src+vm.VAddr(done), n-done
+		sp.size = 1
+		src = m.pair(&r, &sp, src, left)
 	}
-	m.segFlushPair(sseg, dseg)
-	m.laneExit()
-}
-
-// copySpan copies elems elements of size bytes from src to dst through the
-// dual-stream fast lane (load src element, then store dst element, per
-// iteration), executing all elems; returns elems. Each chunk is clipped to
-// both line segments and to the wake horizon at two accesses per element;
-// the source segment commits before the destination segment, preserving
-// the interleaved order's relative LRU and touch stamps.
-func (m *Machine) copySpan(dseg, sseg *runSeg, dst, src vm.VAddr, size, elems uint64) uint64 {
-	total := elems
-	for elems > 0 {
-		chunk := elems
-		if bud := m.pairBudget(sseg, dseg); bud < chunk {
-			chunk = bud
-		}
-		ok := chunk > 0 && m.openWindow(sseg, src, false) && m.openWindow(dseg, dst, true)
-		if !ok {
-			m.laneReset()
-			m.batch.slowOps += 2
-			m.Store(dst, int(size), m.Load(src, int(size)))
-			dst, src, elems = dst+vm.VAddr(size), src+vm.VAddr(size), elems-1
-			continue
-		}
-		soff := uint64(src - sseg.lineVA)
-		doff := uint64(dst - dseg.lineVA)
-		if size == 8 {
-			if c := (physmem.LineBytes - soff) >> 3; c < chunk {
-				chunk = c
-			}
-			if c := (physmem.LineBytes - doff) >> 3; c < chunk {
-				chunk = c
-			}
-			dseg.line.CopyWords(int(doff>>3), sseg.line, int(soff>>3), int(chunk))
-		} else {
-			if c := physmem.LineBytes - soff; c < chunk {
-				chunk = c
-			}
-			if c := physmem.LineBytes - doff; c < chunk {
-				chunk = c
-			}
-			for i := uint64(0); i < chunk; i++ {
-				dseg.line.Store(doff+i, 1, sseg.line.Load(soff+i, 1))
-			}
-		}
-		sseg.loads += chunk
-		dseg.stores += chunk
-		m.batch.fastOps += 2 * chunk
-		// No per-chunk commit: each stream's segment flushes at its own
-		// line/page switch inside openWindow (or at CopyRun's final flush),
-		// so a line split across chunks commits once, not per chunk. Line
-		// retire order — and with it every relative LRU and touch stamp —
-		// matches the per-access interleave: a stream's line commits at the
-		// first chunk boundary after its last access, source before
-		// destination within a boundary.
-		dst, src, elems = dst+vm.VAddr(chunk*size), src+vm.VAddr(chunk*size), elems-chunk
-	}
-	return total
+	m.spanEnd(&r)
 }
 
 // CompareRun counts matching bytes at a and b, loading byte pairs in the
@@ -834,63 +667,16 @@ func (m *Machine) CompareRun(a, b vm.VAddr, max int) int {
 		}
 		return max
 	}
-	m.batch.runs++
-	aseg, bseg := m.laneSegs()
-	k := 0
-	for k < max {
-		chunk := uint64(max - k)
-		if bud := m.pairBudget(aseg, bseg); bud < chunk {
-			chunk = bud
-		}
-		ok := chunk > 0 && m.openWindow(aseg, a+vm.VAddr(k), false) && m.openWindow(bseg, b+vm.VAddr(k), false)
-		if !ok {
-			m.laneReset()
-			m.batch.slowOps += 2
-			av := m.Load(a+vm.VAddr(k), 1)
-			bv := m.Load(b+vm.VAddr(k), 1)
-			if av != bv {
-				return k
-			}
-			k++
-			continue
-		}
-		aoff := uint64(a+vm.VAddr(k)) - uint64(aseg.lineVA)
-		boff := uint64(b+vm.VAddr(k)) - uint64(bseg.lineVA)
-		if c := physmem.LineBytes - aoff; c < chunk {
-			chunk = c
-		}
-		if c := physmem.LineBytes - boff; c < chunk {
-			chunk = c
-		}
-		// Compare up to 8 byte pairs per step with a masked word XOR; the
-		// first differing byte's index falls out of the trailing-zero count.
-		// Accounting stays per byte pair — only the comparison is widened.
-		aw, bw := aseg.line.Words(), bseg.line.Words()
-		pairs := chunk
-		mismatch := false
-		for i := uint64(0); i < chunk; {
-			n := chunk - i
-			if n > 8 {
-				n = 8
-			}
-			if x := lineBytesLE(aw, aoff+i, n) ^ lineBytesLE(bw, boff+i, n); x != 0 {
-				pairs = i + uint64(bits.TrailingZeros64(x))/8 + 1
-				mismatch = true
-				break
-			}
-			i += n
-		}
-		aseg.loads += pairs
-		bseg.loads += pairs
-		m.batch.fastOps += 2 * pairs
-		if mismatch {
-			m.segFlushPair(aseg, bseg)
-			m.laneExit()
-			return k + int(pairs) - 1
-		}
-		k += int(pairs)
+	var r spanRun
+	m.spanBegin(&r, vm.ProtRead, vm.ProtRead)
+	sp := span{kind: spanCompare, size: 1, delta: b - a}
+	var end vm.VAddr
+	if max > 0 {
+		end = m.pair(&r, &sp, a, uint64(max))
 	}
-	m.segFlushPair(aseg, bseg)
-	m.laneExit()
-	return max
+	m.spanEnd(&r)
+	if !sp.stop {
+		return max
+	}
+	return int(end-a) - 1
 }

@@ -67,7 +67,7 @@ func batchWorkload(t *testing.T, batched bool) (batchDigest, [3]uint64) {
 			h(v)
 		}
 
-		// Strided halfword runs (the non-contiguous runOp path).
+		// Strided halfword runs (served per access).
 		m.StoreRun(base+4096, 2, 16, buf[:256])
 		m.LoadRun(base+4096, 2, 16, out[:256])
 		for _, v := range out[:256] {
@@ -101,20 +101,6 @@ func batchWorkload(t *testing.T, batched bool) (batchDigest, [3]uint64) {
 		m.Store(base+3*vm.PageBytes+777, 1, m.Load(base+3*vm.PageBytes+777, 1)^0x5a)
 		h(uint64(m.CompareRun(base, base+3*vm.PageBytes, 1024)))
 		h(uint64(m.CompareRun(base+1, base+3*vm.PageBytes+1, 60)))
-
-		// A mixed explicit batch: all sizes, loads and stores interleaved.
-		ops := []AccessOp{
-			{VA: base + 8, Size: 8},
-			{VA: base + 16, Size: 4, Write: true, Val: 0xdeadbeef},
-			{VA: base + 16, Size: 4},
-			{VA: base + 21, Size: 1, Write: true, Val: 0x7f},
-			{VA: base + 20, Size: 2},
-			{VA: base + 24, Size: 8},
-		}
-		m.RunAccesses(ops)
-		for _, op := range ops {
-			h(op.Val)
-		}
 
 		// A wake deadline landing inside a long byte run: it must fire at
 		// the identical simulated time either way.
@@ -353,14 +339,9 @@ func TestPersistentWindowEpochs(t *testing.T) {
 // batched entry point: a steady-state batch must not allocate either.
 func TestBatchPathNoAllocs(t *testing.T) {
 	m := newBenchMachine(t)
-	ops := make([]AccessOp, 8)
-	for i := range ops {
-		ops[i] = AccessOp{VA: 0x10000 + vm.VAddr(i*8), Size: 8, Write: i%2 == 0, Val: uint64(i)}
-	}
 	buf := make([]uint64, 64)
 	bs := make([]byte, 96)
 	if avg := testing.AllocsPerRun(1000, func() {
-		m.RunAccesses(ops)
 		m.StoreRun(0x10000, 8, 8, buf)
 		m.LoadRun(0x10000, 8, 8, buf)
 		m.StoreByteRun(0x10200, bs)
@@ -380,7 +361,7 @@ func TestBatchPathNoAllocs(t *testing.T) {
 // on exactly the same ones, not merely produce the same simulated state.
 func TestBatchStatsPinned(t *testing.T) {
 	_, lane := batchWorkload(t, true)
-	if want := [3]uint64{24, 13552, 308}; lane != want {
+	if want := [3]uint64{21, 13034, 308}; lane != want {
 		t.Errorf("BatchStats (runs, fast, slow) = %v, want %v", lane, want)
 	}
 }

@@ -129,3 +129,39 @@ func BenchmarkLoadRunScan(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 }
+
+// BenchmarkCopyCompareRun is LoadRunScan's two-stream twin: per op, one
+// aligned CopyRun of 128 KiB between resident regions, then a CompareRun
+// of the two (a full match). ns/line is host time per 64-byte line copied
+// and compared; allocs/op must stay 0.
+func BenchmarkCopyCompareRun(b *testing.B) {
+	const (
+		src   = vm.VAddr(0x100000)
+		dst   = vm.VAddr(0x200000)
+		bytes = 128 << 10
+		lines = bytes / physmem.LineBytes
+	)
+	m := MustNew(Config{MemBytes: 1 << 20})
+	for _, va := range []vm.VAddr{src, dst} {
+		if err := m.Kern.MapPages(va, bytes/vm.PageBytes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m.StoreRun(src, 8, 8, make([]uint64, bytes/8))
+	m.CopyRun(dst, src, bytes)
+	m.CompareRun(src, dst, bytes)
+	_, _, slow := m.BatchStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.CopyRun(dst, src, bytes)
+		if m.CompareRun(src, dst, bytes) != bytes {
+			b.Fatal("copy and source differ")
+		}
+	}
+	b.StopTimer()
+	if _, _, s := m.BatchStats(); s != slow {
+		b.Fatalf("copy or compare left the fast lane: %d slow accesses over resident lines", s-slow)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+}

@@ -311,13 +311,16 @@ func runDifferential(t *testing.T, ops []fuzzOp) (fast, ref *diffRig) {
 // strided and misaligned byte runs across lines and pages, copies and
 // compares with a planted mismatch, a wake inside a run, a watched line
 // under a run, a protection fault, swapped pages, snapshot/restore and
-// recycle, and single- and double-bit plants. The last four cover the
+// recycle, and single- and double-bit plants. The next four cover the
 // span engine's commit boundaries: LRU victims decided by batched line
 // stamps, a swap-out victim decided by a batched page touch, a wake armed
 // to fall inside a multi-page word run and a multi-page Memset, and
-// protection changes and swap-outs between runs.
+// protection changes and swap-outs between runs. The last three cover
+// them for two-stream runs: an LRU victim and a swap-out victim decided by
+// the order of a copy's source and destination stamps, and wakes inside
+// compares.
 func fuzzSeeds() [][]byte {
-	const page = uint16(vm.PageBytes)
+	const page, half = uint16(vm.PageBytes), uint16(fuzzHalf)
 	return [][]byte{
 		encodeOps(
 			fuzzOp{kind: fopStoreRun, a: 0, b: 255, c: 3},
@@ -439,6 +442,50 @@ func fuzzSeeds() [][]byte {
 			fuzzOp{kind: fopMemset, a: page + 3, b: 3 * page, c: 0xff},
 			fuzzOp{kind: fopMprotect, a: 2, c: 1},
 			fuzzOp{kind: fopLoadRun, a: page, b: 2047, c: 2},
+		),
+		// Source lines 0 and 64 share sets 0 and 1 with destination lines
+		// half and half+64. The copy's destination leaves its first line
+		// at element 3, its source at element 7, and both end in set 1,
+		// source before destination: the loads after it must evict the
+		// destination's first line from set 0 and the source's second line
+		// from set 1.
+		encodeOps(
+			fuzzOp{kind: fopLoad, a: 0, c: 3},
+			fuzzOp{kind: fopLoad, a: 64, c: 3},
+			fuzzOp{kind: fopLoad, a: half, c: 3},
+			fuzzOp{kind: fopLoad, a: half + 64, c: 3},
+			fuzzOp{kind: fopCopyRun, a: 8, b: 40, c: 8},
+			fuzzOp{kind: fopLoad, a: 512, c: 3},
+			fuzzOp{kind: fopLoad, a: half, c: 3},
+			fuzzOp{kind: fopLoad, a: 576, c: 3},
+			fuzzOp{kind: fopLoad, a: 64, c: 3},
+		),
+		// The copy's destination crosses from page 4 to page 5 while its
+		// source stays on page 0, and pages 1-3, 6 and 7 are touched after
+		// it. Page 0's last access precedes page 5's, so the two-page
+		// swap-out takes pages 4 and 0, and the last load swaps page 0
+		// back in.
+		encodeOps(
+			fuzzOp{kind: fopLoad, a: 0, c: 3},
+			fuzzOp{kind: fopLoad, a: half + page - 64, c: 3},
+			fuzzOp{kind: fopLoad, a: half + page, c: 3},
+			fuzzOp{kind: fopCopyRun, a: 8, b: page - 16, c: 4},
+			fuzzOp{kind: fopLoad, a: page + 128, c: 3},
+			fuzzOp{kind: fopLoad, a: 2*page + 192, c: 3},
+			fuzzOp{kind: fopLoad, a: 3*page + 256, c: 3},
+			fuzzOp{kind: fopLoad, a: half + 2*page + 320, c: 3},
+			fuzzOp{kind: fopLoad, a: half + 3*page + 384, c: 3},
+			fuzzOp{kind: fopSwapOut, c: 1},
+			fuzzOp{kind: fopLoad, a: 8, c: 3},
+		),
+		// Wakes armed to fall inside compares of two equal copies: each
+		// must fire at its exact cycle, mid-run.
+		encodeOps(
+			fuzzOp{kind: fopCopyRun, a: 0, b: 0, c: 40},
+			fuzzOp{kind: fopWake, a: 1000},
+			fuzzOp{kind: fopCompareRun, a: 0, b: 0, c: 40},
+			fuzzOp{kind: fopWake, a: 300},
+			fuzzOp{kind: fopCompareRun, a: 3, b: 3, c: 30},
 		),
 	}
 }

@@ -367,7 +367,8 @@ func (m *Machine) Memset(va vm.VAddr, b uint8, n uint64) {
 		}
 		return
 	}
-	r := m.spanBegin(true)
+	var r spanRun
+	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone)
 	for va < end {
 		if uint64(va)%8 == 0 && end-va >= 8 {
 			va = m.span(&r, &span{kind: spanFill, size: 8, fill: word}, va, uint64(end-va)/8)
