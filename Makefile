@@ -104,8 +104,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # bench-smoke runs the cold machine build, machine-recycle, batch-lane
-# single- and two-stream, line-write, watch/unwatch and per-scenario
-# campaign benchmarks once each, so they keep compiling and running.
+# single- and two-stream, line-write, watch/unwatch, disabled-span and
+# per-scenario campaign benchmarks once each, so they keep compiling and
+# running.
 # Compare RecycleFewDirtyLines across its two DRAM sizes by hand: recycling
 # must cost what the run dirtied, so its ns/op stays roughly flat as
 # MemBytes grows. For numbers, rerun one with a larger -benchtime:
@@ -113,11 +114,14 @@ bench:
 # sparse, so B/op is far below the simulated size), LoadRunScan (a 128 KiB
 # scan) and CopyCompareRun (a 128 KiB copy, then a compare of the two
 # copies) report host ns per 64-byte line and 0 allocs/op and fail if they
-# leave the fast lane, WatchUnwatch reports 0 allocs/op, and Scenario's
-# garbage-B/op is the host garbage one campaign scenario leaves behind.
+# leave the fast lane, WatchUnwatch reports 0 allocs/op, DisabledSpan
+# reports the ns and 0 allocs of a Begin/End pair on a tracer that is not
+# recording (what every instrumented hot path pays with tracing off), and
+# Scenario's garbage-B/op is the host garbage one campaign scenario leaves
+# behind.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|CopyCompareRun|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
-	$(GO) test -run '^$$' -bench 'WatchUnwatch|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/campaign
+	$(GO) test -run '^$$' -bench 'WatchUnwatch|DisabledSpan|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/telemetry ./internal/campaign
 
 # bench-check guards host performance through the repository benchmark. It
 # runs the apps-bare, apps-safemem, campaign and fleet workloads for 5 s

@@ -193,13 +193,14 @@ const execMemBytes = 32 << 20
 // execPool reuses executor machines across scenario runs. A campaign runs
 // every scenario under several configurations (the baseline plus every
 // judged one); a recycled machine keeps the DRAM chunks, cache and page
-// tables it already allocated, and the heap, tool and slot storage the
-// previous run on it left behind (machine.PutSpare), so a steady-state run
-// allocates little beyond its results. Recycled machines are observationally
-// identical to fresh ones — pinned by TestMachineRecycleEquivalence in
-// internal/machine and by the Reference sweep here (reference_test.go),
-// which swaps this pool for one of Config.Reference machines — so pooling changes host time
-// only, never simulated results.
+// tables it already allocated, and the heap, tool, injector, fault-process
+// and slot storage the previous run on it left behind (machine.PutSpare),
+// so a steady-state run allocates little beyond its results. Recycled
+// machines are observationally identical to fresh ones — pinned by
+// TestMachineRecycleEquivalence in internal/machine and by the Reference
+// sweep here (reference_test.go), which swaps this pool for one of
+// Config.Reference machines — so pooling changes host time only, never
+// simulated results.
 var execPool = machine.NewPool(machine.Config{MemBytes: execMemBytes})
 
 // PoolStats reports (released, dropped) executor machine counts since
@@ -431,6 +432,12 @@ func ExecuteEnv(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
 		}
 		if sampler != nil {
 			sampler.Release()
+		}
+		if in != nil {
+			in.Release()
+		}
+		if fp != nil {
+			fp.Release()
 		}
 		m.PutSpare(slotsKey{}, sc)
 	}

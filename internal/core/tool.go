@@ -10,6 +10,7 @@ import (
 	"safemem/internal/machine"
 	"safemem/internal/memctrl"
 	"safemem/internal/obsrv/flight"
+	"safemem/internal/pagetab"
 	"safemem/internal/physmem"
 	"safemem/internal/simtime"
 	"safemem/internal/telemetry"
@@ -46,7 +47,8 @@ type Tool struct {
 	// ECC-watch bookkeeping (SafeMem's "private memory region", watch.go):
 	// the regions by value in slots, freed slots reused; the live slots in
 	// arming order with swap-remove (each region knows its position); the
-	// per-page line index and its count of watched lines; and the saved
+	// per-page line index (byPage holds a page's index in pages plus one,
+	// 0 for none) and its count of watched lines; and the saved
 	// original words of every live region in one store, with a spare
 	// buffer to compact into.
 	regions      []watchRegion
@@ -54,7 +56,7 @@ type Tool struct {
 	live         []int32
 	pages        []linePage
 	freePages    []int32
-	byPage       map[vm.VAddr]int32
+	byPage       pagetab.Table[int32]
 	watchedLines int
 	orig         []uint64
 	origSpare    []uint64
@@ -154,7 +156,6 @@ func allocTool() *Tool {
 	t := &Tool{
 		groupIdx:   make(map[GroupKey]int32),
 		objects:    make(map[vm.VAddr]int32),
-		byPage:     make(map[vm.VAddr]int32),
 		quarantine: make(map[vm.VAddr]quarantineEntry),
 	}
 	t.onECC = t.handleECCFault
@@ -179,7 +180,7 @@ func allocTool() *Tool {
 func (t *Tool) reset(m *machine.Machine, alloc *heap.Allocator, opts Options) {
 	clear(t.groupIdx)
 	clear(t.objects)
-	clear(t.byPage)
+	t.byPage.Clear()
 	clear(t.quarantine)
 	*t = Tool{
 		m:     m,

@@ -115,13 +115,24 @@ func (t *Tool) reserveOriginals(n int) {
 	t.origSpare, t.orig, t.origDead = t.orig[:0], dst, 0
 }
 
+// pageNumber returns the line-index slot of the page containing va.
+func pageNumber(va vm.VAddr) uint64 { return uint64(va) / vm.PageBytes }
+
+// linePageAt returns the line-index record of the page containing va, nil
+// when none of its lines is watched.
+func (t *Tool) linePageAt(va vm.VAddr) *linePage {
+	if pi := t.byPage.Get(pageNumber(va)); pi != 0 {
+		return &t.pages[pi-1]
+	}
+	return nil
+}
+
 // regionAt returns the slot of the region watching the line at vline.
 func (t *Tool) regionAt(vline vm.VAddr) (int32, bool) {
-	pi, ok := t.byPage[vline.PageAddr()]
-	if !ok {
+	p := t.linePageAt(vline)
+	if p == nil {
 		return 0, false
 	}
-	p := &t.pages[pi]
 	i := lineInPage(vline)
 	if p.lines&(1<<i) == 0 {
 		return 0, false
@@ -133,11 +144,10 @@ func (t *Tool) regionAt(vline vm.VAddr) (int32, bool) {
 // line in [line, end), both line aligned.
 func (t *Tool) nextWatched(line, end vm.VAddr) (int32, bool) {
 	for pg := line.PageAddr(); pg < end; pg += vm.PageBytes {
-		pi, ok := t.byPage[pg]
-		if !ok {
+		p := t.linePageAt(pg)
+		if p == nil {
 			continue
 		}
-		p := &t.pages[pi]
 		lo, hi := max(line, pg), min(end, pg+vm.PageBytes)
 		n := uint(hi-lo) / physmem.LineBytes
 		mask := (uint64(1)<<n - 1) << lineInPage(lo) // n == 64: 1<<64 is 0
@@ -171,17 +181,18 @@ func (t *Tool) indexLines(base, end vm.VAddr, slot int32) {
 
 // page returns the line-index record of the page at pg, creating it.
 func (t *Tool) page(pg vm.VAddr) *linePage {
-	pi, ok := t.byPage[pg]
-	if !ok {
+	slot := t.byPage.Slot(pageNumber(pg))
+	if *slot == 0 {
+		var pi int32
 		if n := len(t.freePages); n > 0 {
 			pi, t.freePages = t.freePages[n-1], t.freePages[:n-1]
 		} else {
 			pi = int32(len(t.pages))
 			t.pages = append(t.pages, linePage{})
 		}
-		t.byPage[pg] = pi
+		*slot = pi + 1
 	}
-	return &t.pages[pi]
+	return &t.pages[*slot-1]
 }
 
 // unindexLines drops every line of r that r still watches from the line
@@ -189,10 +200,11 @@ func (t *Tool) page(pg vm.VAddr) *linePage {
 func (t *Tool) unindexLines(r *watchRegion) {
 	end := r.base + vm.VAddr(r.size)
 	for pg := r.base.PageAddr(); pg < end; pg += vm.PageBytes {
-		pi, ok := t.byPage[pg]
-		if !ok {
+		slot := t.byPage.At(pageNumber(pg))
+		if slot == nil || *slot == 0 {
 			continue
 		}
+		pi := *slot - 1
 		p := &t.pages[pi]
 		for line := max(r.base, pg); line < min(end, pg+vm.PageBytes); line += physmem.LineBytes {
 			if i := lineInPage(line); p.lines&(1<<i) != 0 && p.region[i] == r.slot {
@@ -201,7 +213,7 @@ func (t *Tool) unindexLines(r *watchRegion) {
 			}
 		}
 		if p.lines == 0 {
-			delete(t.byPage, pg)
+			*slot = 0
 			t.freePages = append(t.freePages, pi)
 		}
 	}
@@ -354,9 +366,11 @@ func (t *Tool) CheckWatchInvariants() error {
 			lines++
 		}
 	}
+	// A freed page record has no lines, so summing every record counts
+	// the indexed lines.
 	indexed := 0
-	for _, pi := range t.byPage {
-		indexed += bits.OnesCount64(t.pages[pi].lines)
+	for i := range t.pages {
+		indexed += bits.OnesCount64(t.pages[i].lines)
 	}
 	if lines != indexed || indexed != t.watchedLines {
 		return fmt.Errorf("watch invariant: %d lines indexed (count %d), regions cover %d", indexed, t.watchedLines, lines)

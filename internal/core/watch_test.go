@@ -3,6 +3,7 @@ package safemem
 import (
 	"testing"
 
+	"safemem/internal/heap"
 	"safemem/internal/physmem"
 	"safemem/internal/vm"
 )
@@ -71,5 +72,40 @@ func TestUnwatchOverlappingDisarmsEachRegionOnce(t *testing.T) {
 	}
 	if err := r.tool.CheckWatchInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLineIndexSparse pins the line index's host footprint: a freshly
+// attached tool holds no leaf, arming one buffer's guard pads allocates
+// one, and a tool reused through Release and Attach keeps the leaf but
+// none of its entries.
+func TestLineIndexSparse(t *testing.T) {
+	r := newTool(t, DefaultOptions())
+	if n := r.tool.byPage.Leaves(); n != 0 {
+		t.Fatalf("fresh tool holds %d line-index leaves, want 0", n)
+	}
+	p := r.malloc(t, 64)
+	if n := r.tool.byPage.Leaves(); n != 1 {
+		t.Fatalf("one buffer's pads allocated %d line-index leaves, want 1", n)
+	}
+	if _, ok := r.tool.regionAt(p - physmem.LineBytes); !ok {
+		t.Fatal("the buffer's front pad is not indexed")
+	}
+	r.tool.Release()
+	m := r.m
+	m.Recycle()
+	alloc, err := heap.New(m, HeapOptions(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tool, err := Attach(m, alloc, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tool != r.tool || tool.byPage.Leaves() != 1 {
+		t.Fatalf("reattached tool: reused %v, %d leaves; want the released tool's one leaf", tool == r.tool, tool.byPage.Leaves())
+	}
+	if _, ok := tool.regionAt(p - physmem.LineBytes); ok {
+		t.Fatal("a reused tool keeps the previous run's line index")
 	}
 }

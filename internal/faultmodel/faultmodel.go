@@ -147,7 +147,14 @@ type Process struct {
 
 	stopped bool
 	stats   Stats
+
+	// The callbacks Start registers, bound once per Process value.
+	onFire func(now simtime.Cycles) simtime.Cycles
+	source func(emit func(string, float64))
 }
+
+// spareKey is the machine spare slot of a released Process.
+type spareKey struct{}
 
 // pendingPlant is one deferred plant (refire false) or weak/stuck cell
 // re-assertion (refire true).
@@ -160,7 +167,9 @@ type pendingPlant struct {
 }
 
 // Start launches the fault process on m, planting through in. The process
-// registers a clock timer and a "faultmodel" telemetry source.
+// registers a clock timer and a "faultmodel" telemetry source. When a
+// previous run on m ended with Release, its process's storage is reset and
+// reused.
 func Start(m *machine.Machine, in *inject.Injector, cfg Config) *Process {
 	if cfg.MeanInterval <= 0 {
 		cfg.MeanInterval = 200_000
@@ -200,26 +209,47 @@ func Start(m *machine.Machine, in *inject.Injector, cfg Config) *Process {
 			cfg.StormFactor = 8
 		}
 	}
-	p := &Process{m: m, in: in, cfg: cfg, r: rng{state: cfg.Seed ^ 0xd1a6f0}}
-	p.runPending = p.runNext
+	p, _ := m.TakeSpare(spareKey{}).(*Process)
+	if p == nil {
+		p = &Process{}
+		p.runPending = p.runNext
+		p.onFire = p.fire
+		p.source = p.emitTelemetry
+	}
+	*p = Process{
+		m: m, in: in, cfg: cfg, r: rng{state: cfg.Seed ^ 0xd1a6f0},
+		cells:      p.cells[:0],
+		pending:    p.pending[:0],
+		runPending: p.runPending,
+		onFire:     p.onFire,
+		source:     p.source,
+	}
 	now := m.Clock.Now()
 	p.nextEvent = now + p.r.exp(p.interval(now))
 	if cfg.StormInterval > 0 {
 		p.nextStormAt = now + p.r.exp(cfg.StormInterval)
 	}
-	m.Telemetry.RegisterSource("faultmodel", func(emit func(string, float64)) {
-		s := p.stats
-		emit("events", float64(s.Events))
-		emit("transient", float64(s.Transient))
-		emit("intermittent", float64(s.Intermittent))
-		emit("stuck_at", float64(s.StuckAt))
-		emit("double_bit", float64(s.DoubleBit))
-		emit("refires", float64(s.Refires))
-		emit("storms", float64(s.Storms))
-		emit("skipped", float64(s.Skipped))
-	})
-	p.timer = m.Clock.NewTimer(p.deadline(), p.fire)
+	m.Telemetry.RegisterSource("faultmodel", p.source)
+	p.timer = m.Clock.NewTimer(p.deadline(), p.onFire)
 	return p
+}
+
+// Release ends the process's run: the caller promises not to use p again,
+// and the next Start on the same machine reuses p's storage
+// (machine.PutSpare). Results must be read (Stats) before.
+func (p *Process) Release() { p.m.PutSpare(spareKey{}, p) }
+
+// emitTelemetry is the process's telemetry source.
+func (p *Process) emitTelemetry(emit func(string, float64)) {
+	s := p.stats
+	emit("events", float64(s.Events))
+	emit("transient", float64(s.Transient))
+	emit("intermittent", float64(s.Intermittent))
+	emit("stuck_at", float64(s.StuckAt))
+	emit("double_bit", float64(s.DoubleBit))
+	emit("refires", float64(s.Refires))
+	emit("storms", float64(s.Storms))
+	emit("skipped", float64(s.Skipped))
 }
 
 // StartFlaky puts m on flaky DIMMs: the one policy behind the bench

@@ -24,6 +24,7 @@ import (
 	"safemem/internal/ecc"
 
 	"safemem/internal/machine"
+	"safemem/internal/pagetab"
 	"safemem/internal/physmem"
 	"safemem/internal/simtime"
 	"safemem/internal/telemetry"
@@ -133,62 +134,126 @@ type Injector struct {
 	seq      uint64
 	stats    Stats
 
-	// pending holds planted-but-undetected faults per ECC group, oldest
-	// first. A FIFO (not a single timestamp) so address collisions — two
-	// plants in the same group — stay distinguishable.
-	pending  map[physmem.Addr][]Plant
-	outcomes []Outcome
-	observer func(Outcome)
+	// pending holds the planted-but-undetected faults, indexed by frame
+	// number: an entry is one plus the index in plants of the frame's
+	// oldest pending plant, 0 for none, and each plant links to the
+	// frame's next one. A frame's chain is in plant order, so a group's
+	// plants are matched oldest first and address collisions — two plants
+	// in the same group — stay distinguishable. Freed plant slots go on
+	// freePlants.
+	pending    pagetab.Table[int32]
+	plants     []pendingPlant
+	freePlants []int32
+	resolving  []Plant // observeFault's scratch
+	outcomes   []Outcome
+	observer   func(Outcome)
 
 	tr      *telemetry.Tracer
 	latency *telemetry.Histogram
+
+	// The callbacks New registers, bound once per Injector value.
+	source  func(emit func(string, float64))
+	onFault func(group physmem.Addr, uncorrectable bool)
 }
+
+// pendingPlant is one pending plant and the link to the next pending plant
+// on its frame (an index in Injector.plants plus one, 0 for none).
+type pendingPlant struct {
+	p    Plant
+	next int32
+}
+
+// spareKey is the machine spare slot of a released Injector.
+type spareKey struct{}
+
+// frameIndex returns the pending-table slot of the frame holding a.
+func frameIndex(a physmem.Addr) uint64 { return uint64(a) / vm.PageBytes }
 
 // New creates an injector for m. It registers an "inject" telemetry source
 // and hooks the memory controller's fault observer so every ECC event on a
-// planted group records its detection latency and resolves the plant.
+// planted group records its detection latency and resolves the plant. When
+// a previous run on m ended with Release, its injector's storage is reset
+// and reused.
 func New(m *machine.Machine, cfg Config) *Injector {
 	if cfg.EveryN == 0 {
 		cfg.EveryN = 10_000
 	}
-	in := &Injector{
-		m:       m,
-		cfg:     cfg,
-		pending: make(map[physmem.Addr][]Plant),
+	in, _ := m.TakeSpare(spareKey{}).(*Injector)
+	if in == nil {
+		in = &Injector{}
+		// The generator's only state is its source: the Injector never
+		// calls rng.Read, the one method that keeps state in the Rand, so
+		// reseeding src restarts rng's stream.
+		in.rng = rand.New(&in.src)
+		in.source = in.emitTelemetry
+		in.onFault = in.observeFault
+	}
+	in.pending.Clear()
+	*in = Injector{
+		m:          m,
+		cfg:        cfg,
+		rng:        in.rng,
+		pending:    in.pending,
+		plants:     in.plants[:0],
+		freePlants: in.freePlants[:0],
+		resolving:  in.resolving[:0],
+		outcomes:   in.outcomes[:0],
+		source:     in.source,
+		onFault:    in.onFault,
 	}
 	// The stream of rand.NewSource(cfg.Seed^0x5eed), without its seeding
 	// cost (stream.go).
 	in.src.Seed(cfg.Seed ^ 0x5eed)
-	in.rng = rand.New(&in.src)
 	in.tr = m.Telemetry.Tracer()
 	in.latency = m.Telemetry.Histogram("inject", "detection_latency_cycles", telemetry.LatencyBuckets)
-	m.Telemetry.RegisterSource("inject", func(emit func(string, float64)) {
-		s := in.stats
-		emit("planted", float64(s.Planted))
-		emit("planted_single", float64(s.PlantedSingle))
-		emit("planted_double", float64(s.PlantedDouble))
-		emit("resolved", float64(s.Resolved))
-		emit("skipped_unmapped", float64(s.SkippedUnmapped))
-	})
-	m.Ctrl.SetFaultObserver(in.observeFault)
+	m.Telemetry.RegisterSource("inject", in.source)
+	m.Ctrl.SetFaultObserver(in.onFault)
 	return in
+}
+
+// Release ends the injector's run: the caller promises not to use in, or
+// anything it returned, again, and the next New on the same machine reuses
+// in's storage (machine.PutSpare). Results must be read before.
+func (in *Injector) Release() { in.m.PutSpare(spareKey{}, in) }
+
+// emitTelemetry is the injector's telemetry source.
+func (in *Injector) emitTelemetry(emit func(string, float64)) {
+	s := in.stats
+	emit("planted", float64(s.Planted))
+	emit("planted_single", float64(s.PlantedSingle))
+	emit("planted_double", float64(s.PlantedDouble))
+	emit("resolved", float64(s.Resolved))
+	emit("skipped_unmapped", float64(s.SkippedUnmapped))
 }
 
 // observeFault resolves pending plants on the faulting group. A correctable
 // event consumes only the oldest plant (one flipped bit, one correction);
 // an uncorrectable event resolves every pending plant on the group — they
-// all contributed to the multi-bit pattern the controller saw.
+// all contributed to the multi-bit pattern the controller saw. The plants
+// are unlinked before any outcome is delivered.
 func (in *Injector) observeFault(group physmem.Addr, uncorrectable bool) {
-	q := in.pending[group]
-	if len(q) == 0 {
+	head := in.pending.At(frameIndex(group))
+	if head == nil || *head == 0 {
 		return
 	}
-	n := 1
-	if uncorrectable {
-		n = len(q)
+	in.resolving = in.resolving[:0]
+	link := head
+	for *link != 0 {
+		i := *link - 1
+		pp := &in.plants[i]
+		if pp.p.Group != group {
+			link = &pp.next
+			continue
+		}
+		in.resolving = append(in.resolving, pp.p)
+		*link = pp.next
+		in.freePlants = append(in.freePlants, i)
+		if !uncorrectable {
+			break
+		}
 	}
 	now := in.m.Clock.Now()
-	for _, p := range q[:n] {
+	for _, p := range in.resolving {
 		o := Outcome{Plant: p, DetectedAt: now, Uncorrectable: uncorrectable}
 		in.outcomes = append(in.outcomes, o)
 		in.stats.Resolved++
@@ -197,11 +262,23 @@ func (in *Injector) observeFault(group physmem.Addr, uncorrectable bool) {
 			in.observer(o)
 		}
 	}
-	if n == len(q) {
-		delete(in.pending, group)
+}
+
+// addPending appends p to the pending chain of its frame.
+func (in *Injector) addPending(p Plant) {
+	var i int32
+	if n := len(in.freePlants); n > 0 {
+		i, in.freePlants = in.freePlants[n-1], in.freePlants[:n-1]
+		in.plants[i] = pendingPlant{p: p}
 	} else {
-		in.pending[group] = q[n:]
+		i = int32(len(in.plants))
+		in.plants = append(in.plants, pendingPlant{p: p})
 	}
+	link := in.pending.Slot(frameIndex(p.Group))
+	for *link != 0 {
+		link = &in.plants[*link-1].next
+	}
+	*link = i + 1
 }
 
 // SetOutcomeObserver registers a callback invoked synchronously for every
@@ -223,10 +300,13 @@ func (in *Injector) Outcomes() []Outcome {
 // order.
 func (in *Injector) PendingPlants() []Plant {
 	var out []Plant
-	for _, q := range in.pending {
-		out = append(out, q...)
-	}
-	// Map order is irrelevant once sorted by sequence number.
+	in.pending.Range(func(_ uint64, head *int32) bool {
+		for i := *head; i != 0; i = in.plants[i-1].next {
+			out = append(out, in.plants[i-1].p)
+		}
+		return true
+	})
+	// Frame order is irrelevant once sorted by sequence number.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j-1].Seq > out[j].Seq; j-- {
 			out[j-1], out[j] = out[j], out[j-1]
@@ -350,7 +430,7 @@ func (in *Injector) plant(va vm.VAddr, double bool, b1, b2 uint) bool {
 	} else {
 		in.stats.PlantedSingle++
 	}
-	in.pending[ga] = append(in.pending[ga], p)
+	in.addPending(p)
 	// A fault in DRAM under a dirty cached line will be overwritten by the
 	// write-back before anyone reads it — exactly as on real hardware; no
 	// special handling needed.

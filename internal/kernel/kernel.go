@@ -19,6 +19,7 @@ import (
 	"safemem/internal/cache"
 	"safemem/internal/ecc"
 	"safemem/internal/memctrl"
+	"safemem/internal/pagetab"
 	"safemem/internal/physmem"
 	"safemem/internal/simtime"
 	"safemem/internal/telemetry"
@@ -131,13 +132,20 @@ func firstLine(pg vm.VAddr, mask uint64) uint64 {
 	return uint64(pg) + uint64(bits.TrailingZeros64(mask))*physmem.LineBytes
 }
 
-// watchSpan is one page of a region being disarmed: the frame, the page's
-// watch record and the region's lines on it.
+// frameIndex returns the watch-index slot of the frame holding the
+// physical address a: its frame number.
+func frameIndex(a physmem.Addr) uint64 { return uint64(a) / vm.PageBytes }
+
+// watchSpan is one page of a region being armed or disarmed: the frame,
+// the frame's watch record (disarming only) and the region's lines on it.
 type watchSpan struct {
 	frame physmem.Addr
-	wp    watchPage
+	rec   *watchPage
 	mask  uint64
 }
+
+// line returns the physical address of line b of the span's frame.
+func (s watchSpan) line(b int) physmem.Addr { return s.frame + physmem.Addr(b*physmem.LineBytes) }
 
 // Kernel is the simulated operating system.
 type Kernel struct {
@@ -146,18 +154,19 @@ type Kernel struct {
 	cache *cache.Cache
 	as    *vm.AddressSpace
 
-	// watches is the one watch index, keyed by physical frame base. Fault
-	// delivery looks a line up by its physical address; the syscalls reach
-	// it through the page table. A watched page is pinned, so its frame
-	// changes only by retirement, which rekeys the record.
-	watches map[physmem.Addr]watchPage
+	// watches is the one watch index, a table indexed by frame number
+	// (frameIndex). Fault delivery looks a line up by its physical address;
+	// the syscalls reach it through the page table. A watched page is
+	// pinned, so its frame changes only by retirement, which moves the
+	// record. A record with no watched lines is all zero, so a table whose
+	// nWatched is 0 holds only zero records.
+	watches pagetab.Table[watchPage]
 	// nWatched counts the watched lines across watches.
 	nWatched int
-	// plines (WatchMemory's) and spans (the disable paths') are per-call
-	// scratch. Neither path issues an ECC-checked read, so no fault
-	// handler can re-enter one while its scratch is in use.
-	plines []physmem.Addr
-	spans  []watchSpan
+	// spans is the syscalls' per-call scratch, one entry per page. No
+	// syscall issues an ECC-checked read, so no fault handler can re-enter
+	// one while the scratch is in use.
+	spans []watchSpan
 
 	eccHandler  ECCFaultHandler
 	pageHandler PageFaultHandler
@@ -202,7 +211,6 @@ func New(clock *simtime.Clock, ctrl *memctrl.Controller, c *cache.Cache, as *vm.
 		ctrl:         ctrl,
 		cache:        c,
 		as:           as,
-		watches:      make(map[physmem.Addr]watchPage),
 		res:          DefaultResilienceOptions(),
 		health:       make(map[physmem.Addr]*lineHealth),
 		retireQueued: make(map[physmem.Addr]bool),
@@ -302,7 +310,7 @@ func (k *Kernel) handleECCInterrupt(r memctrl.FaultReport) {
 		Check:       r.Check,
 		DuringScrub: r.DuringScrub,
 	}
-	if wp, ok := k.watches[r.Line&^pageMask]; ok && wp.lines&lineBit(uint64(r.Line)) != 0 {
+	if wp := k.watches.Get(frameIndex(r.Line)); wp.lines&lineBit(uint64(r.Line)) != 0 {
 		fault.Watched = true
 		fault.VLine = wp.vpage + vm.VAddr(r.Line&pageMask)
 		fault.Direct = wp.direct&lineBit(uint64(r.Line)) != 0
@@ -365,35 +373,45 @@ func (k *Kernel) AppendWatchMemory(dst []uint64, va vm.VAddr, size uint64) ([]ui
 		return dst, err
 	}
 	end := va + vm.VAddr(size)
+	first := va.PageAddr()
 
 	// Reject an already-watched line before touching anything. A watched
 	// page is pinned and so resident: a page without a frame holds none.
-	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
+	k.spans = k.spans[:0]
+	for pg := first; pg < end; pg += vm.PageBytes {
+		mask := regionMask(pg, va, end)
 		if frame, ok := k.as.FrameOf(pg); ok {
-			if dup := regionMask(pg, va, end) & k.watches[frame].lines; dup != 0 {
+			if dup := mask & k.watches.Get(frameIndex(frame)).lines; dup != 0 {
 				return dst, fmt.Errorf("kernel: line %#x already watched", firstLine(pg, dup))
 			}
 		}
+		k.spans = append(k.spans, watchSpan{mask: mask})
 	}
 
 	// Pin every page covering the region so swapping cannot silently
 	// destroy the stale-check-bit state. Pin before translating: pinning a
 	// swapped-out page swaps it in, which may evict a page translated
 	// earlier, but a pinned page stays put. A failure undoes every pin.
-	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
+	for pg := first; pg < end; pg += vm.PageBytes {
 		if err := k.as.Pin(pg); err != nil {
-			k.unpinPages(va.PageAddr(), pg)
+			k.unpinPages(first, pg)
 			return dst, err
 		}
 	}
-	k.plines = k.plines[:0]
-	for lva := va; lva < end; lva += physmem.LineBytes {
-		pa, fault := k.as.Translate(lva, true)
+	// Translate every line for writing, one call per page: its first line
+	// resolves the frame and the rest are settled in the same call.
+	nLines := 0
+	for i := range k.spans {
+		s := &k.spans[i]
+		pg := first + vm.VAddr(i)*vm.PageBytes
+		n := bits.OnesCount64(s.mask)
+		pa, fault := k.as.TranslateLines(max(va, pg), uint64(n), true)
 		if fault != nil {
-			k.unpinPages(va.PageAddr(), end)
+			k.unpinPages(first, end)
 			return dst, fault
 		}
-		k.plines = append(k.plines, pa.LineAddr())
+		s.frame = pa &^ pageMask
+		nLines += n
 	}
 
 	// Flush every line BEFORE disabling ECC: a dirty write-back must go
@@ -402,22 +420,27 @@ func (k *Kernel) AppendWatchMemory(dst []uint64, va vm.VAddr, size uint64) ([]ui
 	// window would store the write-back with stale check bits, and the
 	// scrambled word could then alias to a correctable — or even clean —
 	// codeword, silently defeating the watchpoint.)
-	for _, pl := range k.plines {
-		k.cache.FlushLine(pl)
+	for _, s := range k.spans {
+		for m := s.mask; m != 0; m &= m - 1 {
+			k.cache.FlushLine(s.line(bits.TrailingZeros64(m)))
+		}
 	}
 
-	dst = slices.Grow(dst, len(k.plines)*physmem.GroupsPerLine)
+	dst = slices.Grow(dst, nLines*physmem.GroupsPerLine)
 	direct := k.ctrl.Capabilities().DirectECCAccess
 	if direct {
 		// The Section 2.2.3 generalised interface: arm each group by
 		// flipping two check bits. Data stays intact, no bus lock, no
 		// ECC-disable window.
-		for _, pl := range k.plines {
-			words := k.ctrl.PeekLine(pl)
-			dst = append(dst, words[:]...)
-			for g := range words {
-				ga := pl + physmem.Addr(g*physmem.GroupBytes)
-				k.ctrl.WriteCheckBits(ga, uint8(ecc.ScrambleCheck(ecc.Check(k.ctrl.ReadCheckBits(ga)))))
+		for _, s := range k.spans {
+			for m := s.mask; m != 0; m &= m - 1 {
+				pl := s.line(bits.TrailingZeros64(m))
+				words := k.ctrl.PeekLine(pl)
+				dst = append(dst, words[:]...)
+				for g := range words {
+					ga := pl + physmem.Addr(g*physmem.GroupBytes)
+					k.ctrl.WriteCheckBits(ga, uint8(ecc.ScrambleCheck(ecc.Check(k.ctrl.ReadCheckBits(ga)))))
+				}
 			}
 		}
 	} else {
@@ -427,32 +450,32 @@ func (k *Kernel) AppendWatchMemory(dst []uint64, va vm.VAddr, size uint64) ([]ui
 		k.ctrl.LockBus()
 		prevMode := k.ctrl.Mode()
 		k.ctrl.SetMode(memctrl.Disabled)
-		for _, pl := range k.plines {
-			words := k.ctrl.PeekLine(pl)
-			dst = append(dst, words[:]...)
-			var scrambled [physmem.GroupsPerLine]uint64
-			for g, w := range words {
-				scrambled[g] = ecc.Scramble(w)
+		for _, s := range k.spans {
+			for m := s.mask; m != 0; m &= m - 1 {
+				pl := s.line(bits.TrailingZeros64(m))
+				words := k.ctrl.PeekLine(pl)
+				dst = append(dst, words[:]...)
+				var scrambled [physmem.GroupsPerLine]uint64
+				for g, w := range words {
+					scrambled[g] = ecc.Scramble(w)
+				}
+				k.clock.Advance(simtime.CostScrambleWord * physmem.GroupsPerLine)
+				k.ctrl.WriteLine(pl, scrambled) // data only; check bits stay stale
 			}
-			k.clock.Advance(simtime.CostScrambleWord * physmem.GroupsPerLine)
-			k.ctrl.WriteLine(pl, scrambled) // data only; check bits stay stale
 		}
 		k.ctrl.SetMode(prevMode)
 		k.ctrl.UnlockBus()
 	}
 
-	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
-		mask := regionMask(pg, va, end)
-		frame := k.plines[(max(va, pg)-va)/physmem.LineBytes] &^ pageMask
-		wp := k.watches[frame]
-		wp.vpage = pg
-		wp.lines |= mask
+	for i, s := range k.spans {
+		wp := k.watches.Slot(frameIndex(s.frame))
+		wp.vpage = first + vm.VAddr(i)*vm.PageBytes
+		wp.lines |= s.mask
 		if direct {
-			wp.direct |= mask
+			wp.direct |= s.mask
 		}
-		k.watches[frame] = wp
-		k.nWatched += bits.OnesCount64(mask)
 	}
+	k.nWatched += nLines
 	if n := uint64(k.nWatched); n > k.stats.MaxLinesWatched {
 		k.stats.MaxLinesWatched = n
 	}
@@ -474,28 +497,30 @@ func (k *Kernel) lookupWatched(va vm.VAddr, size uint64) error {
 	end := va + vm.VAddr(size)
 	for pg := va.PageAddr(); pg < end; pg += vm.PageBytes {
 		mask := regionMask(pg, va, end)
-		var wp watchPage
+		var wp *watchPage
+		var lines uint64
 		frame, ok := k.as.FrameOf(pg)
 		if ok {
-			wp = k.watches[frame]
+			if wp = k.watches.At(frameIndex(frame)); wp != nil {
+				lines = wp.lines
+			}
 		}
-		if missing := mask &^ wp.lines; missing != 0 {
+		if missing := mask &^ lines; missing != 0 {
 			return fmt.Errorf("kernel: line %#x not watched", firstLine(pg, missing))
 		}
-		k.spans = append(k.spans, watchSpan{frame: frame, wp: wp, mask: mask})
+		k.spans = append(k.spans, watchSpan{frame: frame, rec: wp, mask: mask})
 	}
 	return nil
 }
 
-// dropWatches removes the lines of mask from the frame's watch record wp.
-func (k *Kernel) dropWatches(frame physmem.Addr, wp watchPage, mask uint64) {
+// dropWatches removes the lines of mask from the watch record wp, zeroing
+// a record left with no watched line.
+func (k *Kernel) dropWatches(wp *watchPage, mask uint64) {
 	wp.lines &^= mask
 	wp.direct &^= mask
 	k.nWatched -= bits.OnesCount64(mask)
 	if wp.lines == 0 {
-		delete(k.watches, frame)
-	} else {
-		k.watches[frame] = wp
+		*wp = watchPage{}
 	}
 }
 
@@ -522,7 +547,7 @@ func (k *Kernel) DisableWatchMemory(va vm.VAddr, size uint64) error {
 	// anyway.
 	anyScrambled := false
 	for _, s := range k.spans {
-		if s.mask&^s.wp.direct != 0 {
+		if s.mask&^s.rec.direct != 0 {
 			anyScrambled = true
 		}
 	}
@@ -532,14 +557,14 @@ func (k *Kernel) DisableWatchMemory(va vm.VAddr, size uint64) error {
 	for _, s := range k.spans {
 		for m := s.mask; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			pl := s.frame + physmem.Addr(b*physmem.LineBytes)
+			pl := s.line(b)
 
 			// The line cannot be validly cached (it was flushed at watch
 			// time and every fill since would have faulted), but flush
 			// defensively so a stale copy can never mask the restore.
 			k.cache.FlushLine(pl)
 
-			if s.wp.direct&(1<<b) != 0 {
+			if s.rec.direct&(1<<b) != 0 {
 				// Data is intact; recompute honest check bits per group.
 				raw := k.ctrl.PeekLine(pl)
 				for g, w := range raw {
@@ -556,7 +581,7 @@ func (k *Kernel) DisableWatchMemory(va vm.VAddr, size uint64) error {
 				k.ctrl.WriteLine(pl, restored) // ECC enabled: fresh check bits
 			}
 		}
-		k.dropWatches(s.frame, s.wp, s.mask)
+		k.dropWatches(s.rec, s.mask)
 	}
 	if anyScrambled {
 		k.ctrl.UnlockBus()
@@ -594,8 +619,8 @@ func (k *Kernel) DisableWatchMemoryWithData(va vm.VAddr, size uint64, original [
 	for _, s := range k.spans {
 		for m := s.mask; m != 0; m &= m - 1 {
 			b := bits.TrailingZeros64(m)
-			pl := s.frame + physmem.Addr(b*physmem.LineBytes)
-			lva := s.wp.vpage + vm.VAddr(b*physmem.LineBytes)
+			pl := s.line(b)
+			lva := s.rec.vpage + vm.VAddr(b*physmem.LineBytes)
 			i := int(uint64(lva-va) / physmem.LineBytes)
 			k.cache.FlushLine(pl)
 			k.ctrl.LockBus()
@@ -605,7 +630,7 @@ func (k *Kernel) DisableWatchMemoryWithData(va vm.VAddr, size uint64, original [
 			k.ctrl.WriteLine(pl, restored)
 			k.ctrl.UnlockBus()
 		}
-		k.dropWatches(s.frame, s.wp, s.mask)
+		k.dropWatches(s.rec, s.mask)
 	}
 	for pg := va.PageAddr(); pg < va+vm.VAddr(size); pg += vm.PageBytes {
 		if err := k.as.Unpin(pg); err != nil {
@@ -618,12 +643,12 @@ func (k *Kernel) DisableWatchMemoryWithData(va vm.VAddr, size uint64, original [
 // Watched reports whether the line containing va is currently watched.
 func (k *Kernel) Watched(va vm.VAddr) bool {
 	frame, ok := k.as.FrameOf(va)
-	return ok && k.watches[frame].lines&lineBit(uint64(va)) != 0
+	return ok && k.watches.Get(frameIndex(frame)).lines&lineBit(uint64(va)) != 0
 }
 
 // watchedPhys reports whether the physical line pl is watched.
 func (k *Kernel) watchedPhys(pl physmem.Addr) bool {
-	return k.watches[pl&^pageMask].lines&lineBit(uint64(pl)) != 0
+	return k.watches.Get(frameIndex(pl)).lines&lineBit(uint64(pl)) != 0
 }
 
 // Mprotect changes the protection of npages pages at va — the stock
@@ -650,11 +675,11 @@ func (k *Kernel) UnmapPages(va vm.VAddr, npages int) error {
 
 // Image is an immutable checkpoint of a Kernel's state, taken with
 // CaptureImage. Snapshots are captured on idle machines (the pristine
-// image of a freshly built machine, no program ops yet), so the maps it
-// copies are typically empty and both capture and restore stay O(1).
+// image of a freshly built machine, no program ops yet), so the state it
+// copies is typically empty and both capture and restore stay O(1).
 type Image struct {
 	k           *Kernel
-	watches     map[physmem.Addr]watchPage
+	watches     []frameWatch
 	nWatched    int
 	eccHandler  ECCFaultHandler
 	pageHandler PageFaultHandler
@@ -672,6 +697,12 @@ type Image struct {
 	stats          Stats
 }
 
+// frameWatch is one watched frame of an Image: its frame number and record.
+type frameWatch struct {
+	frame uint64
+	wp    watchPage
+}
+
 // CaptureImage checkpoints the kernel. The scrub daemon must not be running
 // (it is per-run state started after restore; its timer identity could not
 // survive a clock restore) and no deferred work may be in flight.
@@ -687,7 +718,6 @@ func (k *Kernel) CaptureImage() *Image {
 	}
 	img := &Image{
 		k:              k,
-		watches:        make(map[physmem.Addr]watchPage, len(k.watches)),
 		nWatched:       k.nWatched,
 		eccHandler:     k.eccHandler,
 		pageHandler:    k.pageHandler,
@@ -703,8 +733,13 @@ func (k *Kernel) CaptureImage() *Image {
 		onRetire:       k.onRetire,
 		stats:          k.stats,
 	}
-	for frame, wp := range k.watches {
-		img.watches[frame] = wp
+	if k.nWatched > 0 {
+		k.watches.Range(func(frame uint64, wp *watchPage) bool {
+			if wp.lines != 0 {
+				img.watches = append(img.watches, frameWatch{frame, *wp})
+			}
+			return true
+		})
 	}
 	for pl, h := range k.health {
 		img.health[pl] = *h
@@ -729,9 +764,11 @@ func (k *Kernel) RestoreImage(img *Image) {
 	// the controller-side filter remain — the controller image restores the
 	// filter, we drop the pointer.
 	k.scrubd = nil
-	clear(k.watches)
-	for frame, wp := range img.watches {
-		k.watches[frame] = wp
+	if k.nWatched > 0 {
+		k.watches.Clear()
+	}
+	for _, fw := range img.watches {
+		*k.watches.Slot(fw.frame) = fw.wp
 	}
 	k.nWatched = img.nWatched
 	k.eccHandler = img.eccHandler

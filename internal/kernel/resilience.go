@@ -215,8 +215,7 @@ func (k *Kernel) surviveUncorrectable(r memctrl.FaultReport, fault *ECCFault) {
 		flight.F("line", uint64(r.Line)))
 	pl := r.Line
 	if fault.Watched {
-		frame := pl &^ pageMask
-		k.dropWatches(frame, k.watches[frame], lineBit(uint64(pl)))
+		k.dropWatches(k.watches.Slot(frameIndex(pl)), lineBit(uint64(pl)))
 		_ = k.as.Unpin(fault.VLine.PageAddr()) // best effort; watch is gone
 	}
 	// Flush first so no stale cached copy can mask the rewrite, then write
@@ -295,7 +294,7 @@ func (k *Kernel) retireFrame(frame physmem.Addr) {
 	defer sp.End()
 	// Watches on the doomed frame survive migration bit-for-bit (raw copy);
 	// only the frame's watch record needs rekeying.
-	wp := k.watches[frame]
+	wp := k.watches.Get(frameIndex(frame))
 	old, fresh, err := k.as.RetirePage(va)
 	if err != nil {
 		// No spare frame (all pinned, swap exhausted): abandon this
@@ -310,8 +309,8 @@ func (k *Kernel) retireFrame(frame physmem.Addr) {
 	}
 	movedWatches := make([]vm.VAddr, 0, bits.OnesCount64(wp.lines))
 	if wp.lines != 0 {
-		delete(k.watches, frame)
-		k.watches[fresh] = wp
+		*k.watches.Slot(frameIndex(frame)) = watchPage{}
+		*k.watches.Slot(frameIndex(fresh)) = wp
 		for m := wp.lines; m != 0; m &= m - 1 {
 			movedWatches = append(movedWatches, wp.vpage+vm.VAddr(bits.TrailingZeros64(m)*physmem.LineBytes))
 		}

@@ -184,6 +184,7 @@ func TestRetirementRemapsWatches(t *testing.T) {
 	}
 	oldPl := watchedPLine(t, r, base)
 	oldFrame := oldPl &^ physmem.Addr(vm.PageBytes-1)
+	oldRec := r.k.watches.Get(frameIndex(oldFrame))
 
 	var notified []vm.VAddr
 	r.k.SetRetireNotifier(func(old, fresh physmem.Addr, moved []vm.VAddr) {
@@ -209,6 +210,13 @@ func TestRetirementRemapsWatches(t *testing.T) {
 	}
 	if r.k.watchedPhys(oldPl) {
 		t.Fatal("stale watch record for the retired frame")
+	}
+	newFrame := newPl &^ physmem.Addr(vm.PageBytes-1)
+	if got := r.k.watches.Get(frameIndex(newFrame)); got != oldRec {
+		t.Fatalf("record on the fresh frame %+v, want the retired frame's %+v", got, oldRec)
+	}
+	if got := r.k.watches.Get(frameIndex(oldFrame)); got != (watchPage{}) {
+		t.Fatalf("retired frame keeps record %+v, want none", got)
 	}
 	if r.k.ResilienceStats().WatchesMigrated != 1 {
 		t.Fatalf("WatchesMigrated = %d, want 1", r.k.ResilienceStats().WatchesMigrated)

@@ -121,27 +121,3 @@ func TestDisableWithDataMidPageRegion(t *testing.T) {
 		t.Fatal("restore left watches or pins behind")
 	}
 }
-
-// TestImageRestoresWatchIndex checks the watch index round-trips through
-// CaptureImage/RestoreImage, line count included.
-func TestImageRestoresWatchIndex(t *testing.T) {
-	r := newRig(t, 1<<20)
-	mapHeap(t, r, 1)
-	if _, err := r.k.WatchMemory(base+physmem.LineBytes, 2*physmem.LineBytes); err != nil {
-		t.Fatal(err)
-	}
-	img := r.k.CaptureImage()
-	if err := r.k.DisableWatchMemory(base+physmem.LineBytes, 2*physmem.LineBytes); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.k.WatchMemory(base, physmem.LineBytes); err != nil {
-		t.Fatal(err)
-	}
-	r.k.RestoreImage(img)
-	if r.k.Watched(base) || !r.k.Watched(base+physmem.LineBytes) || !r.k.Watched(base+2*physmem.LineBytes) {
-		t.Fatal("restored index does not match the captured watches")
-	}
-	if n := r.k.Stats().LinesWatched; n != 2 {
-		t.Fatalf("LinesWatched = %d after restore, want 2", n)
-	}
-}

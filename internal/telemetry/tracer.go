@@ -83,11 +83,18 @@ func (t *Tracer) attach(clock *simtime.Clock, enabled bool) {
 
 // Begin opens a span for component/name at the current simulated time.
 // Close it with End. Spans must be closed in LIFO order (guaranteed by the
-// single-threaded simulation when End is deferred).
+// single-threaded simulation when End is deferred). Begin and End are
+// split into an inlinable enabled check and an out-of-line recorder, so a
+// disabled call site costs one load and a compare.
 func (t *Tracer) Begin(component, name string, args ...Arg) Span {
-	if !t.Enabled() {
-		return Span{}
+	if t != nil && t.enabled.Load() {
+		return t.begin(component, name, args)
 	}
+	return Span{}
+}
+
+// begin records a span's Begin event.
+func (t *Tracer) begin(component, name string, args []Arg) Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Reserve room for this span's End plus one End per already-open span,
@@ -105,10 +112,14 @@ func (t *Tracer) Begin(component, name string, args ...Arg) Span {
 
 // End closes the span. No-op on a zero Span.
 func (s Span) End(args ...Arg) {
-	t := s.tr
-	if t == nil {
-		return
+	if s.tr != nil {
+		s.end(args)
 	}
+}
+
+// end records a span's End event.
+func (s Span) end(args []Arg) {
+	t := s.tr
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.open == 0 {

@@ -48,8 +48,8 @@ func (as *AddressSpace) RetirePage(va VAddr) (retired, fresh physmem.Addr, err e
 // migrate does the copy and remap shared by MigratePage and RetirePage.
 func (as *AddressSpace) migrate(va VAddr) (old, fresh physmem.Addr, err error) {
 	vpn := uint64(va) / PageBytes
-	p, ok := as.pages[vpn]
-	if !ok {
+	p := as.pages.Get(vpn)
+	if p == nil {
 		return 0, 0, fmt.Errorf("vm: migrate of unmapped page %#x", uint64(va.PageAddr()))
 	}
 	if !p.present {
@@ -91,13 +91,14 @@ func (as *AddressSpace) migrate(va VAddr) (old, fresh physmem.Addr, err error) {
 // base address f, if any. The kernel uses it to go from a faulting physical
 // frame back to the page it must retire. O(pages) — fine at simulator scale
 // and only run on the (rare) retirement path.
-func (as *AddressSpace) VPageOf(f physmem.Addr) (VAddr, bool) {
-	for vpn, p := range as.pages {
-		if p.present && p.frame == f {
-			return VAddr(vpn * PageBytes), true
+func (as *AddressSpace) VPageOf(f physmem.Addr) (va VAddr, ok bool) {
+	as.pages.Range(func(vpn uint64, slot **pte) bool {
+		if p := *slot; p != nil && p.present && p.frame == f {
+			va, ok = VAddr(vpn*PageBytes), true
 		}
-	}
-	return 0, false
+		return !ok
+	})
+	return va, ok
 }
 
 // Retired reports whether the frame at base address f has been quarantined.

@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"safemem/internal/ecc"
+	"safemem/internal/pagetab"
 	"safemem/internal/physmem"
 	"safemem/internal/simtime"
 	"safemem/internal/telemetry"
@@ -150,7 +151,8 @@ type tlbEntry struct {
 type AddressSpace struct {
 	clock   *simtime.Clock
 	mem     *physmem.Memory
-	pages   map[uint64]*pte       // vpn -> pte
+	pages   pagetab.Table[*pte]   // vpn -> pte, nil when unmapped
+	nPages  int                   // mapped pages
 	frames  []physmem.Addr        // free frame list
 	retired map[physmem.Addr]bool // quarantined frames, never reallocated
 	tick    uint64
@@ -164,7 +166,7 @@ type AddressSpace struct {
 	framesLow int
 	framesImg *Image
 
-	// Software TLB: consulted by Translate before the pages map. Purely a
+	// Software TLB: consulted by Translate before the page table. Purely a
 	// host-speed optimisation — it charges no simulated cycles and changes
 	// no simulated state, so every counter in Stats is identical with the
 	// TLB on or off (pinned by TestTLBEquivalence). Entries are
@@ -192,6 +194,10 @@ type AddressSpace struct {
 
 	stats Stats
 }
+
+// MaxVAddr bounds the virtual address space: the page table indexes pages
+// below pagetab.MaxIndex, 1 TiB of address space.
+const MaxVAddr = pagetab.MaxIndex * PageBytes
 
 // popFrame takes a frame off the free list, which must not be empty.
 func (as *AddressSpace) popFrame() physmem.Addr {
@@ -284,7 +290,6 @@ func New(mem *physmem.Memory, clock *simtime.Clock) *AddressSpace {
 	return &AddressSpace{
 		clock:   clock,
 		mem:     mem,
-		pages:   make(map[uint64]*pte),
 		frames:  frames,
 		retired: make(map[physmem.Addr]bool),
 		tlb:     make([]tlbEntry, tlbEntries),
@@ -329,7 +334,7 @@ func (as *AddressSpace) flushFrame(frame physmem.Addr) {
 // Stats returns a copy of the counters.
 func (as *AddressSpace) Stats() Stats {
 	s := as.stats
-	s.FramesInUse = uint64(len(as.pages))
+	s.FramesInUse = uint64(as.nPages)
 	return s
 }
 
@@ -342,8 +347,11 @@ func (as *AddressSpace) Map(va VAddr, n int, prot Prot) error {
 		return fmt.Errorf("vm: Map of %d pages", n)
 	}
 	vpn := uint64(va) / PageBytes
+	if vpn+uint64(n) > pagetab.MaxIndex {
+		return fmt.Errorf("vm: Map of %d pages at %#x beyond the address space's end %#x", n, uint64(va), uint64(MaxVAddr))
+	}
 	for i := 0; i < n; i++ {
-		if _, ok := as.pages[vpn+uint64(i)]; ok {
+		if as.pages.Get(vpn+uint64(i)) != nil {
 			return fmt.Errorf("vm: page %#x already mapped", (vpn+uint64(i))*PageBytes)
 		}
 	}
@@ -354,7 +362,8 @@ func (as *AddressSpace) Map(va VAddr, n int, prot Prot) error {
 		frame := as.popFrame()
 		p := as.newPTE()
 		p.frame, p.prot, p.present = frame, prot, true
-		as.pages[vpn+uint64(i)] = p
+		*as.pages.Slot(vpn + uint64(i)) = p
+		as.nPages++
 		as.tlbInvalidate(vpn + uint64(i))
 		as.clock.Advance(simtime.CostPageTableOp)
 		as.stats.Maps++
@@ -370,8 +379,8 @@ func (as *AddressSpace) Unmap(va VAddr, n int) error {
 	}
 	vpn := uint64(va) / PageBytes
 	for i := 0; i < n; i++ {
-		p, ok := as.pages[vpn+uint64(i)]
-		if !ok {
+		p := as.pages.Get(vpn + uint64(i))
+		if p == nil {
 			return fmt.Errorf("vm: page %#x not mapped", (vpn+uint64(i))*PageBytes)
 		}
 		if p.pins > 0 {
@@ -379,13 +388,15 @@ func (as *AddressSpace) Unmap(va VAddr, n int) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		p := as.pages[vpn+uint64(i)]
+		slot := as.pages.At(vpn + uint64(i))
+		p := *slot
 		if p.present {
 			// The frame is changing owners: purge its cached lines.
 			as.flushFrame(p.frame)
 			as.frames = append(as.frames, p.frame)
 		}
-		delete(as.pages, vpn+uint64(i))
+		*slot = nil
+		as.nPages--
 		as.freePTE(p)
 		as.tlbInvalidate(vpn + uint64(i))
 		as.clock.Advance(simtime.CostPageTableOp)
@@ -400,8 +411,8 @@ func (as *AddressSpace) Protect(va VAddr, n int, prot Prot) error {
 	}
 	vpn := uint64(va) / PageBytes
 	for i := 0; i < n; i++ {
-		p, ok := as.pages[vpn+uint64(i)]
-		if !ok {
+		p := as.pages.Get(vpn + uint64(i))
+		if p == nil {
 			return fmt.Errorf("vm: page %#x not mapped", (vpn+uint64(i))*PageBytes)
 		}
 		p.prot = prot
@@ -414,18 +425,20 @@ func (as *AddressSpace) Protect(va VAddr, n int, prot Prot) error {
 
 // ProtOf returns the protection of the page containing va.
 func (as *AddressSpace) ProtOf(va VAddr) (Prot, bool) {
-	p, ok := as.pages[uint64(va)/PageBytes]
-	if !ok {
+	p := as.pages.Get(uint64(va) / PageBytes)
+	if p == nil {
 		return ProtNone, false
 	}
 	return p.prot, true
 }
 
 // Pin increments the pin count of the page containing va, preventing
-// swap-out. WatchMemory pins every page that holds a watched line.
+// swap-out. WatchMemory pins every page that holds a watched line. A pin
+// changes no translation (a TLB entry caches frame and protection, not the
+// pin count), so it leaves the TLB and the translation epoch alone.
 func (as *AddressSpace) Pin(va VAddr) error {
-	p, ok := as.pages[uint64(va)/PageBytes]
-	if !ok {
+	p := as.pages.Get(uint64(va) / PageBytes)
+	if p == nil {
 		return fmt.Errorf("vm: Pin of unmapped page %#x", uint64(va.PageAddr()))
 	}
 	if !p.present {
@@ -434,7 +447,6 @@ func (as *AddressSpace) Pin(va VAddr) error {
 		}
 	}
 	p.pins++
-	as.tlbInvalidate(uint64(va) / PageBytes)
 	as.stats.Pins++
 	as.clock.Advance(simtime.CostPageTableOp)
 	return nil
@@ -442,15 +454,14 @@ func (as *AddressSpace) Pin(va VAddr) error {
 
 // Unpin decrements the pin count of the page containing va.
 func (as *AddressSpace) Unpin(va VAddr) error {
-	p, ok := as.pages[uint64(va)/PageBytes]
-	if !ok {
+	p := as.pages.Get(uint64(va) / PageBytes)
+	if p == nil {
 		return fmt.Errorf("vm: Unpin of unmapped page %#x", uint64(va.PageAddr()))
 	}
 	if p.pins == 0 {
 		return fmt.Errorf("vm: Unpin of unpinned page %#x", uint64(va.PageAddr()))
 	}
 	p.pins--
-	as.tlbInvalidate(uint64(va) / PageBytes)
 	as.stats.Unpins++
 	as.clock.Advance(simtime.CostPageTableOp)
 	return nil
@@ -458,7 +469,7 @@ func (as *AddressSpace) Unpin(va VAddr) error {
 
 // Pinned reports the pin count of the page containing va.
 func (as *AddressSpace) Pinned(va VAddr) int {
-	if p, ok := as.pages[uint64(va)/PageBytes]; ok {
+	if p := as.pages.Get(uint64(va) / PageBytes); p != nil {
 		return p.pins
 	}
 	return 0
@@ -468,6 +479,26 @@ func (as *AddressSpace) Pinned(va VAddr) int {
 // On a swapped-out page it transparently swaps the page back in (demand
 // paging) and retries.
 func (as *AddressSpace) Translate(va VAddr, write bool) (physmem.Addr, *Fault) {
+	pa, _, f := as.translate(va, write)
+	return pa, f
+}
+
+// TranslateLines is n Translate(va+i*LineBytes, write) calls for i in
+// [0, n), all on va's page, for a caller that needs only the first
+// address: the first call runs in full (TLB probe, demand swap-in,
+// protection check), and when it succeeds the other n-1 are settled as
+// TouchRun does. On a fault the later calls do not happen, as they would
+// not in a caller that stops at the first fault.
+func (as *AddressSpace) TranslateLines(va VAddr, n uint64, write bool) (physmem.Addr, *Fault) {
+	pa, p, f := as.translate(va, write)
+	if f == nil && n > 1 {
+		PageRef{as: as, p: p}.TouchRun(n - 1)
+	}
+	return pa, f
+}
+
+// translate is Translate, also returning the page's pte on success.
+func (as *AddressSpace) translate(va VAddr, write bool) (physmem.Addr, *pte, *Fault) {
 	as.stats.Translates++
 	vpn := uint64(va) / PageBytes
 	if as.tlbOn {
@@ -484,21 +515,21 @@ func (as *AddressSpace) Translate(va VAddr, write bool) (physmem.Addr, *Fault) {
 			if e.prot&need == 0 {
 				as.stats.ProtFaults++
 				as.clock.Advance(simtime.CostPageFault)
-				return 0, &Fault{Addr: va, Write: write, Kind: FaultProtection, Prot: e.prot}
+				return 0, nil, &Fault{Addr: va, Write: write, Kind: FaultProtection, Prot: e.prot}
 			}
 			as.tick++
 			e.p.touch = as.tick
-			return e.frame + physmem.Addr(va.PageOffset()), nil
+			return e.frame + physmem.Addr(va.PageOffset()), e.p, nil
 		}
 		as.tlbMisses++
 	}
-	p, ok := as.pages[vpn]
-	if !ok {
-		return 0, &Fault{Addr: va, Write: write, Kind: FaultUnmapped}
+	p := as.pages.Get(vpn)
+	if p == nil {
+		return 0, nil, &Fault{Addr: va, Write: write, Kind: FaultUnmapped}
 	}
 	if !p.present {
 		if err := as.swapIn(vpn, p); err != nil {
-			return 0, &Fault{Addr: va, Write: write, Kind: FaultSwappedOut}
+			return 0, nil, &Fault{Addr: va, Write: write, Kind: FaultSwappedOut}
 		}
 	}
 	need := ProtRead
@@ -508,14 +539,14 @@ func (as *AddressSpace) Translate(va VAddr, write bool) (physmem.Addr, *Fault) {
 	if p.prot&need == 0 {
 		as.stats.ProtFaults++
 		as.clock.Advance(simtime.CostPageFault)
-		return 0, &Fault{Addr: va, Write: write, Kind: FaultProtection, Prot: p.prot}
+		return 0, nil, &Fault{Addr: va, Write: write, Kind: FaultProtection, Prot: p.prot}
 	}
 	if as.tlbOn {
 		as.tlb[vpn&tlbMask] = tlbEntry{gen: as.tlbGen, vpn: vpn, frame: p.frame, prot: p.prot, p: p}
 	}
 	as.tick++
 	p.touch = as.tick
-	return p.frame + physmem.Addr(va.PageOffset()), nil
+	return p.frame + physmem.Addr(va.PageOffset()), p, nil
 }
 
 // PageRef caches one run-length translation for the batched access fast
@@ -550,8 +581,8 @@ func (as *AddressSpace) TranslateRun(va VAddr) (PageRef, bool) {
 		}
 		as.tlbMisses++
 	}
-	p, ok := as.pages[vpn]
-	if !ok || !p.present {
+	p := as.pages.Get(vpn)
+	if p == nil || !p.present {
 		return PageRef{}, false
 	}
 	if as.tlbOn {
@@ -587,11 +618,12 @@ func (as *AddressSpace) SwapOutLRU(n int) int {
 		touch uint64
 	}
 	var cands []cand
-	for vpn, p := range as.pages {
-		if p.present && p.pins == 0 {
+	as.pages.Range(func(vpn uint64, slot **pte) bool {
+		if p := *slot; p != nil && p.present && p.pins == 0 {
 			cands = append(cands, cand{vpn, p.touch})
 		}
-	}
+		return true
+	})
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].touch != cands[j].touch {
 			return cands[i].touch < cands[j].touch
@@ -603,7 +635,7 @@ func (as *AddressSpace) SwapOutLRU(n int) int {
 		if done >= n {
 			break
 		}
-		as.swapOut(c.vpn, as.pages[c.vpn])
+		as.swapOut(c.vpn, as.pages.Get(c.vpn))
 		done++
 	}
 	return done
@@ -663,26 +695,37 @@ func (as *AddressSpace) swapIn(vpn uint64, p *pte) error {
 // simulated semantics and a restore simply flushes them.
 type Image struct {
 	as      *AddressSpace
-	pages   map[uint64]pte
+	pages   []imagePage
 	frames  []physmem.Addr
 	retired []physmem.Addr
 	tick    uint64
 	stats   Stats
 }
 
+// imagePage is one mapped page of an Image: its vpn and a copy of its pte.
+type imagePage struct {
+	vpn uint64
+	pte pte
+}
+
 // CaptureImage checkpoints the address space.
 func (as *AddressSpace) CaptureImage() *Image {
 	img := &Image{
 		as:     as,
-		pages:  make(map[uint64]pte, len(as.pages)),
+		pages:  make([]imagePage, 0, as.nPages),
 		frames: append([]physmem.Addr(nil), as.frames...),
 		tick:   as.tick,
 		stats:  as.stats,
 	}
-	for vpn, p := range as.pages {
-		cp := *p
-		cp.swapped = append([]uint64(nil), p.swapped...)
-		img.pages[vpn] = cp
+	if as.nPages > 0 {
+		as.pages.Range(func(vpn uint64, slot **pte) bool {
+			if p := *slot; p != nil {
+				cp := *p
+				cp.swapped = append([]uint64(nil), p.swapped...)
+				img.pages = append(img.pages, imagePage{vpn, cp})
+			}
+			return true
+		})
 	}
 	for f := range as.retired {
 		img.retired = append(img.retired, f)
@@ -695,22 +738,29 @@ func (as *AddressSpace) CaptureImage() *Image {
 // flushes the TLB. Page contents live in physmem and are restored
 // separately (physmem.RestoreImage); this restores the translations. For
 // the empty page table of a pristine machine image, the restore allocates
-// nothing and costs O(pages mapped since capture): of the free frame list,
-// only the tail popped since then is rewritten.
+// nothing: the page table's leaves are cleared and kept (a scan of the
+// leaves the run allocated, none when no page is mapped), and of the free
+// frame list only the tail popped since the capture is rewritten.
 func (as *AddressSpace) RestoreImage(img *Image) {
 	if img.as != as {
 		panic("vm: RestoreImage with an image captured from a different address space")
 	}
-	for _, p := range as.pages {
-		as.freePTE(p)
+	if as.nPages > 0 {
+		as.pages.Range(func(_ uint64, slot **pte) bool {
+			if *slot != nil {
+				as.freePTE(*slot)
+				*slot = nil
+			}
+			return true
+		})
 	}
-	clear(as.pages)
-	for vpn, p := range img.pages {
+	for _, ip := range img.pages {
 		np := as.newPTE()
-		*np = p
-		np.swapped = append([]uint64(nil), p.swapped...)
-		as.pages[vpn] = np
+		*np = ip.pte
+		np.swapped = append([]uint64(nil), ip.pte.swapped...)
+		*as.pages.Slot(ip.vpn) = np
 	}
+	as.nPages = len(img.pages)
 	lo := 0
 	if as.framesImg == img {
 		lo = min(as.framesLow, len(img.frames))
@@ -729,14 +779,15 @@ func (as *AddressSpace) RestoreImage(img *Image) {
 
 // Present reports whether the page containing va is resident.
 func (as *AddressSpace) Present(va VAddr) bool {
-	p, ok := as.pages[uint64(va)/PageBytes]
-	return ok && p.present
+	p := as.pages.Get(uint64(va) / PageBytes)
+	return p != nil && p.present
 }
 
-// FrameOf returns the physical frame of the page containing va, for tests.
+// FrameOf returns the physical frame of the page containing va, if the
+// page is resident.
 func (as *AddressSpace) FrameOf(va VAddr) (physmem.Addr, bool) {
-	p, ok := as.pages[uint64(va)/PageBytes]
-	if !ok || !p.present {
+	p := as.pages.Get(uint64(va) / PageBytes)
+	if p == nil || !p.present {
 		return 0, false
 	}
 	return p.frame, true
