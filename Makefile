@@ -111,16 +111,19 @@ bench:
 # must cost what the run dirtied, so its ns/op stays roughly flat as
 # MemBytes grows. For numbers, rerun one with a larger -benchtime:
 # MachineNew reports the ns and host bytes of a cold 32 MiB New (DRAM is
-# sparse, so B/op is far below the simulated size), LoadRunScan (a 128 KiB
-# scan) and CopyCompareRun (a 128 KiB copy, then a compare of the two
-# copies) report host ns per 64-byte line and 0 allocs/op and fail if they
-# leave the fast lane, WatchUnwatch reports 0 allocs/op, DisabledSpan
+# sparse, so B/op is far below the simulated size), LoadRunScan (one row
+# per single-stream kind: a 128 KiB pass of 8-byte LoadRun and StoreRun,
+# LoadByteRun, StoreByteRun and Memset) and CopyCompareRun (a 128 KiB copy,
+# then a compare of the two copies) report host ns per 64-byte line and 0
+# allocs/op and fail if they leave the fast lane, ShortCompareRun reports
+# the ns and 0 allocs of one 1-127-byte compare (gzip's match loop) and
+# fails if it leaves the fast lane, WatchUnwatch reports 0 allocs/op, DisabledSpan
 # reports the ns and 0 allocs of a Begin/End pair on a tracer that is not
 # recording (what every instrumented hot path pays with tracing off), and
 # Scenario's garbage-B/op is the host garbage one campaign scenario leaves
 # behind.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|CopyCompareRun|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
+	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|CopyCompareRun|ShortCompareRun|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'WatchUnwatch|DisabledSpan|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/telemetry ./internal/campaign
 
 # bench-check guards host performance through the repository benchmark. It

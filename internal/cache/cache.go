@@ -27,6 +27,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"safemem/internal/memctrl"
@@ -401,6 +402,75 @@ func (c *Cache) CommitRun(r LineRef, n uint64) {
 	c.tick += n
 	c.stats.Hits += n
 	r.w.lru = c.tick
+}
+
+// LineOp is the data step of a whole-line stretch (Lines). The byte steps
+// come last: Lines counts 64 elements a line for them and 8 for the rest.
+type LineOp uint8
+
+const (
+	LoadWordLines  LineOp = iota // each line's eight groups into words
+	StoreWordLines               // words into each line's groups
+	FillWordLines                // fill into every group
+	LoadByteLines                // each line's 64 bytes, little-endian per group, into bytes
+	StoreByteLines               // bytes into each line, little-endian per group
+)
+
+// Lines serves a whole-line stretch for the machine's span engine: up to k
+// consecutive lines from line (at most the rest of a page), each covered
+// completely by a run's elements, eight words or 64 bytes a line, moved by
+// op from or to words or bytes starting at element i. Per line it pays one
+// tag probe, one data move and one stamp — tick advanced by the line's
+// element count and the LRU stamp set to it, as CommitRun would when the
+// run leaves the line — and the hits are counted once at the end. It stops
+// at the first line that is not resident, which the caller serves through
+// its ordinary path, and returns the lines served and the last of them
+// (the zero LineRef when none was).
+func (c *Cache) Lines(line physmem.Addr, op LineOp, k uint64, words []uint64, bytes []byte, i, fill uint64) (j uint64, last LineRef) {
+	per := uint64(physmem.GroupsPerLine)
+	if op >= LoadByteLines {
+		per = physmem.LineBytes
+	}
+	for ; j < k; j++ {
+		w := c.find(line)
+		if w == nil {
+			break
+		}
+		// Group by group: an array assignment between two pointers
+		// compiles to a memmove call.
+		d := &w.words
+		switch op {
+		case LoadWordLines:
+			s := (*[physmem.GroupsPerLine]uint64)(words[i+j*physmem.GroupsPerLine:])
+			s[0], s[1], s[2], s[3] = d[0], d[1], d[2], d[3]
+			s[4], s[5], s[6], s[7] = d[4], d[5], d[6], d[7]
+		case StoreWordLines:
+			s := (*[physmem.GroupsPerLine]uint64)(words[i+j*physmem.GroupsPerLine:])
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
+			w.dirty = true
+		case FillWordLines:
+			d[0], d[1], d[2], d[3] = fill, fill, fill, fill
+			d[4], d[5], d[6], d[7] = fill, fill, fill, fill
+			w.dirty = true
+		case LoadByteLines:
+			b := (*[physmem.LineBytes]byte)(bytes[i+j*physmem.LineBytes:])
+			for g, v := range d {
+				binary.LittleEndian.PutUint64(b[g*physmem.GroupBytes:], v)
+			}
+		case StoreByteLines:
+			b := (*[physmem.LineBytes]byte)(bytes[i+j*physmem.LineBytes:])
+			for g := range d {
+				d[g] = binary.LittleEndian.Uint64(b[g*physmem.GroupBytes:])
+			}
+			w.dirty = true
+		}
+		c.tick += per
+		w.lru = c.tick
+		last, line = LineRef{w}, line+physmem.LineBytes
+	}
+	c.stats.Hits += j * per
+	return j, last
 }
 
 func checkSpan(a physmem.Addr, size int) {

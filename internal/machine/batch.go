@@ -17,6 +17,14 @@
 //   - the cache line is probed once per line (cache.OpenLine) and data
 //     moves directly against the resident line, instead of a full lookup
 //     per access;
+//   - a single-stream run over whole resident lines takes them in
+//     stretches (Cache.Lines): from a line-aligned address in an open page
+//     window, up to the page's end, the run's last whole line or the wake
+//     budget's, one loop in the cache probes, moves and stamps each line,
+//     stopping at the first line that is not resident. Stamping a line as
+//     the stretch reads it equals stamping it when the run leaves it: the
+//     stretch makes every access to the line before moving on, and nothing
+//     else ticks the cache in between;
 //   - accounting is committed in bulk by one engine (spanRun) behind every
 //     entry point, single-stream (contiguous runs, Memset) and two-stream
 //     (CopyRun, CompareRun) alike. It commits each kind of state only as
@@ -329,6 +337,16 @@ func (sp *span) move(l, lb cache.LineRef, off, boff, i, c uint64) uint64 {
 	return c
 }
 
+// lineOps maps the single-stream kinds to the data step of their
+// whole-line stretches.
+var lineOps = [...]cache.LineOp{
+	spanLoad:       cache.LoadWordLines,
+	spanLoadBytes:  cache.LoadByteLines,
+	spanStore:      cache.StoreWordLines,
+	spanStoreBytes: cache.StoreByteLines,
+	spanFill:       cache.FillWordLines,
+}
+
 // slow performs element i, at va, through the per-access path.
 func (sp *span) slow(m *Machine, va vm.VAddr, i uint64) {
 	size := int(sp.size)
@@ -365,8 +383,8 @@ type spanStream struct {
 // Each kind of state is committed only as often as its semantics need:
 //
 //   - per line: a stream's LRU stamp (Cache.CommitRun) when it leaves the
-//     line, so relative LRU order — and with it every victim — matches the
-//     per-access path;
+//     line, or as a whole-line stretch reads it, so relative LRU order —
+//     and with it every victim — matches the per-access path;
 //   - per page window: a stream's page touch (PageRef.TouchRun) with the
 //     summed count when it leaves the page (translation ticks are
 //     independent of cache ticks, so deferring it past line commits moves
@@ -498,8 +516,42 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 	// scans about a fifth of their host time.
 	cnt, lineAt, limit := r.n, s.lineAt, r.limit
 	line, lineVA, lineOK := seg.line, seg.lineVA, seg.lineOK
+	// Word loads, stores and fills and byte loads and stores take
+	// whole-line stretches. perShift is log2 of a line's elements for
+	// them, and 0 for the rest: a division by the element count would
+	// cost each stretch two hardware divides.
+	var perShift uint64
+	if grouped && (size == 8 || sp.kind == spanLoadBytes || sp.kind == spanStoreBytes) {
+		perShift = uint64(bits.TrailingZeros64(physmem.LineBytes)) - shift
+	}
 	for i := uint64(0); i < n; {
 		if cnt < limit {
+			// A whole-line stretch: from a line-aligned va inside an open
+			// page window that grants the access, every whole line left
+			// in the page, in the run and in the budget at one probe,
+			// one move and one stamp a line. The open line is stamped
+			// first, and the window is handed back on the stretch's last
+			// line with nothing pending; a line that is not resident
+			// stops the stretch and goes the ordinary way below.
+			if perShift != 0 && uint64(va)%physmem.LineBytes == 0 && seg.pageOK && seg.pageVA == va.PageAddr() && seg.page.Prot&s.need != 0 {
+				if k := min((vm.PageBytes-uint64(va-seg.pageVA))/physmem.LineBytes, (n-i)>>perShift, (limit-cnt)>>perShift); k > 0 {
+					if cnt > lineAt {
+						ch.CommitRun(line, cnt-lineAt)
+					}
+					pa := seg.page.Frame + physmem.Addr(uint64(va-seg.pageVA))
+					j, last := ch.Lines(pa, lineOps[sp.kind], k, sp.words, sp.bytes, i, sp.fill)
+					if j > 0 {
+						line, lineVA, lineOK = last, va+vm.VAddr((j-1)*physmem.LineBytes), true
+						cnt += j << perShift
+						i += j << perShift
+						va += vm.VAddr(j * physmem.LineBytes)
+					}
+					lineAt = cnt
+					if j == k {
+						continue
+					}
+				}
+			}
 			if va.LineAddr() != lineVA || !lineOK {
 				if cnt > lineAt {
 					ch.CommitRun(line, cnt-lineAt)
@@ -522,16 +574,7 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 					c = (physmem.GroupBytes - off%physmem.GroupBytes) / size
 				}
 				if c = min(c, n-i, limit-cnt); c > 0 {
-					if sp.kind == spanLoad && size == 8 && c == physmem.GroupsPerLine {
-						// A whole line of words, the table-scan case,
-						// copied by element: an array assignment between
-						// two pointers compiles to a memmove call.
-						d, w := (*[physmem.GroupsPerLine]uint64)(sp.words[i:]), line.Words()
-						d[0], d[1], d[2], d[3] = w[0], w[1], w[2], w[3]
-						d[4], d[5], d[6], d[7] = w[4], w[5], w[6], w[7]
-					} else {
-						sp.move(line, cache.LineRef{}, off, 0, i, c)
-					}
+					sp.move(line, cache.LineRef{}, off, 0, i, c)
 					cnt += c
 					i += c
 					va += vm.VAddr(c * size)

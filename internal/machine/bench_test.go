@@ -101,33 +101,48 @@ func BenchmarkRecycleFewDirtyLines(b *testing.B) {
 }
 
 // BenchmarkLoadRunScan measures the batch lane's span engine on the shape
-// that dominates the server apps' host time (their resident-table scans):
-// one aligned 8-byte LoadRun over 128 KiB of resident lines per op.
-// ns/line is host time per 64-byte line; allocs/op must stay 0.
+// that dominates the server apps' host time (their resident-table scans),
+// one row per single-stream kind: per op, one aligned 8-byte LoadRun or
+// StoreRun, a LoadByteRun, a StoreByteRun or a Memset over 128 KiB of
+// resident lines. ns/line is host time per 64-byte line; allocs/op must
+// stay 0, and a row fails if any access leaves the fast lane.
 func BenchmarkLoadRunScan(b *testing.B) {
 	const (
 		base  = vm.VAddr(0x100000)
 		bytes = 128 << 10
 		lines = bytes / physmem.LineBytes
 	)
-	m := MustNew(Config{MemBytes: 1 << 20})
-	if err := m.Kern.MapPages(base, bytes/vm.PageBytes); err != nil {
-		b.Fatal(err)
+	words, bs := make([]uint64, bytes/8), make([]byte, bytes)
+	for _, row := range []struct {
+		name string
+		op   func(m *Machine)
+	}{
+		{"LoadRun", func(m *Machine) { m.LoadRun(base, 8, 8, words) }},
+		{"StoreRun", func(m *Machine) { m.StoreRun(base, 8, 8, words) }},
+		{"LoadByteRun", func(m *Machine) { m.LoadByteRun(base, bs) }},
+		{"StoreByteRun", func(m *Machine) { m.StoreByteRun(base, bs) }},
+		{"Memset", func(m *Machine) { m.Memset(base, 0x5a, bytes) }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			m := MustNew(Config{MemBytes: 1 << 20})
+			if err := m.Kern.MapPages(base, bytes/vm.PageBytes); err != nil {
+				b.Fatal(err)
+			}
+			m.StoreRun(base, 8, 8, words)
+			row.op(m)
+			_, _, slow := m.BatchStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row.op(m)
+			}
+			b.StopTimer()
+			if _, _, s := m.BatchStats(); s != slow {
+				b.Fatalf("scan left the fast lane: %d slow accesses over resident lines", s-slow)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+		})
 	}
-	buf := make([]uint64, bytes/8)
-	m.StoreRun(base, 8, 8, buf)
-	m.LoadRun(base, 8, 8, buf)
-	_, _, slow := m.BatchStats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.LoadRun(base, 8, 8, buf)
-	}
-	b.StopTimer()
-	if _, _, s := m.BatchStats(); s != slow {
-		b.Fatalf("scan left the fast lane: %d slow accesses over resident lines", s-slow)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
 }
 
 // BenchmarkCopyCompareRun is LoadRunScan's two-stream twin: per op, one
@@ -164,4 +179,39 @@ func BenchmarkCopyCompareRun(b *testing.B) {
 		b.Fatalf("copy or compare left the fast lane: %d slow accesses over resident lines", s-slow)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+}
+
+// BenchmarkShortCompareRun measures the short compares of gzip's match
+// loop: per op, one CompareRun of 1 to 127 bytes (cycling) between two
+// equal resident regions on different pages. Each compare starts where the
+// last one stopped, so the windows it left open cover the next one's first
+// line, as they do for consecutive match attempts. allocs/op must stay 0,
+// and it fails if any access leaves the fast lane.
+func BenchmarkShortCompareRun(b *testing.B) {
+	const (
+		a     = vm.VAddr(0x100000)
+		delta = vm.VAddr(vm.PageBytes)
+	)
+	m := MustNew(Config{MemBytes: 1 << 20})
+	if err := m.Kern.MapPages(a, 2); err != nil {
+		b.Fatal(err)
+	}
+	m.Memset(a, 0x5a, 2*vm.PageBytes)
+	m.CompareRun(a, a+delta, vm.PageBytes)
+	_, _, slow := m.BatchStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, pos := 0, vm.VAddr(0); i < b.N; i++ {
+		n := 1 + i%127
+		if m.CompareRun(a+pos, a+delta+pos, n) != n {
+			b.Fatal("equal regions differ")
+		}
+		if pos += vm.VAddr(n); pos > vm.PageBytes-127 {
+			pos = 0
+		}
+	}
+	b.StopTimer()
+	if _, _, s := m.BatchStats(); s != slow {
+		b.Fatalf("compare left the fast lane: %d slow accesses over resident lines", s-slow)
+	}
 }

@@ -246,6 +246,8 @@ func (r *diffRig) step(op fuzzOp) {
 		prot := vm.ProtRead
 		if op.c&1 != 0 {
 			prot = vm.ProtNone
+		} else if op.c&2 != 0 {
+			prot = vm.ProtWrite
 		}
 		page := fuzzBase + vm.VAddr(uint64(op.a)%fuzzPages*vm.PageBytes)
 		r.h(boolBit(m.Kern.Mprotect(page, 1, prot) != nil))
@@ -490,12 +492,139 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
+// stretchSeeds are the edges of the span engine's whole-line stretches,
+// each ended by a set-filling sweep (a run over eight fresh lines, one per
+// set of fuzzCache, evicting each set's LRU line) and a rescan whose misses
+// show which lines the sweep evicted. Lines 0-15 of a page fill fuzzCache
+// exactly, two lines a set, and a stretch needs them resident.
+func stretchSeeds() [][]byte {
+	const page = uint16(vm.PageBytes)
+	sweep := func(at uint16) []fuzzOp {
+		return []fuzzOp{
+			{kind: fopLoadRun, a: at, b: 63, c: 3},
+			{kind: fopLoadRun, a: 0, b: 127, c: 3},
+			{kind: fopLoadRun, a: page - 512, b: 127, c: 3},
+		}
+	}
+	return [][]byte{
+		// A run resumes on line 2, where the last one left its window,
+		// and loads three words there before its stretch from line 3:
+		// line 2 must be stamped before the stretch, so that line 10,
+		// loaded in between, is set 2's victim in the sweep.
+		encodeOps(append([]fuzzOp{
+			{kind: fopStoreRun, a: 0, b: 127, c: 3},
+			{kind: fopLoadRun, a: 0, b: 20, c: 3},
+			{kind: fopLoad, a: 640, c: 3},
+			{kind: fopLoadRun, a: 168, b: 42, c: 3},
+		}, sweep(2048)...)...),
+		// Loading line 22 evicts line 6: the stretch from line 0 meets it
+		// mid-page, serves it by a miss that evicts line 14, and meets
+		// line 14 in the stretch that resumes at line 7.
+		encodeOps(append([]fuzzOp{
+			{kind: fopStoreRun, a: 0, b: 127, c: 3},
+			{kind: fopLoad, a: 1408, c: 3},
+			{kind: fopLoadRun, a: 0, b: 127, c: 3},
+			{kind: fopLoad, a: 1408, c: 3},
+			{kind: fopStoreByteRun, a: 0, b: 1023, c: 5},
+		}, sweep(2048)...)...),
+		// Stretches ending at the page boundary: lines 61-63 of page 0,
+		// then lines 1-3 of page 1 after its first line opens the page.
+		// Pages 2-7 are touched between the runs, each in a set of its
+		// own, so the swap-out takes page 2 only if the second run touched
+		// page 1 as well as page 0.
+		encodeOps(append([]fuzzOp{
+			{kind: fopStoreRun, a: page - 256, b: 63, c: 3},
+			{kind: fopLoad, a: 2 * page, c: 3},
+			{kind: fopLoad, a: 3*page + 64, c: 3},
+			{kind: fopLoad, a: 4*page + 128, c: 3},
+			{kind: fopLoad, a: 5*page + 192, c: 3},
+			{kind: fopLoad, a: 6*page + 256, c: 3},
+			{kind: fopLoad, a: 7*page + 320, c: 3},
+			{kind: fopLoadRun, a: page - 248, b: 62, c: 3},
+			{kind: fopSwapOut},
+			{kind: fopLoad, a: page + 8, c: 3},
+			{kind: fopStoreRun, a: page - 512, b: 127, c: 3},
+			{kind: fopLoadRun, a: page - 504, b: 126, c: 3},
+			{kind: fopMemset, a: page - 512, b: 1023, c: 0x3c},
+			{kind: fopLoadByteRun, a: page - 512, b: 1023},
+		}, sweep(2*page)...)...),
+		// Wakes clip stretches of word loads, byte loads and stores
+		// mid-line; each must fire at its exact cycle.
+		encodeOps(append([]fuzzOp{
+			{kind: fopStoreRun, a: 0, b: 127, c: 3},
+			{kind: fopWake, a: 150},
+			{kind: fopLoadRun, a: 0, b: 127, c: 3},
+			{kind: fopWake, a: 1000},
+			{kind: fopLoadByteRun, a: 0, b: 1023},
+			{kind: fopWake, a: 333},
+			{kind: fopStoreRun, a: 0, b: 127, c: 3},
+			{kind: fopWake, a: 2100},
+			{kind: fopStoreByteRun, a: 0, b: 1023, c: 9},
+		}, sweep(2048)...)...),
+		// Windows resumed on pages that refuse the next run's access:
+		// loads after stores on a write-only page, then stores after
+		// loads on a read-only one. No stretch may serve them; each
+		// faults on its first element and the handler opens the page.
+		encodeOps(append([]fuzzOp{
+			{kind: fopStoreRun, a: page, b: 127, c: 3},
+			{kind: fopMprotect, a: 1, c: 2},
+			{kind: fopStoreRun, a: page, b: 63, c: 3},
+			{kind: fopLoadRun, a: page + 512, b: 63, c: 3},
+			{kind: fopMprotect, a: 1},
+			{kind: fopLoadRun, a: page, b: 63, c: 3},
+			{kind: fopStoreRun, a: page + 512, b: 63, c: 3},
+			{kind: fopMprotect, a: 1},
+			{kind: fopLoadByteRun, a: page, b: 511},
+			{kind: fopMemset, a: page + 512, b: 511, c: 7},
+		}, sweep(2*page)...)...),
+	}
+}
+
+// TestStretchEdgesMatchReference runs stretchSeeds on a default and a
+// Reference machine: every simulated observable must agree after every op
+// (runDifferential), and so must the cache's contents at the end, line by
+// line over the region, and again after one more set-filling sweep.
+func TestStretchEdgesMatchReference(t *testing.T) {
+	for i, seed := range stretchSeeds() {
+		fast, ref := runDifferential(t, decodeOps(seed))
+		if _, f, _ := fast.m.BatchStats(); f == 0 {
+			t.Fatalf("program %d never used the fast lane", i)
+		}
+		for round := 0; round < 2; round++ {
+			if df, dr := residentLines(t, fast.m), residentLines(t, ref.m); df != dr {
+				t.Fatalf("program %d, round %d: resident lines differ\ndefault:   %x\nreference: %x", i, round, df, dr)
+			}
+			sweep := fuzzOp{kind: fopLoadRun, a: uint16(3 * vm.PageBytes), b: 63, c: 3}
+			if df, dr := fast.run(sweep), ref.run(sweep); df != dr {
+				t.Fatalf("program %d: sweep diverges\ndefault:   %+v\nreference: %+v", i, df, dr)
+			}
+		}
+	}
+}
+
+// residentLines is a bitmap of which lines of the fuzz region m's cache
+// holds (Cache.Contains), one bit a line.
+func residentLines(t *testing.T, m *Machine) [fuzzRegion / physmem.LineBytes / 64]uint64 {
+	var bits [fuzzRegion / physmem.LineBytes / 64]uint64
+	for off := uint64(0); off < fuzzRegion; off += physmem.LineBytes {
+		frame, ok := m.AS.FrameOf(fuzzBase + vm.VAddr(off))
+		if !ok {
+			t.Fatalf("region offset %#x unmapped", off)
+		}
+		if m.Cache.Contains(frame + physmem.Addr(off%vm.PageBytes)) {
+			l := off / physmem.LineBytes
+			bits[l/64] |= 1 << (l % 64)
+		}
+	}
+	return bits
+}
+
 // FuzzMachineDifferential pins that Config.Reference changes host work
 // only: values read, simulated time, instruction counts, machine, cache and
 // controller statistics, ECC-fault delivery with its AccessInFlight record,
 // and wake times all match a default machine's after every op.
 func FuzzMachineDifferential(f *testing.F) {
-	for _, seed := range fuzzSeeds() {
+	for _, seed := range append(fuzzSeeds(), stretchSeeds()...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
