@@ -34,7 +34,11 @@
 //   - the wake horizon (simtime.Clock.Headroom) bounds every deferred
 //     charge, so no timer deadline can fall inside a batched commit.
 //
-// Strided runs (stride != size) are served per access.
+// Runs the lane refuses at entry — on a machine with a monitor attached or
+// built with Config.Reference, and strided runs (stride != size) — go
+// through the same engine with a zero budget: every element takes the
+// per-access path, and the run opens no window and counts nothing in
+// BatchStats.
 //
 // The lane is a pure host-side optimisation: simulated semantics are
 // bit-identical to issuing the same accesses through Load/Store, pinned by
@@ -46,9 +50,9 @@
 // entry/bail-out matrix is documented in DESIGN.md §4.10. In brief, an
 // access leaves the fast lane when:
 //
-//   - a per-access monitor is attached (Purify, MMP, the trace recorder):
-//     the whole run is served by Load/Store so every callback fires;
-//   - the machine was built with Config.Reference;
+//   - the run was refused the lane at entry (a monitor is attached and
+//     every callback must fire, the machine is a Reference one, or the run
+//     is strided): every element of it;
 //   - kernel deferred work is pending (the slow access drains it at the
 //     same boundary the per-access path would);
 //   - the next wake deadline is too close to fit even one batched access;
@@ -119,8 +123,8 @@ func (m *Machine) BatchStats() (runs, fastOps, slowOps uint64) {
 }
 
 // laneOK reports whether batched runs may use the fast lane right now.
-// Attached monitors demand per-access callbacks, so any monitor forces the
-// whole run through Load/Store, as does a Reference machine.
+// Attached monitors demand per-access callbacks, so any monitor refuses the
+// lane to the whole run (spanBegin), as does a Reference machine.
 func (m *Machine) laneOK() bool {
 	return len(m.monitors) == 0 && !m.reference
 }
@@ -174,46 +178,28 @@ func (m *Machine) laneExit() {
 
 // LoadRun performs len(dst) loads of size bytes spaced stride bytes apart
 // starting at va, in index order, results into dst. Equivalent to the same
-// Load calls; contiguous runs (stride == size) take the span engine.
+// Load calls; a strided run (stride != size) is refused the lane.
 func (m *Machine) LoadRun(va vm.VAddr, size int, stride uint64, dst []uint64) {
-	if !m.laneOK() || stride != uint64(size) {
-		for i := range dst {
-			dst[i] = m.Load(va+vm.VAddr(uint64(i)*stride), size)
-		}
-		return
-	}
 	var r spanRun
-	m.spanBegin(&r, vm.ProtRead, vm.ProtNone)
-	m.span(&r, &span{kind: spanLoad, size: stride, words: dst}, va, uint64(len(dst)))
+	m.spanBegin(&r, vm.ProtRead, vm.ProtNone, stride != uint64(size))
+	m.span(&r, &span{kind: spanLoad, size: stride, width: size, words: dst}, va, uint64(len(dst)))
 	m.spanEnd(&r)
 }
 
 // StoreRun performs len(src) stores of size bytes spaced stride bytes
 // apart starting at va, in index order, values from src.
 func (m *Machine) StoreRun(va vm.VAddr, size int, stride uint64, src []uint64) {
-	if !m.laneOK() || stride != uint64(size) {
-		for i := range src {
-			m.Store(va+vm.VAddr(uint64(i)*stride), size, src[i])
-		}
-		return
-	}
 	var r spanRun
-	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone)
-	m.span(&r, &span{kind: spanStore, size: stride, words: src}, va, uint64(len(src)))
+	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone, stride != uint64(size))
+	m.span(&r, &span{kind: spanStore, size: stride, width: size, words: src}, va, uint64(len(src)))
 	m.spanEnd(&r)
 }
 
 // LoadByteRun reads len(b) consecutive bytes at va into b — the batched
 // loadBytes/strncpy-read idiom.
 func (m *Machine) LoadByteRun(va vm.VAddr, b []byte) {
-	if !m.laneOK() {
-		for i := range b {
-			b[i] = uint8(m.Load(va+vm.VAddr(i), 1))
-		}
-		return
-	}
 	var r spanRun
-	m.spanBegin(&r, vm.ProtRead, vm.ProtNone)
+	m.spanBegin(&r, vm.ProtRead, vm.ProtNone, false)
 	m.span(&r, &span{kind: spanLoadBytes, size: 1, bytes: b}, va, uint64(len(b)))
 	m.spanEnd(&r)
 }
@@ -221,14 +207,8 @@ func (m *Machine) LoadByteRun(va vm.VAddr, b []byte) {
 // StoreByteRun writes the bytes of b at consecutive addresses from va —
 // the batched storeBytes/strcpy idiom.
 func (m *Machine) StoreByteRun(va vm.VAddr, b []byte) {
-	if !m.laneOK() {
-		for i := range b {
-			m.Store(va+vm.VAddr(i), 1, uint64(b[i]))
-		}
-		return
-	}
 	var r spanRun
-	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone)
+	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone, false)
 	m.span(&r, &span{kind: spanStoreBytes, size: 1, bytes: b}, va, uint64(len(b)))
 	m.spanEnd(&r)
 }
@@ -246,14 +226,17 @@ const (
 	spanCompare                    // byte i of stream a against byte i of stream b, until they differ
 )
 
-// span is one contiguous run of size-byte elements: the LoadRun/StoreRun
-// contiguous case, LoadByteRun, StoreByteRun, each head, body and tail of
-// a Memset, and each word or byte stretch of a CopyRun or CompareRun. The
-// last two are two-stream spans: element i is an access at va+i·size on
-// stream a, then one at the same address plus delta on stream b.
+// span is one run of size-byte elements: a LoadRun or StoreRun,
+// LoadByteRun, StoreByteRun, each head, body and tail of a Memset, and
+// each word or byte stretch of a CopyRun or CompareRun. The last two are
+// two-stream spans: element i is an access at va+i·size on stream a, then
+// one at the same address plus delta on stream b.
 type span struct {
-	kind  spanKind
-	size  uint64
+	kind spanKind
+	size uint64
+	// width is a LoadRun's or StoreRun's access size. It equals size but
+	// in a strided run, which the lane refuses: there size is the stride.
+	width int
 	words []uint64
 	bytes []byte
 	fill  uint64
@@ -352,11 +335,11 @@ func (sp *span) slow(m *Machine, va vm.VAddr, i uint64) {
 	size := int(sp.size)
 	switch sp.kind {
 	case spanLoad:
-		sp.words[i] = m.Load(va, size)
+		sp.words[i] = m.Load(va, sp.width)
 	case spanLoadBytes:
 		sp.bytes[i] = uint8(m.Load(va, 1))
 	case spanStore:
-		m.Store(va, size, sp.words[i])
+		m.Store(va, sp.width, sp.words[i])
 	case spanStoreBytes:
 		m.Store(va, 1, uint64(sp.bytes[i]))
 	case spanFill:
@@ -415,13 +398,20 @@ type spanRun struct {
 	// neither fire wakes nor queue kernel work — and is 0 while kernel
 	// work is pending, so the next element goes slow and drains it.
 	limit uint64
+	// off marks a run the lane refused at entry: its limit stays 0, so
+	// every element goes slow, and it counts nothing in BatchStats.
+	off bool
 }
 
 // spanBegin enters r, a batched run served by the span engine: stream a
-// needs protection a, and stream b, unless b is ProtNone, needs b. It
-// fills r in place: a spanRun is too large to return cheaply.
-func (m *Machine) spanBegin(r *spanRun, a, b vm.Prot) {
-	m.batch.runs++
+// needs protection a, and stream b, unless b is ProtNone, needs b. The
+// lane is refused to a strided run and while laneOK says no. It fills r in
+// place: a spanRun is too large to return cheaply.
+func (m *Machine) spanBegin(r *spanRun, a, b vm.Prot, strided bool) {
+	r.off = strided || !m.laneOK()
+	if !r.off {
+		m.batch.runs++
+	}
 	sa, sb := m.laneSegs()
 	r.s[0] = spanStream{seg: sa, need: a}
 	r.s[1] = spanStream{seg: sb, need: b}
@@ -436,10 +426,10 @@ func (m *Machine) spanBegin(r *spanRun, a, b vm.Prot) {
 }
 
 // spanBudget returns how many elements of r fit strictly before the next
-// wake deadline (effectively unlimited when no timer is armed), or 0 while
-// kernel work is pending.
+// wake deadline (effectively unlimited when no timer is armed), or 0 for a
+// refused run and while kernel work is pending.
 func (m *Machine) spanBudget(r *spanRun) uint64 {
-	if m.Kern.WorkPending() {
+	if r.off || m.Kern.WorkPending() {
 		return 0
 	}
 	if h, bounded := m.Clock.Headroom(); bounded {
@@ -649,7 +639,9 @@ func (m *Machine) spanOpen(r *spanRun, s *spanStream, va vm.VAddr) bool {
 func (m *Machine) spanSlow(r *spanRun, sp *span, va vm.VAddr, i uint64) {
 	m.spanCommit(r)
 	m.laneReset()
-	m.batch.slowOps += r.acc
+	if !r.off {
+		m.batch.slowOps += r.acc
+	}
 	sp.slow(m, va, i)
 	r.limit = m.spanBudget(r)
 }
@@ -659,20 +651,8 @@ func (m *Machine) spanSlow(r *spanRun, sp *span, va vm.VAddr, i uint64) {
 // pointers are 8-aligned with at least 8 bytes left, a byte pair otherwise.
 // Memcpy delegates here, so every simulated memcpy in the tree is batched.
 func (m *Machine) CopyRun(dst, src vm.VAddr, n uint64) {
-	if !m.laneOK() {
-		for n > 0 {
-			if uint64(dst)%8 == 0 && uint64(src)%8 == 0 && n >= 8 {
-				m.Store(dst, 8, m.Load(src, 8))
-				dst, src, n = dst+8, src+8, n-8
-			} else {
-				m.Store(dst, 1, m.Load(src, 1))
-				dst, src, n = dst+1, src+1, n-1
-			}
-		}
-		return
-	}
 	var r spanRun
-	m.spanBegin(&r, vm.ProtRead, vm.ProtWrite)
+	m.spanBegin(&r, vm.ProtRead, vm.ProtWrite, false)
 	sp := span{kind: spanCopy, delta: dst - src}
 	for end := src + vm.VAddr(n); src < end; {
 		left := uint64(end - src)
@@ -702,16 +682,8 @@ func (m *Machine) CopyRun(dst, src vm.VAddr, n uint64) {
 // match length k (max when no mismatch occurs). This is the batched form of
 // the string/match inner loops (gzip's matchLen).
 func (m *Machine) CompareRun(a, b vm.VAddr, max int) int {
-	if !m.laneOK() {
-		for k := 0; k < max; k++ {
-			if m.Load(a+vm.VAddr(k), 1) != m.Load(b+vm.VAddr(k), 1) {
-				return k
-			}
-		}
-		return max
-	}
 	var r spanRun
-	m.spanBegin(&r, vm.ProtRead, vm.ProtRead)
+	m.spanBegin(&r, vm.ProtRead, vm.ProtRead, false)
 	sp := span{kind: spanCompare, size: 1, delta: b - a}
 	var end vm.VAddr
 	if max > 0 {

@@ -45,7 +45,12 @@ type batchDigest struct {
 // (runs, fastOps, slowOps). An unbatched run uses a Reference machine.
 func batchWorkload(t *testing.T, batched bool) (batchDigest, [3]uint64) {
 	t.Helper()
-	m := MustNew(Config{MemBytes: 1 << 20, Reference: !batched})
+	return runBatchWorkload(t, MustNew(Config{MemBytes: 1 << 20, Reference: !batched}))
+}
+
+// runBatchWorkload is batchWorkload on m, a fresh 1 MiB machine.
+func runBatchWorkload(t *testing.T, m *Machine) (batchDigest, [3]uint64) {
+	t.Helper()
 	var d batchDigest
 	h := func(v uint64) { d.sum = d.sum*0x9e3779b97f4a7c15 + v }
 
@@ -168,7 +173,7 @@ func batchWorkload(t *testing.T, batched bool) (batchDigest, [3]uint64) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("batched=%v workload: %v", batched, err)
+		t.Fatalf("workload (reference=%v, %d monitors): %v", m.reference, len(m.monitors), err)
 	}
 	d.cycles = m.Clock.Now()
 	d.instrs = m.Instructions()

@@ -215,3 +215,39 @@ func BenchmarkShortCompareRun(b *testing.B) {
 		b.Fatalf("compare left the fast lane: %d slow accesses over resident lines", s-slow)
 	}
 }
+
+// BenchmarkMonitoredRun measures the runs the lane refuses at entry: per
+// op, with a no-op monitor attached, one aligned 8-byte LoadRun of 4 KiB
+// and one aligned 4 KiB CopyRun, over resident lines. Every element takes
+// the per-access path. ns/elem is host time per element (a load, or a
+// copy's load and store); it fails if any run enters the lane.
+func BenchmarkMonitoredRun(b *testing.B) {
+	const (
+		src   = vm.VAddr(0x100000)
+		dst   = vm.VAddr(0x200000)
+		bytes = 4 << 10
+		elems = 2 * bytes / 8
+	)
+	m := MustNew(Config{MemBytes: 1 << 20})
+	for _, va := range []vm.VAddr{src, dst} {
+		if err := m.Kern.MapPages(va, bytes/vm.PageBytes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	words := make([]uint64, bytes/8)
+	m.StoreRun(src, 8, 8, words)
+	m.CopyRun(dst, src, bytes)
+	m.AttachMonitor(&countingMonitor{})
+	runs, _, _ := m.BatchStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.LoadRun(src, 8, 8, words)
+		m.CopyRun(dst, src, bytes)
+	}
+	b.StopTimer()
+	if r, _, _ := m.BatchStats(); r != runs {
+		b.Fatalf("%d monitored runs entered the lane", r-runs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
+}

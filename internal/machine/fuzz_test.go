@@ -40,6 +40,7 @@ const (
 	fopRestore
 	fopRecycle
 	fopMemset
+	fopMonitor
 	fopKinds
 )
 
@@ -99,6 +100,8 @@ type diffDigest struct {
 	cache  cache.Stats
 	ctrl   memctrl.Stats
 	err    string
+	// monitored counts the accesses the rig's monitor was shown.
+	monitored int
 }
 
 // diffRig is one machine of a differential pair plus what its handlers
@@ -121,6 +124,18 @@ func newRig(t *testing.T, cfg Config) *diffRig {
 }
 
 func (r *diffRig) h(v uint64) { r.d.sum = r.d.sum*0x9e3779b97f4a7c15 + v + 1 }
+
+// OnLoad and OnStore make a rig its own recording monitor (fopMonitor):
+// each access it is shown hashes into its digest.
+func (r *diffRig) OnLoad(va vm.VAddr, size int)  { r.monitor(false, va, size) }
+func (r *diffRig) OnStore(va vm.VAddr, size int) { r.monitor(true, va, size) }
+
+func (r *diffRig) monitor(store bool, va vm.VAddr, size int) {
+	r.d.monitored++
+	r.h(boolBit(store))
+	r.h(uint64(va))
+	r.h(uint64(size))
+}
 
 // setup maps the fuzz region and installs the handlers: ECC faults on
 // watched lines record the in-flight access and disarm the watch, anything
@@ -271,6 +286,12 @@ func (r *diffRig) step(op fuzzOp) {
 		m.Recycle()
 		r.snap = nil
 		r.setup()
+	case fopMonitor:
+		if op.c&1 == 0 {
+			m.AttachMonitor(r)
+		} else {
+			m.DetachMonitors()
+		}
 	}
 }
 
@@ -320,10 +341,10 @@ func runDifferential(t *testing.T, ops []fuzzOp) (fast, ref *diffRig) {
 // protection changes and swap-outs between runs. The last three cover
 // them for two-stream runs: an LRU victim and a swap-out victim decided by
 // the order of a copy's source and destination stamps, and wakes inside
-// compares.
+// compares. monitorSeeds follow.
 func fuzzSeeds() [][]byte {
 	const page, half = uint16(vm.PageBytes), uint16(fuzzHalf)
-	return [][]byte{
+	return append([][]byte{
 		encodeOps(
 			fuzzOp{kind: fopStoreRun, a: 0, b: 255, c: 3},
 			fuzzOp{kind: fopLoadRun, a: 0, b: 255, c: 3},
@@ -489,6 +510,64 @@ func fuzzSeeds() [][]byte {
 			fuzzOp{kind: fopWake, a: 300},
 			fuzzOp{kind: fopCompareRun, a: 3, b: 3, c: 30},
 		),
+	}, monitorSeeds()...)
+}
+
+// monitorSeeds cover runs the lane refuses at entry because a monitor is
+// attached: one attached between runs over the same lines, which must not
+// be served from the windows the first run left open, and a detach after
+// which runs over those lines resume the lane.
+func monitorSeeds() [][]byte {
+	return [][]byte{
+		encodeOps(
+			fuzzOp{kind: fopStoreRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopMonitor},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopCopyRun, a: 8, b: 8, c: 20},
+			fuzzOp{kind: fopMemset, a: 3, b: 100, c: 0x5a},
+			fuzzOp{kind: fopLoadByteRun, a: 5, b: 300},
+		),
+		encodeOps(
+			fuzzOp{kind: fopMonitor},
+			fuzzOp{kind: fopStoreRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopCompareRun, a: 0, b: 0, c: 20},
+			fuzzOp{kind: fopMonitor, c: 1},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 63, c: 3},
+			fuzzOp{kind: fopStoreByteRun, a: 5, b: 300, c: 7},
+			fuzzOp{kind: fopCopyRun, a: 8, b: 8, c: 20},
+		),
+	}
+}
+
+// TestMonitorSeedsMatchReference runs monitorSeeds on a default and a
+// Reference machine, op by op as runDifferential does, and guards them: a
+// run under a monitor must show the monitor its accesses and enter no
+// lane, and an unmonitored run must enter the lane.
+func TestMonitorSeedsMatchReference(t *testing.T) {
+	runKinds := map[byte]bool{fopLoadRun: true, fopStoreRun: true, fopLoadByteRun: true,
+		fopStoreByteRun: true, fopCopyRun: true, fopCompareRun: true, fopMemset: true}
+	for i, seed := range monitorSeeds() {
+		fast, ref := newDiffRig(t, false), newDiffRig(t, true)
+		for j, op := range decodeOps(seed) {
+			watched, seen := len(fast.m.monitors) > 0, fast.d.monitored
+			runs, _, _ := fast.m.BatchStats()
+			df, dr := fast.run(op), ref.run(op)
+			if df != dr {
+				t.Fatalf("program %d op %d %+v: default machine diverges from reference\ndefault:   %+v\nreference: %+v",
+					i, j, op, df, dr)
+			}
+			if !runKinds[op.kind] {
+				continue
+			}
+			after, _, _ := fast.m.BatchStats()
+			if watched && (after != runs || df.monitored == seen) {
+				t.Errorf("program %d op %d: monitored run entered %d lane runs and showed the monitor %d accesses",
+					i, j, after-runs, df.monitored-seen)
+			}
+			if !watched && after == runs {
+				t.Errorf("program %d op %d: unmonitored run did not enter the lane", i, j)
+			}
+		}
 	}
 }
 

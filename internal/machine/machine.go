@@ -345,30 +345,17 @@ func (m *Machine) Store8(va vm.VAddr, v uint8) { m.Store(va, 1, uint64(v)) }
 func (m *Machine) Store64(va vm.VAddr, v uint64) { m.Store(va, 8, v) }
 
 // Memset writes b to n consecutive bytes starting at va, using word stores
-// where alignment allows — the simulated memset. Served through the batched
-// fast lane when enabled; the access sequence (byte stores up to the first
-// 8-byte boundary, word stores while at least 8 bytes remain, byte stores
-// for the tail) is identical either way.
+// where alignment allows — the simulated memset: byte stores up to the
+// first 8-byte boundary, word stores while at least 8 bytes remain, byte
+// stores for the tail. Served through the batched fast lane.
 func (m *Machine) Memset(va vm.VAddr, b uint8, n uint64) {
 	word := uint64(b)
 	word |= word << 8
 	word |= word << 16
 	word |= word << 32
 	end := va + vm.VAddr(n)
-	if !m.laneOK() {
-		for va < end {
-			if uint64(va)%8 == 0 && end-va >= 8 {
-				m.Store(va, 8, word)
-				va += 8
-			} else {
-				m.Store(va, 1, uint64(b))
-				va++
-			}
-		}
-		return
-	}
 	var r spanRun
-	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone)
+	m.spanBegin(&r, vm.ProtWrite, vm.ProtNone, false)
 	for va < end {
 		if uint64(va)%8 == 0 && end-va >= 8 {
 			va = m.span(&r, &span{kind: spanFill, size: 8, fill: word}, va, uint64(end-va)/8)
