@@ -104,7 +104,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # bench-smoke runs the cold machine build, machine-recycle, batch-lane
-# single- and two-stream, monitored-run, line-write, watch/unwatch, disabled-span and
+# single- and two-stream, run-length, monitored-run, line-write, watch/unwatch, disabled-span and
 # per-scenario campaign benchmarks once each, so they keep compiling and
 # running.
 # Compare RecycleFewDirtyLines across its two DRAM sizes by hand: recycling
@@ -117,7 +117,10 @@ bench:
 # then a compare of the two copies) report host ns per 64-byte line and 0
 # allocs/op and fail if they leave the fast lane, ShortCompareRun reports
 # the ns and 0 allocs of one 1-127-byte compare (gzip's match loop) and
-# fails if it leaves the fast lane, MonitoredRun reports host ns per element
+# fails if it leaves the fast lane, RunLength reports host ns per line of a
+# 32 KiB resident pass cut into runs (8-byte LoadRuns of 1, 8, 64 and 512
+# lines, co-aligned CopyRuns of 8 lines: what a run costs beyond its
+# lines) and 0 allocs/op and fails if it leaves the fast lane, MonitoredRun reports host ns per element
 # of a 4 KiB LoadRun and CopyRun with a monitor attached (runs the lane
 # refuses at entry, every element per access) and fails if one enters the
 # lane, WatchUnwatch reports 0 allocs/op, DisabledSpan
@@ -126,7 +129,7 @@ bench:
 # Scenario's garbage-B/op is the host garbage one campaign scenario leaves
 # behind.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|CopyCompareRun|ShortCompareRun|MonitoredRun|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
+	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|CopyCompareRun|ShortCompareRun|RunLength|MonitoredRun|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'WatchUnwatch|DisabledSpan|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/telemetry ./internal/campaign
 
 # bench-check guards host performance through the repository benchmark. It

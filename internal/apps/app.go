@@ -182,20 +182,30 @@ func loadBytes(m *machine.Machine, va vm.VAddr, n int) []byte {
 	return out
 }
 
+// runWords is the word count of the helpers' batched runs: one 4 KiB
+// page. A run pays a fixed host cost to enter and leave the machine's
+// batch lane, so the longer the run, the less of its host time that is;
+// the buffer still lives on the stack.
+//
+// Where a helper cuts its accesses into runs cannot change simulated
+// output: a run performs exactly the Load/Store calls of its elements, in
+// order, and its wake budget is re-measured at every run entry from the
+// same clock, so a sequence cut into 64-word or 512-word runs makes the
+// same accesses, charges the same cycles and fires the same wakes. Only
+// the batch lane's host-side run count moves.
+const runWords = vm.PageBytes / 8
+
 // checksum folds n bytes at va — the generic "the program actually reads
 // the data it sends" access pattern. The loads stream through the batched
-// fast lane in line-sized chunks; the access sequence (8-byte words while
-// at least 8 bytes remain, then byte loads for the tail) is identical to
-// the historical open-coded loop.
+// fast lane in page-long runs; the access sequence (8-byte words while at
+// least 8 bytes remain, then byte loads for the tail) is identical to the
+// historical open-coded loop.
 func checksum(m *machine.Machine, va vm.VAddr, n uint64) uint64 {
-	var buf [64]uint64
+	var buf [runWords]uint64
 	var sum uint64
 	i := uint64(0)
 	for i+8 <= n {
-		words := (n - i) / 8
-		if words > uint64(len(buf)) {
-			words = uint64(len(buf))
-		}
+		words := min((n-i)/8, runWords)
 		m.LoadRun(va+vm.VAddr(i), 8, 8, buf[:words])
 		for _, w := range buf[:words] {
 			sum = sum*31 + w
@@ -212,31 +222,25 @@ func checksum(m *machine.Machine, va vm.VAddr, n uint64) uint64 {
 	return sum
 }
 
-// scanWords streams n contiguous 8-byte words at va through batched loads,
-// discarding the values — the resident-table scan idiom (DES tables, TLS
-// record processing, ACL checks).
+// scanWords streams n contiguous 8-byte words at va through page-long
+// batched loads, discarding the values — the resident-table scan idiom
+// (DES tables, TLS record processing, ACL checks).
 func scanWords(m *machine.Machine, va vm.VAddr, n uint64) {
-	var buf [64]uint64
+	var buf [runWords]uint64
 	for n > 0 {
-		k := n
-		if k > uint64(len(buf)) {
-			k = uint64(len(buf))
-		}
+		k := min(n, runWords)
 		m.LoadRun(va, 8, 8, buf[:k])
 		va += vm.VAddr(k * 8)
 		n -= k
 	}
 }
 
-// fillWords writes n contiguous 8-byte words at va with f(word index),
-// batched — the table-init / stream-fill idiom.
+// fillWords writes n contiguous 8-byte words at va with f(word index) in
+// page-long batched stores — the table-init / stream-fill idiom.
 func fillWords(m *machine.Machine, va vm.VAddr, n uint64, f func(i uint64) uint64) {
-	var buf [64]uint64
+	var buf [runWords]uint64
 	for i := uint64(0); i < n; {
-		k := n - i
-		if k > uint64(len(buf)) {
-			k = uint64(len(buf))
-		}
+		k := min(n-i, runWords)
 		for j := uint64(0); j < k; j++ {
 			buf[j] = f(i + j)
 		}

@@ -62,19 +62,10 @@ func runTar(e *Env, cfg Config) error {
 		s.archive = mustMalloc(e, tarArchiveSize)
 		e.Root(s.source)
 		e.Root(s.archive)
-		// Stage the source data once, in batched word runs.
-		var buf [64]uint64
-		for off := uint64(0); off < tarSourceBytes; {
-			k := uint64(len(buf))
-			if rem := (tarSourceBytes - off) / 8; rem < k {
-				k = rem
-			}
-			for i := uint64(0); i < k; i++ {
-				buf[i] = (off + i*8) * 0x100000001b3
-			}
-			m.StoreRun(s.source+vm.VAddr(off), 8, 8, buf[:k])
-			off += k * 8
-		}
+		// Stage the source data once, in page-long batched word runs.
+		fillWords(m, s.source, tarSourceBytes/8, func(i uint64) uint64 {
+			return i * 8 * 0x100000001b3
+		})
 	}()
 
 	files := tarFiles * cfg.scale()

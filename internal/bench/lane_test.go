@@ -21,13 +21,13 @@ type laneCounts struct{ runs, fast, slow uint64 }
 // lost in host noise. A deliberate lane change updates the table.
 func TestAppLaneCountsPinned(t *testing.T) {
 	want := map[string][2]laneCounts{ // [ToolNone, ToolSafeMemBoth]
-		"ypserv1": {{88974, 5178213, 657}, {88974, 5178251, 619}},
-		"proftpd": {{89056, 5675953, 719}, {89056, 5673548, 3124}},
-		"squid1":  {{145859, 9312966, 1018}, {145859, 9310065, 3919}},
-		"ypserv2": {{88974, 5178213, 657}, {88974, 5178251, 619}},
-		"gzip":    {{17866, 1225637, 775}, {17866, 1225637, 775}},
-		"tar":     {{10352, 1305276, 7936}, {10352, 1306544, 6668}},
-		"squid2":  {{121151, 7718149, 923}, {121151, 7718120, 952}},
+		"ypserv1": {{21718, 5178213, 657}, {21718, 5178251, 619}},
+		"proftpd": {{11626, 5675953, 719}, {11626, 5673548, 3124}},
+		"squid1":  {{19824, 9312966, 1018}, {19824, 9310065, 3919}},
+		"ypserv2": {{21718, 5178213, 657}, {21718, 5178251, 619}},
+		"gzip":    {{14906, 1226628, 776}, {14906, 1226628, 776}},
+		"tar":     {{10128, 1305276, 7936}, {10128, 1306544, 6668}},
+		"squid2":  {{16116, 7718149, 923}, {16116, 7718120, 952}},
 	}
 	tools := [2]Tool{ToolNone, ToolSafeMemBoth}
 	for _, app := range apps.All() {

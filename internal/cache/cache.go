@@ -423,9 +423,9 @@ const (
 // tag probe, one data move and one stamp — tick advanced by the line's
 // element count and the LRU stamp set to it, as CommitRun would when the
 // run leaves the line — and the hits are counted once at the end. It stops
-// at the first line that is not resident, which the caller serves through
-// its ordinary path, and returns the lines served and the last of them
-// (the zero LineRef when none was).
+// at the first line that is not resident, which the caller sends to its
+// per-access path, and returns the lines served and the last of them (the
+// zero LineRef when none was). CopyLines is its two-stream twin.
 func (c *Cache) Lines(line physmem.Addr, op LineOp, k uint64, words []uint64, bytes []byte, i, fill uint64) (j uint64, last LineRef) {
 	per := uint64(physmem.GroupsPerLine)
 	if op >= LoadByteLines {
@@ -471,6 +471,47 @@ func (c *Cache) Lines(line physmem.Addr, op LineOp, k uint64, words []uint64, by
 	}
 	c.stats.Hits += j * per
 	return j, last
+}
+
+// CopyLines serves a whole-line stretch of a co-aligned word copy for the
+// machine's span engine: up to k consecutive lines from line (at most the
+// rest of either page), each copied whole, eight groups, into the line at
+// the same offset from to. Per line it pays one tag probe a stream, one
+// move and one stamp a stream — tick advanced by the line's eight elements
+// and the source's LRU stamp set to it, then the same for the destination,
+// the order their last accesses take on the per-access path — and the
+// hits are counted once at the end. It stops at the first line that is not
+// resident on either stream, which the caller sends to its per-access
+// path, and returns the lines served and the last of them on each stream
+// (zero LineRefs when none was).
+//
+// It is a loop of its own rather than a step of Lines: a second stream's
+// probe and stamp in Lines' loop cost its single-stream steps about a
+// fifth of their time.
+func (c *Cache) CopyLines(line, to physmem.Addr, k uint64) (j uint64, last, lastTo LineRef) {
+	const per = physmem.GroupsPerLine
+	for ; j < k; j++ {
+		w := c.find(line)
+		if w == nil {
+			break
+		}
+		wt := c.find(to)
+		if wt == nil {
+			break
+		}
+		d, t := &w.words, &wt.words
+		t[0], t[1], t[2], t[3] = d[0], d[1], d[2], d[3]
+		t[4], t[5], t[6], t[7] = d[4], d[5], d[6], d[7]
+		wt.dirty = true
+		c.tick += per
+		w.lru = c.tick
+		c.tick += per
+		wt.lru = c.tick
+		last, lastTo = LineRef{w}, LineRef{wt}
+		line, to = line+physmem.LineBytes, to+physmem.LineBytes
+	}
+	c.stats.Hits += 2 * j * per
+	return j, last, lastTo
 }
 
 func checkSpan(a physmem.Addr, size int) {

@@ -148,6 +148,9 @@ type Process struct {
 	stopped bool
 	stats   Stats
 
+	// targets is StartFlaky's storage for cfg.Targets, kept across runs.
+	targets []inject.Region
+
 	// The callbacks Start registers, bound once per Process value.
 	onFire func(now simtime.Cycles) simtime.Cycles
 	source func(emit func(string, float64))
@@ -218,8 +221,10 @@ func Start(m *machine.Machine, in *inject.Injector, cfg Config) *Process {
 	}
 	*p = Process{
 		m: m, in: in, cfg: cfg, r: rng{state: cfg.Seed ^ 0xd1a6f0},
+		timer:      p.timer,
 		cells:      p.cells[:0],
 		pending:    p.pending[:0],
+		targets:    p.targets[:0],
 		runPending: p.runPending,
 		onFire:     p.onFire,
 		source:     p.source,
@@ -230,7 +235,7 @@ func Start(m *machine.Machine, in *inject.Injector, cfg Config) *Process {
 		p.nextStormAt = now + p.r.exp(cfg.StormInterval)
 	}
 	m.Telemetry.RegisterSource("faultmodel", p.source)
-	p.timer = m.Clock.NewTimer(p.deadline(), p.onFire)
+	p.timer = m.Clock.Rearm(p.timer, p.deadline(), p.onFire)
 	return p
 }
 
@@ -273,13 +278,11 @@ func StartFlaky(m *machine.Machine, in *inject.Injector, alloc *heap.Allocator, 
 	if rate <= 0 {
 		return nil
 	}
-	base, _ := alloc.ArenaRange()
 	cfg := Config{
 		// Decorrelate from the injector's bit stream but stay pinned to
 		// the workload seed.
 		Seed:         seed ^ 0x5afe,
 		MeanInterval: simtime.Cycles(1_000_000 / rate),
-		Targets:      []inject.Region{{Base: base, Size: alloc.Options().Limit}},
 	}
 	if storm {
 		cfg.StormInterval = 8 * cfg.MeanInterval
@@ -288,6 +291,12 @@ func StartFlaky(m *machine.Machine, in *inject.Injector, alloc *heap.Allocator, 
 		cfg.DoubleBitFrac = -1
 	}
 	p := Start(m, in, cfg)
+	// The whole arena is the one target, in storage p keeps across runs:
+	// Start keeps its Config, so a Targets literal passed through it would
+	// be a new allocation every run. Start reads no target.
+	base, _ := alloc.ArenaRange()
+	p.targets = append(p.targets, inject.Region{Base: base, Size: alloc.Options().Limit})
+	p.cfg.Targets = p.targets
 	m.Kern.StartScrubDaemon(kernel.ScrubDaemonOptions{})
 	return p
 }

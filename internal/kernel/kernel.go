@@ -198,6 +198,14 @@ type Kernel struct {
 	onRetire       RetireNotifier
 	scrubd         *scrubDaemon
 
+	// Storage of per-run state kept across machine recycles, outside the
+	// image: the health observer and scrub filter, each bound once, and
+	// the last scrub daemon, which the next StartScrubDaemon resets and
+	// reuses with its timer (simtime.Clock.Rearm).
+	healthFn    memctrl.FaultObserver
+	scrubFilter func(line physmem.Addr) bool
+	scrubSpare  *scrubDaemon
+
 	tr       *telemetry.Tracer
 	panicked bool
 	stats    Stats

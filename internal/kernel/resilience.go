@@ -126,7 +126,10 @@ func (k *Kernel) SetResilience(opts ResilienceOptions) {
 		// fixes them inline), so health tracking taps the observer list.
 		// AddFaultObserver, not SetFaultObserver: the single slot belongs to
 		// the fault injector's latency probe.
-		k.ctrl.AddFaultObserver(k.observeECCEvent)
+		if k.healthFn == nil {
+			k.healthFn = k.observeECCEvent
+		}
+		k.ctrl.AddFaultObserver(k.healthFn)
 		k.healthObserver = true
 	}
 }

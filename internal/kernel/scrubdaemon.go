@@ -56,6 +56,7 @@ type scrubDaemon struct {
 	opts       ScrubDaemonOptions
 	interval   simtime.Cycles
 	timer      *simtime.Timer
+	fire       func(now simtime.Cycles) simtime.Cycles // the timer's callback, bound once
 	due        bool
 	lastEvents uint64 // controller error-event total at the last step
 	debt       int    // bus-locked lines to revisit on the next step
@@ -94,13 +95,21 @@ func (k *Kernel) StartScrubDaemon(opts ScrubDaemonOptions) {
 	if k.ctrl.Mode() != memctrl.CorrectAndScrub {
 		k.ctrl.SetMode(memctrl.CorrectAndScrub)
 	}
-	k.ctrl.SetScrubFilter(func(line physmem.Addr) bool { return !k.watchedPhys(line) })
-	sd := &scrubDaemon{opts: opts, interval: opts.Interval, lastEvents: k.errorEvents()}
-	sd.timer = k.clock.NewTimer(k.clock.Now()+sd.interval, func(now simtime.Cycles) simtime.Cycles {
-		sd.due = true
-		return now + sd.interval
-	})
-	k.scrubd = sd
+	if k.scrubFilter == nil {
+		k.scrubFilter = func(line physmem.Addr) bool { return !k.watchedPhys(line) }
+	}
+	k.ctrl.SetScrubFilter(k.scrubFilter)
+	sd := k.scrubSpare
+	if sd == nil {
+		sd = &scrubDaemon{}
+		sd.fire = func(now simtime.Cycles) simtime.Cycles {
+			sd.due = true
+			return now + sd.interval
+		}
+	}
+	*sd = scrubDaemon{opts: opts, interval: opts.Interval, lastEvents: k.errorEvents(), timer: sd.timer, fire: sd.fire}
+	sd.timer = k.clock.Rearm(sd.timer, k.clock.Now()+sd.interval, sd.fire)
+	k.scrubd, k.scrubSpare = sd, sd
 }
 
 // StopScrubDaemon stops the daemon and removes the scrub filter. The

@@ -21,10 +21,16 @@
 //     stretches (Cache.Lines): from a line-aligned address in an open page
 //     window, up to the page's end, the run's last whole line or the wake
 //     budget's, one loop in the cache probes, moves and stamps each line,
-//     stopping at the first line that is not resident. Stamping a line as
-//     the stretch reads it equals stamping it when the run leaves it: the
-//     stretch makes every access to the line before moving on, and nothing
-//     else ticks the cache in between;
+//     stopping at the first line that is not resident, whose first element
+//     then goes straight to the per-access path (the stretch has probed
+//     it). Stamping a line as the stretch reads it equals stamping it when
+//     the run leaves it: the stretch makes every access to the line before
+//     moving on, and nothing else ticks the cache in between;
+//   - a word copy whose streams are co-aligned on lines (delta a multiple
+//     of 64) takes the same stretches on both streams (pairLines): from a
+//     line-aligned element, up to either page window's end, the run's last
+//     whole line or the budget's, one probe a stream, one move and two
+//     stamps a line, the source's before the destination's;
 //   - accounting is committed in bulk by one engine (spanRun) behind every
 //     entry point, single-stream (contiguous runs, Memset) and two-stream
 //     (CopyRun, CompareRun) alike. It commits each kind of state only as
@@ -522,7 +528,8 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 			// one move and one stamp a line. The open line is stamped
 			// first, and the window is handed back on the stretch's last
 			// line with nothing pending; a line that is not resident
-			// stops the stretch and goes the ordinary way below.
+			// stops the stretch, and its first element goes straight to
+			// the slow path: the stretch has probed it already.
 			if perShift != 0 && uint64(va)%physmem.LineBytes == 0 && seg.pageOK && seg.pageVA == va.PageAddr() && seg.page.Prot&s.need != 0 {
 				if k := min((vm.PageBytes-uint64(va-seg.pageVA))/physmem.LineBytes, (n-i)>>perShift, (limit-cnt)>>perShift); k > 0 {
 					if cnt > lineAt {
@@ -540,6 +547,7 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 					if j == k {
 						continue
 					}
+					goto slow
 				}
 			}
 			if va.LineAddr() != lineVA || !lineOK {
@@ -572,6 +580,7 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 				}
 			}
 		}
+	slow:
 		r.n, s.lineAt = cnt, lineAt
 		seg.line, seg.lineVA, seg.lineOK = line, lineVA, lineOK
 		m.spanSlow(r, sp, va, i)
@@ -589,26 +598,83 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 // va+sp.delta) — each stretch that stays on both streams' resident lines
 // in one step, everything else through spanSlow — and returns the address
 // past the last one performed. A compare stops after its first
-// mismatching element.
+// mismatching element. A word copy whose streams are co-aligned on lines
+// takes whole-line stretches (pairLines) from every line-aligned element.
 func (m *Machine) pair(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 	sa, sb, shift := r.s[0].seg, r.s[1].seg, uint64(bits.TrailingZeros64(sp.size))
+	lines := sp.kind == spanCopy && sp.size == 8 && uint64(sp.delta)%physmem.LineBytes == 0
 	for i := uint64(0); i < n && !sp.stop; {
-		// Stream a moves first: when both streams leave a line at this
-		// element, a's stamp must precede b's, as its last access did.
-		if r.n < r.limit && m.spanOpen(r, &r.s[0], va) && m.spanOpen(r, &r.s[1], va+sp.delta) {
-			off, boff := uint64(va-sa.lineVA), uint64(va+sp.delta-sb.lineVA)
-			c := min((physmem.LineBytes-max(off, boff))>>shift, n-i, r.limit-r.n)
-			c = sp.move(sa.line, sb.line, off, boff, i, c)
-			r.n += c
-			i += c
-			va += vm.VAddr(c * sp.size)
-			continue
+		if r.n < r.limit {
+			if lines && uint64(va)%physmem.LineBytes == 0 {
+				if j, k := m.pairLines(r, va, sp.delta, n-i); k > 0 {
+					i += j * physmem.GroupsPerLine
+					va += vm.VAddr(j * physmem.LineBytes)
+					if j == k {
+						continue
+					}
+					// A line not resident on one stream: the stretch
+					// has probed it, so its first element goes slow.
+					goto slow
+				}
+			}
+			// Stream a moves first: when both streams leave a line at
+			// this element, a's stamp must precede b's, as its last
+			// access did.
+			if m.spanOpen(r, &r.s[0], va) && m.spanOpen(r, &r.s[1], va+sp.delta) {
+				off, boff := uint64(va-sa.lineVA), uint64(va+sp.delta-sb.lineVA)
+				c := min((physmem.LineBytes-max(off, boff))>>shift, n-i, r.limit-r.n)
+				c = sp.move(sa.line, sb.line, off, boff, i, c)
+				r.n += c
+				i += c
+				va += vm.VAddr(c * sp.size)
+				continue
+			}
 		}
+	slow:
 		m.spanSlow(r, sp, va, i)
 		i++
 		va += vm.VAddr(sp.size)
 	}
 	return va
+}
+
+// pairLines serves a whole-line stretch of a word copy whose streams are
+// co-aligned on lines, from the line-aligned va with left elements to go:
+// every whole line left in both streams' page windows, in the run and in
+// the budget, at one probe a stream, one move and one stamp a stream a
+// line (Cache.CopyLines). Both open lines are stamped first, stream a's
+// before b's, and both windows are handed back on the stretch's last line
+// with nothing pending. It returns the lines served and the lines it
+// tried — 0 when either page window is not open on its stream's page for
+// the access; fewer served than tried means the next line is not resident
+// on one stream.
+func (m *Machine) pairLines(r *spanRun, va, delta vm.VAddr, left uint64) (j, k uint64) {
+	a, b := &r.s[0], &r.s[1]
+	sa, sb, vb := a.seg, b.seg, va+delta
+	if !sa.pageOK || sa.pageVA != va.PageAddr() || sa.page.Prot&a.need == 0 ||
+		!sb.pageOK || sb.pageVA != vb.PageAddr() || sb.page.Prot&b.need == 0 {
+		return 0, 0
+	}
+	k = min((vm.PageBytes-uint64(va-sa.pageVA))/physmem.LineBytes, (vm.PageBytes-uint64(vb-sb.pageVA))/physmem.LineBytes,
+		left/physmem.GroupsPerLine, (r.limit-r.n)/physmem.GroupsPerLine)
+	if k == 0 {
+		return 0, 0
+	}
+	for s := range r.s {
+		if st := &r.s[s]; r.n > st.lineAt {
+			m.Cache.CommitRun(st.seg.line, r.n-st.lineAt)
+		}
+	}
+	pa, pb := sa.page.Frame+physmem.Addr(uint64(va-sa.pageVA)), sb.page.Frame+physmem.Addr(uint64(vb-sb.pageVA))
+	j, la, lb := m.Cache.CopyLines(pa, pb, k)
+	if j > 0 {
+		last := vm.VAddr((j - 1) * physmem.LineBytes)
+		sa.line, sa.lineVA, sa.lineOK = la, va+last, true
+		sb.line, sb.lineVA, sb.lineOK = lb, vb+last, true
+	}
+	r.n += j * physmem.GroupsPerLine
+	a.lineAt, b.lineAt = r.n, r.n
+	return j, k
 }
 
 // spanOpen moves s's windows to cover an access at va, stamping the line —

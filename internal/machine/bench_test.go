@@ -251,3 +251,67 @@ func BenchmarkMonitoredRun(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
 }
+
+// BenchmarkRunLength measures what a batched run costs beyond its lines:
+// per op, a 32 KiB pass over resident lines cut into runs of a fixed
+// length. The LoadRun rows are 8-byte LoadRuns of 1, 8, 64 and 512 lines
+// a run (the apps' scans issue page-long runs, 64 lines); the CopyRun row
+// is a co-aligned CopyRun of 8 lines a run, tar's 512-byte block. ns/line
+// is host time per 64-byte line (per line copied, for CopyRun);
+// allocs/op must stay 0, and a row fails if any access leaves the lane.
+func BenchmarkRunLength(b *testing.B) {
+	const (
+		src   = vm.VAddr(0x100000)
+		dst   = vm.VAddr(0x200000)
+		bytes = 32 << 10
+		lines = bytes / physmem.LineBytes
+	)
+	words := make([]uint64, bytes/8)
+	pass := func(per uint64, run func(m *Machine, off uint64)) func(m *Machine) {
+		return func(m *Machine) {
+			for off := uint64(0); off < bytes; off += per * physmem.LineBytes {
+				run(m, off)
+			}
+		}
+	}
+	load := func(per uint64) func(m *Machine) {
+		return pass(per, func(m *Machine, off uint64) {
+			m.LoadRun(src+vm.VAddr(off), 8, 8, words[off/8:off/8+per*physmem.GroupsPerLine])
+		})
+	}
+	for _, row := range []struct {
+		name string
+		op   func(m *Machine)
+	}{
+		{"LoadRun/lines=1", load(1)},
+		{"LoadRun/lines=8", load(8)},
+		{"LoadRun/lines=64", load(64)},
+		{"LoadRun/lines=512", load(512)},
+		{"CopyRun/lines=8", pass(8, func(m *Machine, off uint64) {
+			m.CopyRun(dst+vm.VAddr(off), src+vm.VAddr(off), 8*physmem.LineBytes)
+		})},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			m := MustNew(Config{MemBytes: 1 << 20})
+			for _, va := range []vm.VAddr{src, dst} {
+				if err := m.Kern.MapPages(va, bytes/vm.PageBytes); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m.StoreRun(src, 8, 8, words)
+			m.StoreRun(dst, 8, 8, words)
+			row.op(m)
+			_, _, slow := m.BatchStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row.op(m)
+			}
+			b.StopTimer()
+			if _, _, s := m.BatchStats(); s != slow {
+				b.Fatalf("pass left the fast lane: %d slow accesses over resident lines", s-slow)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+		})
+	}
+}

@@ -576,6 +576,13 @@ func TestMonitorSeedsMatchReference(t *testing.T) {
 // set of fuzzCache, evicting each set's LRU line) and a rescan whose misses
 // show which lines the sweep evicted. Lines 0-15 of a page fill fuzzCache
 // exactly, two lines a set, and a stretch needs them resident.
+//
+// The copy seeds cover the two-stream stretches of co-aligned word copies.
+// Each stages eight source and eight destination lines, one of each per
+// set, and ends with a single set-filling load instead of the sweep: it
+// evicts from every set whichever of the pair the copy stamped first, so
+// the resident lines TestStretchEdgesMatchReference compares show the
+// stamp order.
 func stretchSeeds() [][]byte {
 	const page = uint16(vm.PageBytes)
 	sweep := func(at uint16) []fuzzOp {
@@ -585,7 +592,7 @@ func stretchSeeds() [][]byte {
 			{kind: fopLoadRun, a: page - 512, b: 127, c: 3},
 		}
 	}
-	return [][]byte{
+	return append([][]byte{
 		// A run resumes on line 2, where the last one left its window,
 		// and loads three words there before its stretch from line 3:
 		// line 2 must be stamped before the stretch, so that line 10,
@@ -656,6 +663,70 @@ func stretchSeeds() [][]byte {
 			{kind: fopLoadByteRun, a: page, b: 511},
 			{kind: fopMemset, a: page + 512, b: 511, c: 7},
 		}, sweep(2*page)...)...),
+	}, copyStretchSeeds()...)
+}
+
+// copyStretchSeeds are stretchSeeds' co-aligned copies. Every copy is 63
+// words and a byte (c 63) between regions staged by 64-word StoreRuns.
+func copyStretchSeeds() [][]byte {
+	const page, half = uint16(vm.PageBytes), uint16(fuzzHalf)
+	fill := fuzzOp{kind: fopLoadRun, a: 3*page + 2048, b: 63, c: 3}
+	stage := func(src, dst uint16) []fuzzOp {
+		return []fuzzOp{
+			{kind: fopStoreRun, a: src, b: 63, c: 3},
+			{kind: fopStoreRun, a: half + dst, b: 63, c: 3},
+		}
+	}
+	copyOp := func(src, dst uint16) fuzzOp { return fuzzOp{kind: fopCopyRun, a: src, b: dst, c: 63} }
+	seq := func(parts ...[]fuzzOp) []byte {
+		var ops []fuzzOp
+		for _, p := range parts {
+			ops = append(ops, p...)
+		}
+		return encodeOps(append(ops, fill)...)
+	}
+	return [][]byte{
+		// The source page ends three lines into the stretch while the
+		// destination page goes on; the next source page refuses reads,
+		// so a stretch that ran on would skip its fault.
+		seq(stage(page-256, 1024), []fuzzOp{
+			{kind: fopMprotect, a: 1, c: 1},
+			copyOp(page-256, 1024),
+		}),
+		// The reverse: the destination page ends, and the next one is
+		// read-only.
+		seq(stage(1024, page-256), []fuzzOp{
+			{kind: fopMprotect, a: 5, c: 0},
+			copyOp(1024, page-256),
+		}),
+		// A line missing mid-stretch: source line 19, then destination
+		// line 37, each evicted as its set's LRU line. Then a copy whose
+		// first line is opened by seven byte pairs and seven words, so
+		// its stretch starts with counts pending on both streams.
+		seq(stage(1024, 2048), []fuzzOp{
+			{kind: fopLoad, a: 2*page + 192, c: 3},
+			copyOp(1024, 2048),
+		}, stage(1024, 2048)[1:], stage(1024, 2048)[:1], []fuzzOp{
+			{kind: fopLoad, a: 2*page + 320, c: 3},
+			copyOp(1024, 2048),
+			{kind: fopCopyRun, a: 1025, b: 2049, c: 40},
+		}),
+		// Wakes clip copy stretches resumed on open windows, mid-line and
+		// on a line boundary.
+		seq(stage(1024, 2048), []fuzzOp{
+			copyOp(1024, 2048),
+			{kind: fopWake, a: 150},
+			copyOp(1024, 2048),
+			{kind: fopWake, a: 255},
+			copyOp(1024, 2048),
+		}),
+		// A read-only destination page under windows a compare left open
+		// on both streams: the copy must fault on its first store.
+		seq(stage(1024, 2048), []fuzzOp{
+			{kind: fopMprotect, a: 4, c: 0},
+			{kind: fopCompareRun, a: 1024, b: 2048, c: 63},
+			copyOp(1024, 2048),
+		}),
 	}
 }
 

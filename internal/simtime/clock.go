@@ -10,7 +10,10 @@
 // requests simply never advance the clock.
 package simtime
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CyclesPerMicrosecond is the clock rate of the simulated CPU: 2.4 GHz,
 // matching the paper's evaluation platform (Section 5.1).
@@ -185,7 +188,21 @@ func (c *Clock) Reset() { c.now = 0 }
 // run, and any deadlines crossed inside a hook fire before control returns
 // to the program.
 func (c *Clock) NewTimer(at Cycles, fn func(now Cycles) Cycles) *Timer {
-	t := &Timer{c: c, at: at, fn: fn, active: true}
+	return c.Rearm(nil, at, fn)
+}
+
+// Rearm arms t again for at with fn, and returns it: the timer of a
+// per-run component whose earlier run ended with the clock restored
+// (RestoreImage drops every timer registered after the capture) goes back
+// on the end of the timer list, exactly where NewTimer would put a new
+// one. A nil t, or one still registered, gets a new timer instead, so a
+// component can keep its timer across machine recycles without the
+// allocation and without changing the order timers fire in.
+func (c *Clock) Rearm(t *Timer, at Cycles, fn func(now Cycles) Cycles) *Timer {
+	if t == nil || t.c != c || slices.Contains(c.timers, t) {
+		t = new(Timer)
+	}
+	*t = Timer{c: c, at: at, fn: fn, active: true}
 	c.timers = append(c.timers, t)
 	c.noteDeadline(at)
 	return t

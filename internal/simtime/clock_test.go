@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -281,5 +282,34 @@ func TestHeadroom(t *testing.T) {
 	c.Advance(h)
 	if len(fired) != 1 {
 		t.Fatalf("stale-bound Advance(Headroom()) fired a wake: %v", fired)
+	}
+}
+
+// TestRearmAfterRestore pins Clock.Rearm: a timer the restore dropped goes
+// back on the end of the list, firing after a timer registered before it,
+// and is the same Timer; one still registered is not reused, so it cannot
+// end up in the list twice.
+func TestRearmAfterRestore(t *testing.T) {
+	c := &Clock{}
+	img := c.CaptureImage()
+	var order []string
+	hook := func(name string) func(Cycles) Cycles {
+		return func(Cycles) Cycles { order = append(order, name); return 0 }
+	}
+	spare := c.NewTimer(10, hook("old"))
+	c.RestoreImage(img)
+	c.NewTimer(100, hook("first"))
+	if got := c.Rearm(spare, 100, hook("rearmed")); got != spare {
+		t.Fatal("Rearm did not reuse a dropped timer")
+	}
+	c.Advance(100)
+	if want := []string{"first", "rearmed"}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	if got := c.Rearm(spare, 200, hook("again")); got == spare {
+		t.Fatal("Rearm reused a timer still registered")
+	}
+	if got := c.Rearm(nil, 300, hook("nil")); got == nil || len(c.timers) != 4 {
+		t.Fatalf("Rearm(nil) registered %d timers, want 4", len(c.timers))
 	}
 }
