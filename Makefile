@@ -82,7 +82,8 @@ check: build vet test race fuzz-short campaign storm bench-check
 # new packages, the coverage floors, a race-detector pass over the
 # concurrent serving/observability/telemetry layers, the sample-tool
 # campaign and the pooled machine-reuse path (pooled-vs-reference
-# equivalence, the never-repool taint rule, the machine package) — cheap
+# equivalence, the never-repool taint rule, the telemetry bypass, the
+# machine package, whose pool survives GC) — cheap
 # enough for every push, unlike `make race` — the serving-stack chaos smoke,
 # the benchmark gate's self-test, the per-cycle and per-scenario cost
 # benchmark smoke, and the host-speed gate over the repository benchmark.
@@ -91,7 +92,7 @@ ci: build vet fmt test
 	$(MAKE) coverage-floor
 	$(GO) test -race ./internal/obsrv/... ./internal/telemetry/... ./internal/fleet
 	$(GO) test -race -run 'TestSampleCampaign|TestSampleRateOne$$' ./internal/campaign
-	$(GO) test -race -count=1 -run 'Test(TLB|BatchLane|Recycle)Equivalence|NeverRepooled|TestCleanRunRepooled' ./internal/campaign ./internal/bench
+	$(GO) test -race -count=1 -run 'Test(TLB|BatchLane|Recycle)Equivalence|NeverRepooled|TestCleanRunRepooled|TestTelemetryRunNotPooled' ./internal/campaign ./internal/bench
 	$(GO) test -race -count=1 ./internal/machine
 	$(MAKE) serve-smoke
 	$(MAKE) bench-gate-test
@@ -126,8 +127,8 @@ bench:
 # lane, WatchUnwatch reports 0 allocs/op, DisabledSpan
 # reports the ns and 0 allocs of a Begin/End pair on a tracer that is not
 # recording (what every instrumented hot path pays with tracing off), and
-# Scenario's garbage-B/op is the host garbage one campaign scenario leaves
-# behind.
+# Scenario's B/op is the host garbage one campaign scenario leaves behind;
+# it fails unless builds/op is 0, since the machine pool survives GC.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'MachineNew|Recycle|LoadRunScan|CopyCompareRun|ShortCompareRun|RunLength|MonitoredRun|WriteLine' -benchmem -benchtime 1x ./internal/machine ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'WatchUnwatch|DisabledSpan|Scenario' -benchmem -benchtime 1x ./internal/kernel ./internal/telemetry ./internal/campaign

@@ -12,13 +12,15 @@
 //	             [-serve :9090] [-flight-dump FILE]
 //	             [-log-level info] [-log-format console|json]
 //	             [-cpuprofile FILE] [-memprofile FILE] [-version]
-//	safemem-fuzz -seed N [-tool both] [-scenario 'cv1|...']
+//	safemem-fuzz -seed N [-tool both] [-scenario 'cv1|...'] [-flight-dump FILE]
 //
 // The first form runs a campaign: N scenarios sharded over goroutines, a
 // summary on stdout, exit status 1 if the oracle found violations (each with
 // a one-line repro command). The second form replays one scenario — either
 // regenerated from -seed or parsed from -scenario, exactly what a printed
-// repro command contains.
+// repro command contains — under every -tool configuration, one verdict
+// block each, with exit status 1 if any violates. Both forms dump the
+// flight-recorder history to -flight-dump when they end in violations.
 //
 // -fault-rate runs every scenario on flaky DIMMs: a seed-deterministic
 // background DRAM fault process at R fault events per million cycles, plus
@@ -31,12 +33,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"safemem/internal/campaign"
 	"safemem/internal/obsrv"
 	"safemem/internal/obsrv/buildinfo"
+	"safemem/internal/obsrv/flight"
 	"safemem/internal/obsrv/logging"
 	"safemem/internal/profiling"
 	"safemem/internal/telemetry"
@@ -58,7 +62,7 @@ func main() {
 	storm := flag.Bool("storm", false, "cluster background faults into error-storm episodes")
 	retire := flag.Bool("retire", false, "retire failing pages and continue instead of panicking on uncorrectable errors")
 	serve := flag.String("serve", "", "serve live observability endpoints (/metrics, /events, /healthz, …) on this address, e.g. :9090")
-	flightDump := flag.String("flight-dump", "safemem-fuzz-flight.jsonl", "write the flight-recorder event history here when the campaign ends in violations (empty disables)")
+	flightDump := flag.String("flight-dump", "safemem-fuzz-flight.jsonl", "write the flight-recorder event history here when the campaign or replay ends in violations (empty disables)")
 	flag.Parse()
 	if buildinfo.HandleFlag(os.Stdout) {
 		return
@@ -101,7 +105,7 @@ func main() {
 
 	single := *scenario != "" || isFlagSet("seed")
 	if single {
-		profiling.Exit(runSingle(*seed, *scenario, tools, env))
+		profiling.Exit(runSingle(os.Stdout, *seed, *scenario, tools, env, *flightDump))
 	}
 
 	log.Info("campaign starting", "seeds", *seeds, "base_seed", *baseSeed, "shards", *shards)
@@ -142,9 +146,13 @@ func main() {
 	profiling.Exit(0)
 }
 
-// runSingle replays one scenario under one configuration and reports the
-// oracle's verdict. This is the mode a printed repro command invokes.
-func runSingle(seed uint64, encoded string, tools []campaign.ToolConfig, env campaign.Env) int {
+// runSingle replays one scenario under each listed configuration and
+// reports the oracle's verdict on each, one block per configuration; it
+// returns 1 if any run violates. This is the mode a printed repro command
+// invokes (with one -tool). A replay that ends in violations or an
+// execution error dumps the flight history to flightDump by campaign.Run's
+// rule.
+func runSingle(w io.Writer, seed uint64, encoded string, tools []campaign.ToolConfig, env campaign.Env, flightDump string) int {
 	var s *campaign.Scenario
 	if encoded != "" {
 		var err error
@@ -158,35 +166,42 @@ func runSingle(seed uint64, encoded string, tools []campaign.ToolConfig, env cam
 	} else {
 		s = campaign.Generate(seed)
 	}
-	cfg := tools[0]
-
-	res, err := campaign.ExecuteEnv(s, cfg, env)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "safemem-fuzz: %v\n", err)
-		return 1
+	status := 0
+	for _, cfg := range tools {
+		res, err := campaign.ExecuteEnv(s, cfg, env)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "safemem-fuzz: %v\n", err)
+			status = 1
+			continue
+		}
+		v := campaign.Judge(s, cfg, res)
+		campaign.RecordVerdict(flight.Default, seed, cfg, v)
+		fmt.Fprintf(w, "scenario seed=%d tool=%s: %d ops, %d planted, %d near-misses\n",
+			seed, cfg, len(s.Ops), len(s.Plan), len(s.Misses))
+		fmt.Fprintf(w, "verdict: %d true positives, %d false positives, %d missed, %d expected misses, %d sampled misses\n",
+			v.TruePositives, v.FalsePositives, v.Missed, v.ExpectedMisses, v.SampledMisses)
+		if res.FaultModel {
+			r := res.Resilience
+			fmt.Fprintf(w, "hardware: %d fault events, %d corrected, %d repaired, %d pages retired, %d watches migrated, %d data-loss\n",
+				res.FaultEvents, res.Corrected, res.Stats.HardwareErrors,
+				r.PagesRetired, r.WatchesMigrated, r.DataLossEvents)
+		}
+		for _, r := range res.Reports {
+			fmt.Fprintf(w, "  report: %s at site %#x: %s\n", r.Kind, r.Site, r.Details)
+		}
+		if len(v.Violations) == 0 {
+			fmt.Fprintln(w, "oracle: PASS")
+			continue
+		}
+		status = 1
+		for _, vio := range v.Violations {
+			fmt.Fprintf(w, "violation: %s %s site=%#x strand=%d: %s\n", vio.Kind, vio.BugKind, vio.Site, vio.Strand, vio.Detail)
+		}
 	}
-	v := campaign.Judge(s, cfg, res)
-	fmt.Printf("scenario seed=%d tool=%s: %d ops, %d planted, %d near-misses\n",
-		seed, cfg, len(s.Ops), len(s.Plan), len(s.Misses))
-	fmt.Printf("verdict: %d true positives, %d false positives, %d missed, %d expected misses, %d sampled misses\n",
-		v.TruePositives, v.FalsePositives, v.Missed, v.ExpectedMisses, v.SampledMisses)
-	if res.FaultModel {
-		r := res.Resilience
-		fmt.Printf("hardware: %d fault events, %d corrected, %d repaired, %d pages retired, %d watches migrated, %d data-loss\n",
-			res.FaultEvents, res.Corrected, res.Stats.HardwareErrors,
-			r.PagesRetired, r.WatchesMigrated, r.DataLossEvents)
+	if err := campaign.DumpFlight(flight.Default, flightDump, 0, status != 0); err != nil {
+		fmt.Fprintf(os.Stderr, "safemem-fuzz: flight dump: %v\n", err)
 	}
-	for _, r := range res.Reports {
-		fmt.Printf("  report: %s at site %#x: %s\n", r.Kind, r.Site, r.Details)
-	}
-	if len(v.Violations) == 0 {
-		fmt.Println("oracle: PASS")
-		return 0
-	}
-	for _, w := range v.Violations {
-		fmt.Printf("violation: %s %s site=%#x strand=%d: %s\n", w.Kind, w.BugKind, w.Site, w.Strand, w.Detail)
-	}
-	return 1
+	return status
 }
 
 // printText renders the human-readable campaign summary.

@@ -270,66 +270,17 @@ func safeMemOptions(tool Tool) (safemem.Options, bool) {
 	return safemem.Options{}, false
 }
 
-// machinePools reuses bench machines, one pool per machine configuration.
-// A recycled machine keeps the cache arrays, page tables and DRAM chunks a
-// cold build and its first run allocate; it is observationally identical
-// to a fresh one (pinned by TestMachineRecycleEquivalence and the golden
-// tables), so reuse changes host wall-clock only.
-var machinePools sync.Map // machine.Config → *machine.Pool
-
-// PoolStats reports (released, dropped) machine counts since process start,
-// summed over every configuration's pool — the crash-safety pin that a run
-// which errored or panicked is never repooled
-// (TestPanickedMachineNeverRepooled).
-func PoolStats() (released, dropped uint64) {
-	st := poolTotals()
-	return st.Released, st.Dropped
-}
-
-// PoolBuilt reports how many pooled-configuration machines were built cold
-// since process start, summed over every configuration's pool.
-func PoolBuilt() uint64 { return poolTotals().Built }
-
-func poolTotals() machine.PoolStats {
-	var sum machine.PoolStats
-	machinePools.Range(func(_, p any) bool {
-		st := p.(*machine.Pool).Stats()
-		sum.Released += st.Released
-		sum.Dropped += st.Dropped
-		sum.Built += st.Built
-		return true
-	})
-	return sum
-}
-
 // runHook, when non-nil, runs inside the simulated program just before the
 // app body — test-only instrumentation for pinning the panic-discard path.
 var runHook func()
-
-// acquireMachine returns a pristine machine for mcfg and the pool it goes
-// back to. A configuration carrying a per-run telemetry registry is never
-// pooled — the registry is part of that run's output — so its machine is
-// built fresh and comes with a nil pool, whose Done does nothing.
-func acquireMachine(mcfg machine.Config) (*machine.Machine, *machine.Pool, error) {
-	if mcfg.Telemetry != nil {
-		m, err := machine.New(mcfg)
-		return m, nil, err
-	}
-	p, ok := machinePools.Load(mcfg)
-	if !ok {
-		p, _ = machinePools.LoadOrStore(mcfg, machine.NewPool(mcfg))
-	}
-	pool := p.(*machine.Pool)
-	m, err := pool.Get()
-	return m, pool, err
-}
 
 // RunSpec executes one run on a pristine machine and returns its result.
 // The heap, tool and workload are rebuilt per call, so runs are
 // independent and deterministic for a given spec.
 //
-// The machine goes back to its pool only when the run terminated normally;
-// a run that errored, failed setup or panicked drops it.
+// The machine comes from the machine pool and goes back to it only when the
+// run terminated normally; a run that errored, failed setup or panicked
+// drops it (machine.Pool's taint rule).
 func RunSpec(spec Spec) (*Result, error) {
 	app, ok := apps.Get(spec.App)
 	if !ok {
@@ -352,12 +303,12 @@ func RunSpec(spec Spec) (*Result, error) {
 	if mcfg.Telemetry == nil && Telemetry != nil {
 		mcfg.Telemetry = Telemetry.NewRegistry(label)
 	}
-	m, pool, err := acquireMachine(mcfg)
+	m, err := machine.Get(mcfg)
 	if err != nil {
 		return nil, err
 	}
 	clean := false
-	defer func() { pool.Done(m, clean) }()
+	defer func() { machine.Done(m, clean) }()
 
 	var ho heap.Options // stock 8-byte-aligned malloc
 	switch {

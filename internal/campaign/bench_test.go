@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"runtime"
 	"testing"
 
 	"safemem/internal/machine"
@@ -11,28 +10,14 @@ import (
 // through, so bytes/op and ns/op describe the same mix at any b.N.
 const benchScenarios = 64
 
-// totalAlloc returns the bytes allocated since process start.
-func totalAlloc() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.TotalAlloc
-}
-
 // BenchmarkScenario measures one campaign op the way the repository
 // benchmark's campaign workloads run it: generate a scenario, execute it
 // under every configuration (the uninstrumented baseline first) and judge
-// each instrumented run. Machines come from the executor pool, warmed
-// before the timer starts, so this is the recycled path.
-//
-// -benchmem's B/op also counts every machine the pool had to rebuild (its
-// sync.Pool can miss, and a crashed run's machine is dropped), each about
-// a megabyte before its runs write DRAM; builds/op reports those.
-// garbage-B/op is B/op without the cold builds: the host garbage one
-// scenario leaves behind.
+// each instrumented run. Machines come from the machine pool, warmed before
+// the timer starts, so this is the recycled path: it fails if the pool
+// builds a machine while timed (builds/op must read 0), and -benchmem's
+// B/op is the host garbage one scenario leaves behind.
 func BenchmarkScenario(b *testing.B) {
-	before := totalAlloc()
-	machine.MustNew(machine.Config{MemBytes: execMemBytes})
-	buildBytes := totalAlloc() - before
 	for _, bc := range []struct {
 		name string
 		env  Env
@@ -54,17 +39,18 @@ func BenchmarkScenario(b *testing.B) {
 				}
 			}
 			op(0)
-			built, alloc := PoolBuilt(), totalAlloc()
+			built := machine.PoolTotals().Built
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				op(i)
 			}
 			b.StopTimer()
-			builds := PoolBuilt() - built
-			garbage := float64(totalAlloc()-alloc) - float64(builds*buildBytes)
+			builds := machine.PoolTotals().Built - built
 			b.ReportMetric(float64(builds)/float64(b.N), "builds/op")
-			b.ReportMetric(garbage/float64(b.N), "garbage-B/op")
+			if builds != 0 {
+				b.Fatalf("the warm pool built %d machine(s) in %d ops, want 0", builds, b.N)
+			}
 		})
 	}
 }

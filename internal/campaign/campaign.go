@@ -242,16 +242,7 @@ func Run(cfg Config) (*Summary, error) {
 				prog.scenarioDone(shard, done)
 				for ti, v := range o.verdicts {
 					prog.verdict(v)
-					rec.Emit(flight.KindVerdict, "campaign", 0, tools[ti].String(),
-						flight.F("seed", seed),
-						flight.F("true_positives", uint64(v.TruePositives)),
-						flight.F("false_positives", uint64(v.FalsePositives)),
-						flight.F("missed", uint64(v.Missed)))
-					for _, vio := range v.Violations {
-						rec.Emit(flight.KindViolation, "campaign", 0,
-							fmt.Sprintf("%s under %s: %s", vio.Kind, vio.Config, vio.Detail),
-							flight.F("seed", seed))
-					}
+					RecordVerdict(rec, seed, tools[ti], v)
 				}
 			}
 		}(w)
@@ -267,19 +258,41 @@ func Run(cfg Config) (*Summary, error) {
 			flight.F("scenarios_run", uint64(sum.ScenariosRun)),
 			flight.F("violations", uint64(len(sum.Violations))))
 	}
-	// The black box: a campaign that ended badly dumps its recent flight
-	// history next to the shrunk repro, so the post-mortem has the event
-	// stream that led up to the failure.
-	if cfg.FlightDump != "" && (err != nil || len(sum.Violations) > 0) {
-		n := cfg.FlightDumpN
-		if n <= 0 {
-			n = defaultFlightDumpN
-		}
-		if derr := rec.DumpFile(cfg.FlightDump, n); derr != nil {
-			rec.Emit(flight.KindCampaignFinish, "campaign", 0, "flight dump failed: "+derr.Error())
-		}
+	if derr := DumpFlight(rec, cfg.FlightDump, cfg.FlightDumpN, err != nil || len(sum.Violations) > 0); derr != nil {
+		rec.Emit(flight.KindCampaignFinish, "campaign", 0, "flight dump failed: "+derr.Error())
 	}
 	return sum, err
+}
+
+// RecordVerdict emits v, the verdict of scenario seed under cfg, to rec: one
+// verdict event, then one event per violation. Run records every verdict
+// this way, and so does a single-scenario replay.
+func RecordVerdict(rec *flight.Recorder, seed uint64, cfg ToolConfig, v *Verdict) {
+	rec.Emit(flight.KindVerdict, "campaign", 0, cfg.String(),
+		flight.F("seed", seed),
+		flight.F("true_positives", uint64(v.TruePositives)),
+		flight.F("false_positives", uint64(v.FalsePositives)),
+		flight.F("missed", uint64(v.Missed)))
+	for _, vio := range v.Violations {
+		rec.Emit(flight.KindViolation, "campaign", 0,
+			fmt.Sprintf("%s under %s: %s", vio.Kind, vio.Config, vio.Detail),
+			flight.F("seed", seed))
+	}
+}
+
+// DumpFlight is the black box: a run that failed (ended in an error or in
+// violations) dumps the last n events of rec's history (n ≤ 0: 256) to
+// path, next to the shrunk repro, so the post-mortem has the event stream
+// that led up to the failure. An empty path disables it. Run and a
+// single-scenario replay share this rule.
+func DumpFlight(rec *flight.Recorder, path string, n int, failed bool) error {
+	if path == "" || !failed {
+		return nil
+	}
+	if n <= 0 {
+		n = defaultFlightDumpN
+	}
+	return rec.DumpFile(path, n)
 }
 
 // progress publishes live campaign progress into a telemetry registry:

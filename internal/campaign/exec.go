@@ -190,31 +190,18 @@ type ExecResult struct {
 // execMemBytes is the simulated DRAM size of every executor machine.
 const execMemBytes = 32 << 20
 
-// execPool reuses executor machines across scenario runs. A campaign runs
-// every scenario under several configurations (the baseline plus every
-// judged one); a recycled machine keeps the DRAM chunks, cache and page
-// tables it already allocated, and the heap, tool, injector, fault-process
-// and slot storage the previous run on it left behind (machine.PutSpare),
-// so a steady-state run allocates little beyond its results. Recycled
-// machines are observationally identical to fresh ones — pinned by
-// TestMachineRecycleEquivalence in internal/machine and by the Reference
-// sweep here (reference_test.go), which swaps this pool for one of
-// Config.Reference machines — so pooling changes host time only, never
-// simulated results.
-var execPool = machine.NewPool(machine.Config{MemBytes: execMemBytes})
-
-// PoolStats reports (released, dropped) executor machine counts since
-// process start. Host-side observability only — but they are also the
-// crash-safety pin: TestPanickedMachineNeverRepooled asserts that a run
-// which panicked or errored advances only the dropped counter.
-func PoolStats() (released, dropped uint64) {
-	st := execPool.Stats()
-	return st.Released, st.Dropped
-}
-
-// PoolBuilt reports how many executor machines were built cold since
-// process start: every run the pool could not serve from a recycled one.
-func PoolBuilt() uint64 { return execPool.Stats().Built }
+// execConfig is the machine configuration every scenario run draws from the
+// process-wide machine pool. A campaign runs every scenario under several
+// configurations (the baseline plus every judged one); a recycled machine
+// keeps the DRAM chunks, cache and page tables it already allocated, and the
+// heap, tool, injector, fault-process and slot storage the previous run on
+// it left behind (machine.PutSpare), so a steady-state run allocates little
+// beyond its results. Recycled machines are observationally identical to
+// fresh ones — pinned by TestMachineRecycleEquivalence in internal/machine
+// and by the Reference sweep here (reference_test.go), which sets Reference
+// on this value — so pooling changes host time only, never simulated
+// results.
+var execConfig = machine.Config{MemBytes: execMemBytes}
 
 type slotState struct {
 	addr      vm.VAddr
@@ -244,17 +231,16 @@ func Execute(s *Scenario, cfg ToolConfig, sabotage bool) (*ExecResult, error) {
 // retirement instead of panicking. The fault process derives its stream
 // from the scenario seed, so runs stay deterministic at any shard count.
 //
-// The machine comes from the executor pool and goes back to it only when
+// The machine comes from the machine pool and goes back to it only when
 // the run terminated normally; a run that errored, failed setup or panicked
 // drops it (machine.Pool's taint rule).
 func ExecuteEnv(s *Scenario, cfg ToolConfig, env Env) (*ExecResult, error) {
-	pool := execPool
-	m, err := pool.Get()
+	m, err := machine.Get(execConfig)
 	if err != nil {
 		return nil, err
 	}
 	clean := false
-	defer func() { pool.Done(m, clean) }()
+	defer func() { machine.Done(m, clean) }()
 
 	ho := safemem.HeapOptions(true)
 	ho.Limit = 16 << 20

@@ -5,21 +5,23 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"safemem/internal/machine"
 )
 
 // poolDelta runs f and returns how far the machine-pool counters moved.
 func poolDelta(t *testing.T, f func()) (released, dropped uint64) {
 	t.Helper()
-	r0, d0 := PoolStats()
+	st0 := machine.PoolTotals()
 	f()
-	r1, d1 := PoolStats()
-	return r1 - r0, d1 - d0
+	mv := poolMoves(st0)
+	return mv.Released, mv.Dropped
 }
 
 // TestPanickedMachineNeverRepooled pins the fleet's crash-safety contract
 // at the executor level: when a panic unwinds out of ExecuteEnv into a
 // recovering caller (exactly what a fleet worker's panic isolation does),
-// the in-flight machine must be dropped, never handed to sync.Pool.Put.
+// the in-flight machine must be dropped, never recycled into the pool.
 func TestPanickedMachineNeverRepooled(t *testing.T) {
 	s := Generate(1)
 	released, dropped := poolDelta(t, func() {

@@ -52,17 +52,23 @@ func campaignJSON(t *testing.T, cfg Config) []byte {
 	return j
 }
 
-// referenceCampaign runs cfg with the executor pool swapped for a pool of
-// Config.Reference machines, returning the summary JSON and that pool's
-// counters. Campaign tests never run in parallel within this package, so
-// swapping the package pool is race-free.
+// poolMoves returns how far the machine-pool counters moved between st0
+// and now.
+func poolMoves(st0 machine.PoolStats) machine.PoolStats {
+	st := machine.PoolTotals()
+	return machine.PoolStats{Released: st.Released - st0.Released, Dropped: st.Dropped - st0.Dropped, Built: st.Built - st0.Built}
+}
+
+// referenceCampaign runs cfg on Config.Reference executor machines,
+// returning the summary JSON and how far the pool counters moved. Campaign
+// tests never run in parallel within this package, so setting Reference on
+// the package's executor Config is race-free.
 func referenceCampaign(t *testing.T, cfg Config) ([]byte, machine.PoolStats) {
 	t.Helper()
-	prev := execPool
-	ref := machine.NewPool(machine.Config{MemBytes: execMemBytes, Reference: true})
-	execPool = ref
-	defer func() { execPool = prev }()
-	return campaignJSON(t, cfg), ref.Stats()
+	execConfig.Reference = true
+	defer func() { execConfig.Reference = false }()
+	st0 := machine.PoolTotals()
+	return campaignJSON(t, cfg), poolMoves(st0)
 }
 
 // campaignRuns is how many executor runs cfg makes: per scenario, the
@@ -102,18 +108,16 @@ func TestBatchLaneEquivalence(t *testing.T) {
 	ref := machine.DefaultConfig()
 	ref.Reference = true
 
-	benchReleased, _ := bench.PoolStats()
+	start := machine.PoolTotals()
 	for _, app := range apps.All() {
 		for _, tool := range []bench.Tool{bench.ToolNone, bench.ToolSafeMemBoth, bench.ToolSample} {
 			pooled := digestBench(t, app.Name, tool, machine.DefaultConfig())
 
-			r0, _ := bench.PoolStats()
-			b0 := bench.PoolBuilt()
+			st0 := machine.PoolTotals()
 			fresh := digestBench(t, app.Name, tool, ref)
-			r1, _ := bench.PoolStats()
-			if built := bench.PoolBuilt() - b0; r1 != r0 || built != 1 {
+			if mv := poolMoves(st0); mv.Released != 0 || mv.Built != 1 {
 				t.Fatalf("%s/%v: reference run released %d and built %d machines, want 0 and 1",
-					app.Name, tool, r1-r0, built)
+					app.Name, tool, mv.Released, mv.Built)
 			}
 
 			if !reflect.DeepEqual(pooled, fresh) {
@@ -122,7 +126,7 @@ func TestBatchLaneEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if r, _ := bench.PoolStats(); r == benchReleased {
+	if poolMoves(start).Released == 0 {
 		t.Error("bench pooled side never recycled a machine")
 	}
 }
@@ -149,24 +153,24 @@ func TestRecycleEquivalence(t *testing.T) {
 	checkReferenceCampaign(t, Config{Seeds: 6, BaseSeed: 77, Shards: 1, Tools: []ToolConfig{CfgSample, CfgBoth}, SampleRate: 8})
 }
 
-// checkReferenceCampaign runs cfg on a Reference pool at its own shard
-// count and on the pooled executor at shard counts 1 and 3; the three
-// summaries must be byte-identical. It fails if the Reference pool ever
+// checkReferenceCampaign runs cfg on Reference machines at its own shard
+// count and on pooled executor machines at shard counts 1 and 3; the three
+// summaries must be byte-identical. It fails if a Reference run ever
 // recycles or the pooled side never does.
 func checkReferenceCampaign(t *testing.T, cfg Config) {
 	t.Helper()
 	fresh, st := referenceCampaign(t, cfg)
 	if want := campaignRuns(cfg); st.Released != 0 || st.Built != want {
-		t.Fatalf("campaign %+v: reference pool released %d and built %d machines, want 0 and %d",
+		t.Fatalf("campaign %+v: reference runs released %d and built %d machines, want 0 and %d",
 			cfg, st.Released, st.Built, want)
 	}
 
-	r0, _ := PoolStats()
+	st0 := machine.PoolTotals()
 	pooled1 := campaignJSON(t, cfg)
 	cfg3 := cfg
 	cfg3.Shards = 3
 	pooled3 := campaignJSON(t, cfg3)
-	if r1, _ := PoolStats(); r1 == r0 {
+	if poolMoves(st0).Released == 0 {
 		t.Errorf("campaign %+v: pooled side never recycled a machine", cfg)
 	}
 

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"safemem/internal/campaign"
+	"safemem/internal/machine"
 )
 
 func TestChaosPlanDeterministicAndExclusive(t *testing.T) {
@@ -52,9 +52,9 @@ func TestNilChaosIsInert(t *testing.T) {
 // fleet under panic + transient-failure injection, running real
 // simulations, must bring every admitted job to a terminal state, draw
 // every injected fate at least once, and never repool a machine whose run
-// panicked (pinned through the campaign pool counters).
+// panicked (pinned through the machine pool counters).
 func TestChaosCampaignEveryJobTerminal(t *testing.T) {
-	rel0, drop0 := campaign.PoolStats()
+	st0 := machine.PoolTotals()
 
 	cfg := testConfig()
 	cfg.Workers = 4
@@ -99,13 +99,12 @@ func TestChaosCampaignEveryJobTerminal(t *testing.T) {
 
 	// Crash safety: every panicked attempt discarded its machine. Other
 	// tests share the process-global counters, so pin a lower bound.
-	_, drop1 := campaign.PoolStats()
-	if dropped := drop1 - drop0; dropped < uint64(states[StateCrashed]) {
+	st1 := machine.PoolTotals()
+	if dropped := st1.Dropped - st0.Dropped; dropped < uint64(states[StateCrashed]) {
 		t.Errorf("pool dropped %d machines, want ≥ %d (one per crashed job)",
 			dropped, states[StateCrashed])
 	}
-	rel1, _ := campaign.PoolStats()
-	if rel1-rel0 == 0 {
+	if st1.Released == st0.Released {
 		t.Error("no machine was recycled for the clean jobs")
 	}
 }

@@ -132,7 +132,7 @@ func (m *Machine) BatchStats() (runs, fastOps, slowOps uint64) {
 // Attached monitors demand per-access callbacks, so any monitor refuses the
 // lane to the whole run (spanBegin), as does a Reference machine.
 func (m *Machine) laneOK() bool {
-	return len(m.monitors) == 0 && !m.reference
+	return len(m.monitors) == 0 && !m.cfg.Reference
 }
 
 // perAccessHitCost is the exact cycle charge of one TLB-hit cache-hit

@@ -173,7 +173,7 @@ func runBatchWorkload(t *testing.T, m *Machine) (batchDigest, [3]uint64) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("workload (reference=%v, %d monitors): %v", m.reference, len(m.monitors), err)
+		t.Fatalf("workload (reference=%v, %d monitors): %v", m.cfg.Reference, len(m.monitors), err)
 	}
 	d.cycles = m.Clock.Now()
 	d.instrs = m.Instructions()

@@ -39,9 +39,9 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Reference builds the machine with every host-side fast lane off: the
 	// controller's known-clean line bitmap, the software TLB and the batched
-	// access lane, and a Pool of this Config never recycles — every Get
-	// builds fresh. Simulated results are identical either way; reference
-	// machines are the oracle the fast lanes are tested against
+	// access lane, and the Pool never recycles a machine of this Config —
+	// every Get builds fresh. Simulated results are identical either way;
+	// reference machines are the oracle the fast lanes are tested against
 	// (the Reference sweep in internal/campaign, FuzzMachineDifferential).
 	Reference bool
 }
@@ -112,8 +112,10 @@ type Machine struct {
 	// counters (batch.go). Reset by Recycle so pooled machines never leak a
 	// stale batch window across tenants.
 	batch batchLane
-	// reference is Config.Reference: the batch lane is refused (laneOK).
-	reference bool
+	// cfg is the Config New was given, before defaults: its Reference
+	// refuses the batch lane (laneOK), and the whole value keys the machine's
+	// idle list in a Pool.
+	cfg Config
 	// pristine is the snapshot New captures of the just-built machine;
 	// Recycle restores it.
 	pristine *Snapshot
@@ -164,6 +166,7 @@ type access struct {
 
 // New builds a machine from cfg.
 func New(cfg Config) (*Machine, error) {
+	given := cfg
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 64 << 20
 	}
@@ -202,7 +205,7 @@ func New(cfg Config) (*Machine, error) {
 		Kern:  kern,
 		Stack: &callstack.Stack{},
 
-		reference: cfg.Reference,
+		cfg: given,
 	}
 	reg.AttachClock(clock)
 	m.Telemetry = reg
@@ -233,9 +236,9 @@ func New(cfg Config) (*Machine, error) {
 // components New registered: the per-run sources a tool, heap, injector,
 // fault model or sampler added are dropped, so a recycled machine never
 // carries duplicate emitters or reads a previous run's freed state.
-// Registry-owned counters and histograms keep counting across runs. A
-// machine built with a caller-owned cfg.Telemetry registry should therefore
-// not be pooled: that registry is its run's output.
+// Registry-owned counters and histograms keep counting across runs, which
+// is why the Pool never pools a machine built with a caller-owned
+// cfg.Telemetry registry: that registry is its run's output.
 func (m *Machine) Recycle() { m.Restore(m.pristine) }
 
 // MustNew is New, panicking on error.

@@ -157,7 +157,7 @@ func monitoredProgram(t *testing.T, m *Machine) (sum uint64, want []monAccess) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("monitored program (reference=%v): %v", m.reference, err)
+		t.Fatalf("monitored program (reference=%v): %v", m.cfg.Reference, err)
 	}
 	return sum, want
 }

@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"safemem/internal/heap"
 	"safemem/internal/machine"
 	"safemem/internal/sampletool"
+	"safemem/internal/telemetry"
 	"safemem/internal/vm"
 )
 
@@ -103,12 +105,13 @@ func TestRecycleAfterSnapshot(t *testing.T) {
 	}
 }
 
-// TestPoolTaintRule pins machine.Pool's accounting: a clean Done recycles
-// the machine into the pool, a tainted one drops it, and a Get the pool
-// cannot serve counts one cold build.
+// TestPoolTaintRule pins Pool's accounting: a clean Done recycles the
+// machine into the pool, a tainted one drops it, and a Get the pool cannot
+// serve counts one cold build.
 func TestPoolTaintRule(t *testing.T) {
-	p := machine.NewPool(machine.Config{MemBytes: 1 << 22})
-	m, err := p.Get()
+	var p machine.Pool
+	cfg := machine.Config{MemBytes: 1 << 22}
+	m, err := p.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,27 +123,105 @@ func TestPoolTaintRule(t *testing.T) {
 		t.Fatalf("after a tainted Done: %+v, want one drop", st)
 	}
 	// The dropped machine must not come back: the pool is empty again.
-	m, err = p.Get()
+	m2, err := p.Get(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m2 == m {
+		t.Fatal("Get returned the dropped machine")
 	}
 	if got := p.Stats().Built; got != 2 {
 		t.Fatalf("Get after a drop built %d machines in total, want 2", got)
 	}
-	p.Done(m, true)
+	p.Done(m2, true)
 	if st := p.Stats(); st != (machine.PoolStats{Built: 2, Dropped: 1, Released: 1}) {
 		t.Fatalf("after a clean Done: %+v, want one release", st)
 	}
+	// Another Config has its own idle list: the recycled machine is not
+	// handed out for it.
+	if m3, err := p.Get(machine.Config{MemBytes: 1 << 21}); err != nil || m3 == m2 {
+		t.Fatalf("Get of another Config: err=%v, same machine=%v", err, m3 == m2)
+	}
+}
 
-	var nilPool *machine.Pool
-	nilPool.Done(m, true) // an unpooled machine's Done is a no-op
+// TestPoolReferenceNeverRecycles pins the Reference rule: every Get of a
+// Reference Config builds fresh, and a clean Done discards the machine
+// without counting a release.
+func TestPoolReferenceNeverRecycles(t *testing.T) {
+	var p machine.Pool
+	cfg := machine.Config{MemBytes: 1 << 22, Reference: true}
+	for i := 0; i < 3; i++ {
+		m, err := p.Get(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Done(m, true)
+	}
+	if st := p.Stats(); st != (machine.PoolStats{Built: 3}) {
+		t.Fatalf("three clean Reference runs: %+v, want three builds and nothing else", st)
+	}
+}
+
+// TestPoolTelemetryNeverPooled pins that a Config carrying a Telemetry
+// registry bypasses the pool: its machine reports into that registry, is
+// built fresh, is never handed out again, and moves no counter.
+func TestPoolTelemetryNeverPooled(t *testing.T) {
+	var p machine.Pool
+	cfg := machine.Config{MemBytes: 1 << 22, Telemetry: telemetry.NewRegistry("run", telemetry.Config{})}
+	m, err := p.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Telemetry != cfg.Telemetry {
+		t.Fatal("machine does not report into the Config's registry")
+	}
+	p.Done(m, true)
+	m2, err := p.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 == m {
+		t.Fatal("a machine with a caller-owned registry was pooled")
+	}
+	p.Done(m2, false)
+	if st := p.Stats(); st != (machine.PoolStats{}) {
+		t.Fatalf("telemetry runs moved the pool counters: %+v", st)
+	}
+}
+
+// TestPoolSurvivesGC pins that idle machines are held, not cached: garbage
+// collections between a clean Done and the next Get of that Config do not
+// cost a rebuild.
+func TestPoolSurvivesGC(t *testing.T) {
+	var p machine.Pool
+	cfg := machine.Config{MemBytes: 1 << 22}
+	m, err := p.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Done(m, true)
+	runtime.GC()
+	runtime.GC()
+	m2, err := p.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 != m {
+		t.Fatal("the idle machine did not survive two garbage collections")
+	}
+	if got := p.Stats().Built; got != 1 {
+		t.Fatalf("built %d machines, want 1", got)
+	}
 }
 
 // TestPoolConcurrent drives one pool from several goroutines at once, as
 // the campaign's shards do; run under -race it pins the pool's counters and
-// hand-off as race-free, and every machine handed out is accounted for.
+// hand-off as race-free. Every machine handed out is accounted for, and the
+// pool never builds more machines than were dropped plus the most in use at
+// once.
 func TestPoolConcurrent(t *testing.T) {
-	p := machine.NewPool(machine.Config{MemBytes: 1 << 22})
+	var p machine.Pool
+	cfg := machine.Config{MemBytes: 1 << 22}
 	const workers, runs = 4, 10
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -148,7 +229,7 @@ func TestPoolConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < runs; i++ {
-				m, err := p.Get()
+				m, err := p.Get(cfg)
 				if err != nil {
 					t.Error(err)
 					return
@@ -172,8 +253,7 @@ func TestPoolConcurrent(t *testing.T) {
 	if st.Released+st.Dropped != workers*runs {
 		t.Fatalf("released %d + dropped %d machines, want %d runs accounted for", st.Released, st.Dropped, workers*runs)
 	}
-	// Every dropped machine was built once, and no run built two.
-	if st.Built < st.Dropped || st.Built > workers*runs {
-		t.Fatalf("built %d machines for %d runs with %d drops", st.Built, workers*runs, st.Dropped)
+	if st.Built < st.Dropped || st.Built > st.Dropped+workers {
+		t.Fatalf("built %d machines for %d workers with %d drops", st.Built, workers, st.Dropped)
 	}
 }

@@ -29,8 +29,7 @@ import (
 	"sync"
 	"time"
 
-	"safemem/internal/bench"
-	"safemem/internal/campaign"
+	"safemem/internal/machine"
 	"safemem/internal/obsrv/buildinfo"
 	"safemem/internal/obsrv/flight"
 	"safemem/internal/profiling"
@@ -208,24 +207,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writePoolMetrics(w)
 }
 
-// writePoolMetrics appends the machine-pool counters of both run loops
-// (campaign scenarios serve fleet jobs, bench serves app jobs), so
-// operators can watch machine reuse — taint drops, and how often a run paid
-// a cold machine build — live. Process-global, like the pools themselves.
+// writePoolMetrics appends the machine-pool counters, so operators can
+// watch machine reuse — taint drops, and how often a run paid a cold
+// machine build — live. Process-global, like the pool itself: campaign
+// scenarios, fleet jobs and bench runs all draw on it.
 func writePoolMetrics(w io.Writer) {
-	cr, cd := campaign.PoolStats()
-	br, bd := bench.PoolStats()
+	st := machine.PoolTotals()
 	for _, g := range []struct {
-		name            string
-		campaign, bench uint64
+		name string
+		n    uint64
 	}{
-		{"released", cr, br},
-		{"dropped", cd, bd},
-		{"built", campaign.PoolBuilt(), bench.PoolBuilt()},
+		{"released", st.Released},
+		{"dropped", st.Dropped},
+		{"built", st.Built},
 	} {
 		fmt.Fprintf(w, "# TYPE safemem_pool_%s gauge\n", g.name)
-		fmt.Fprintf(w, "safemem_pool_%s{loop=%q} %d\n", g.name, "campaign", g.campaign)
-		fmt.Fprintf(w, "safemem_pool_%s{loop=%q} %d\n", g.name, "bench", g.bench)
+		fmt.Fprintf(w, "safemem_pool_%s %d\n", g.name, g.n)
 	}
 }
 

@@ -108,9 +108,9 @@ func stripPoolMetrics(body string) string {
 	return b.String()
 }
 
-// TestMetricsPoolGauges pins the shape of the run-loop machine-pool
-// telemetry: every counter family is present for both run loops, and the
-// retired snapshot-store families are gone.
+// TestMetricsPoolGauges pins the shape of the machine-pool telemetry: each
+// counter family is one unlabelled series of the one process-wide pool, and
+// the retired snapshot-store families are gone.
 func TestMetricsPoolGauges(t *testing.T) {
 	s := testServer(t, Config{Recorder: flight.New(4)})
 	_, body, _ := get(t, s.URL()+"/metrics")
@@ -118,10 +118,11 @@ func TestMetricsPoolGauges(t *testing.T) {
 		if !strings.Contains(body, fmt.Sprintf("# TYPE safemem_%s gauge\n", name)) {
 			t.Errorf("missing TYPE line for safemem_%s", name)
 		}
-		for _, loop := range []string{"campaign", "bench"} {
-			if !strings.Contains(body, fmt.Sprintf("safemem_%s{loop=%q} ", name, loop)) {
-				t.Errorf("missing safemem_%s sample for loop %q", name, loop)
-			}
+		if n := strings.Count(body, "\nsafemem_"+name+" "); n != 1 {
+			t.Errorf("%d unlabelled safemem_%s samples, want 1", n, name)
+		}
+		if strings.Contains(body, "safemem_"+name+"{") {
+			t.Errorf("safemem_%s carries a label", name)
 		}
 	}
 	if strings.Contains(body, "safemem_snapshot_") {
