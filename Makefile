@@ -79,7 +79,7 @@ check: build vet test race fuzz-short campaign storm bench-check
 
 # ci is the continuous-integration gate (.github/workflows/ci.yml): the
 # full build + vet + gofmt + test sweep, a shuffled re-run of the order-sensitive
-# new packages, the coverage floors, a race-detector pass over the
+# packages and of SafeMem's core (its arming-policy table), the coverage floors, a race-detector pass over the
 # concurrent serving/observability/telemetry layers, the sample-tool
 # campaign and the pooled machine-reuse path (pooled-vs-reference
 # equivalence, the never-repool taint rule, the telemetry bypass, the
@@ -88,7 +88,7 @@ check: build vet test race fuzz-short campaign storm bench-check
 # the benchmark gate's self-test, the per-cycle and per-scenario cost
 # benchmark smoke, and the host-speed gate over the repository benchmark.
 ci: build vet fmt test
-	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier
+	$(GO) test -shuffle=on -count=1 ./internal/sampletool ./internal/campaign ./internal/bench/frontier ./internal/core
 	$(MAKE) coverage-floor
 	$(GO) test -race ./internal/obsrv/... ./internal/telemetry/... ./internal/fleet
 	$(GO) test -race -run 'TestSampleCampaign|TestSampleRateOne$$' ./internal/campaign

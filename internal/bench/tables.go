@@ -138,8 +138,12 @@ func RunTable3(cfg apps.Config) ([]Table3Row, error) {
 	for ai, app := range all {
 		row6 := results[ai*len(cells) : (ai+1)*len(cells)]
 		base, ml, mc, both, pf, det := row6[0], row6[1], row6[2], row6[3], row6[4], row6[5]
-		if base.Err != nil {
-			return nil, fmt.Errorf("table3: %s base run: %w", app.Name, base.Err)
+		// Buggy-input runs may legitimately end abnormally; a failed
+		// normal-input run would yield a meaningless overhead.
+		for _, r := range row6[:5] {
+			if r.Err != nil {
+				return nil, fmt.Errorf("table3: %s %v run: %w", app.Name, r.Tool, r.Err)
+			}
 		}
 
 		mlmc := Overhead(base.Cycles, both.Cycles)

@@ -14,19 +14,28 @@
 //     stops re-arming it; every further fault doubles the re-arm backoff.
 //  3. Degraded mode: when the weighted machine-wide ECC event count crosses
 //     DegradeErrorThreshold within DegradeWindow (an error storm), new
-//     corruption watches — guard pads, freed extents, uninit probes — are
-//     suppressed until the window passes. Leak bookkeeping and suspect
-//     pruning continue unaffected: they need no new watches to stay sound,
-//     only the ones already armed.
+//     corruption watches — guard pads, freed extents, uninit probes, and
+//     their re-arms — are suppressed until the window passes. Leak
+//     bookkeeping and suspect pruning continue unaffected: they need no new
+//     watches to stay sound, only the ones already armed.
 //  4. Degraded events: a kernel watch operation that still fails is recorded
 //     (with the region's bookkeeping force-dropped so SafeMem's view stays
 //     consistent) instead of panicking.
+//
+// Rungs 2 and 3 are applied in one place, the arming gate (arm), which every
+// watch arm and re-arm passes. A quarantined line refuses a region of any
+// kind; an arming pause refuses every kind but leak suspects; a refusal is
+// counted by reason, quarantine first when both hold. Scoping a quarantine to
+// the allocation that earned it is thus a change to the gate alone; it moves
+// the seed-1 campaign, campaign-storm and fleet digests, so it lands with a
+// re-recorded benchmark/digests.json.
 
 package safemem
 
 import (
 	"fmt"
 
+	"safemem/internal/heap"
 	"safemem/internal/obsrv/flight"
 	"safemem/internal/physmem"
 	"safemem/internal/simtime"
@@ -107,12 +116,15 @@ func (t *Tool) dropRegion(r *watchRegion) {
 }
 
 // unwatchOrDegrade disables r, degrading (and force-dropping the
-// bookkeeping) instead of panicking when the kernel call fails.
-func (t *Tool) unwatchOrDegrade(r *watchRegion, fromSaved bool, op string) {
+// bookkeeping) instead of panicking when the kernel call fails, and reports
+// whether the kernel call succeeded.
+func (t *Tool) unwatchOrDegrade(r *watchRegion, fromSaved bool, op string) bool {
 	if err := t.unwatch(r, fromSaved); err != nil {
 		t.degrade(op, r.base, err.Error())
 		t.dropRegion(r)
+		return false
 	}
+	return true
 }
 
 // noteMachineError feeds one controller ECC event into the machine-wide
@@ -189,6 +201,77 @@ func (t *Tool) lineQuarantined(base vm.VAddr, size uint64) bool {
 	return false
 }
 
+// refusal names why the arming gate refused a watch.
+type refusal uint8
+
+const (
+	refusedQuarantine refusal = iota // a line of the region is quarantined
+	refusedPause                     // corruption arming is paused
+)
+
+// refuse counts one watch the degradation policy refused.
+func (t *Tool) refuse(why refusal) {
+	if why == refusedQuarantine {
+		t.stats.WatchesSuppressedQuarantine++
+	} else {
+		t.stats.WatchesSuppressedPaused++
+	}
+}
+
+// arm is the arming gate: it watches [base, base+size) as kind, as watch
+// does, unless the degradation policy refuses. It returns the slot, or -1
+// when refused or when the kernel call fails (recorded as a degradation
+// under op instead of failing).
+func (t *Tool) arm(base vm.VAddr, size uint64, kind watchKind, blk *heap.Block, obj int32, op string) int32 {
+	if t.lineQuarantined(base, size) {
+		t.refuse(refusedQuarantine)
+		return -1
+	}
+	if kind != watchLeakSuspect && t.corruptionDegraded() {
+		t.refuse(refusedPause)
+		return -1
+	}
+	slot, err := t.watch(base, size, kind, blk, obj)
+	if err != nil {
+		t.degrade(op, base, err.Error())
+	}
+	return slot
+}
+
+// rearm re-arms a saved region through the gate after a hardware-error
+// repair or a scrub pass, unless it went stale: its lines are watched again
+// (a realloc or a fresh watch got there first), or its leak suspect was
+// since freed, its slot reused by a later allocation, or reported. The
+// watch keeps its confirmation clock (watchedAt) and its suspect link.
+// Every re-arm that does not happen counts in RearmsSkipped.
+func (t *Tool) rearm(old *watchRegion, op string) bool {
+	slot := int32(-1)
+	if !t.stale(old) {
+		slot = t.arm(old.base, old.size, old.kind, &old.block, old.obj, op)
+	}
+	if slot < 0 {
+		t.stats.RearmsSkipped++
+		return false
+	}
+	t.regions[slot].watchedAt = old.watchedAt
+	if old.obj >= 0 {
+		t.objs[old.obj].suspect = slot
+	}
+	return true
+}
+
+// stale reports whether a saved region no longer needs re-arming. Only leak
+// suspects carry an object slot.
+func (t *Tool) stale(old *watchRegion) bool {
+	if old.obj < 0 {
+		return t.lineWatched(old.base, old.size)
+	}
+	oi, ok := t.objects[old.block.Addr]
+	obj := &t.objs[old.obj]
+	return t.lineWatched(old.base, old.size) || !ok || oi != old.obj ||
+		obj.block.Seq != old.block.Seq || obj.reported || obj.suspect >= 0
+}
+
 // rearmAfterRepair re-arms a watch dropped by a hardware-error repair.
 // WatchMemory cannot run inside the ECC interrupt (the controller is
 // mid-read on the faulting line), so the re-arm is deferred to the kernel's
@@ -198,42 +281,8 @@ func (t *Tool) lineQuarantined(base vm.VAddr, size uint64) bool {
 // retirement runs first and the re-arm lands on the migrated page.
 func (t *Tool) rearmAfterRepair(old watchRegion) {
 	t.m.Kern.Defer(func() {
-		if t.lineWatched(old.base, old.size) {
-			return // something else (realloc, a fresh watch) got there first
+		if t.rearm(&old, "rearm") {
+			t.stats.WatchesRearmed++
 		}
-		if t.lineQuarantined(old.base, old.size) {
-			t.stats.RearmsSkipped++
-			return
-		}
-		if old.kind != watchLeakSuspect && t.corruptionDegraded() {
-			t.stats.RearmsSkipped++
-			t.stats.WatchesSuppressed++
-			return
-		}
-		if old.kind == watchLeakSuspect {
-			// The suspect must still be the same live object: its slot
-			// may since have been freed, or reused by a later allocation.
-			oi, ok := t.objects[old.block.Addr]
-			if old.obj < 0 || !ok || oi != old.obj {
-				t.stats.RearmsSkipped++
-				return
-			}
-			if obj := &t.objs[oi]; obj.block.Seq != old.block.Seq || obj.reported || obj.suspect >= 0 {
-				t.stats.RearmsSkipped++
-				return
-			}
-		}
-		slot, err := t.watch(old.base, old.size, old.kind, &old.block, old.obj)
-		if err != nil {
-			t.degrade("rearm", old.base, err.Error())
-			return
-		}
-		t.regions[slot].watchedAt = old.watchedAt
-		if old.obj >= 0 {
-			if obj := &t.objs[old.obj]; obj.suspect < 0 && !obj.reported {
-				obj.suspect = slot
-			}
-		}
-		t.stats.WatchesRearmed++
 	})
 }

@@ -129,6 +129,10 @@ func TestFlakyLineQuarantinedAfterRepeatedFaults(t *testing.T) {
 	if st.WatchesRearmed != 2 || st.RearmsSkipped != 1 {
 		t.Fatalf("rearms = %d, skipped = %d; want 2/1", st.WatchesRearmed, st.RearmsSkipped)
 	}
+	if st.WatchesSuppressedQuarantine != 1 || st.WatchesSuppressedPaused != 0 {
+		t.Fatalf("suppressed quarantine/paused = %d/%d, want 1/0",
+			st.WatchesSuppressedQuarantine, st.WatchesSuppressedPaused)
+	}
 	if st.LinesQuarantined != 1 {
 		t.Fatalf("LinesQuarantined = %d, want 1", st.LinesQuarantined)
 	}
@@ -168,8 +172,8 @@ func TestErrorStormPausesCorruptionArmingOnly(t *testing.T) {
 
 	// While paused, new buffers get no guards: the overflow is missed.
 	q := r.malloc(t, 64)
-	if got := r.tool.Stats().WatchesSuppressed; got < 2 {
-		t.Fatalf("WatchesSuppressed = %d, want >= 2", got)
+	if got := r.tool.Stats().WatchesSuppressedPaused; got < 2 {
+		t.Fatalf("WatchesSuppressedPaused = %d, want >= 2", got)
 	}
 	r.m.Store8(q+64, 1)
 	if n := r.tool.Stats().CorruptionReported; n != 0 {

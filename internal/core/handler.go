@@ -56,9 +56,7 @@ func (t *Tool) handleECCFault(f *kernel.ECCFault) bool {
 		f.Hardware = true
 		t.noteMachineError(true)
 		rearm := t.noteLineFault(f.VLine)
-		if err := t.unwatch(r, true); err != nil {
-			t.degrade("hardware-repair", r.base, err.Error())
-			t.dropRegion(r)
+		if !t.unwatchOrDegrade(r, true, "hardware-repair") {
 			return true
 		}
 		if rearm {
@@ -66,6 +64,7 @@ func (t *Tool) handleECCFault(f *kernel.ECCFault) bool {
 			// quarantined lines stay unwatched (their DRAM keeps faulting).
 			t.rearmAfterRepair(*r)
 		} else {
+			t.refuse(refusedQuarantine)
 			t.stats.RearmsSkipped++
 		}
 		return true

@@ -98,23 +98,14 @@ func (t *Tool) flagSuspects(g *group, now, minAge simtime.Cycles) {
 			continue
 		}
 		if t.lineWatched(obj.block.Addr, obj.block.RoundedSize) {
-			// Already covered (e.g. an uninit watch): reuse that watch as
-			// the pruning probe by marking the object; the fault handler
-			// prunes on any access.
+			// Already covered (e.g. by an uninit watch): skip the object
+			// without watching or marking it. A later pass tries again
+			// once that watch is gone, as it does after the gate refuses.
 			continue
 		}
-		if t.lineQuarantined(obj.block.Addr, obj.block.RoundedSize) {
-			// The suspect's DRAM cannot hold a watch; try again next pass
-			// once the quarantine backoff expires.
-			t.stats.WatchesSuppressed++
-			continue
+		if slot := t.arm(obj.block.Addr, obj.block.RoundedSize, watchLeakSuspect, &obj.block, oi, "arm-suspect"); slot >= 0 {
+			obj.suspect = slot
 		}
-		slot, err := t.watch(obj.block.Addr, obj.block.RoundedSize, watchLeakSuspect, &obj.block, oi)
-		if err != nil {
-			t.degrade("arm-suspect", obj.block.Addr, err.Error())
-			continue
-		}
-		obj.suspect = slot
 	}
 }
 

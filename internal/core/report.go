@@ -122,12 +122,15 @@ type Stats struct {
 	LinesQuarantined uint64
 	// WatchesRearmed counts watches re-armed after a hardware-error repair.
 	WatchesRearmed uint64
-	// RearmsSkipped counts hardware-repaired watches NOT re-armed because
-	// of quarantine or degraded mode.
+	// RearmsSkipped counts re-arms after a repair or a scrub pass that did
+	// not happen, whatever the reason: a stale saved watch, a gate refusal,
+	// a kernel failure, or a repaired line reaching QuarantineThreshold.
 	RearmsSkipped uint64
-	// WatchesSuppressed counts watch arms the degradation policy suppressed
-	// (quarantined lines and machine-wide arming pauses).
-	WatchesSuppressed uint64
+	// WatchesSuppressedQuarantine and WatchesSuppressedPaused count watch
+	// arms and re-arms the degradation policy refused, by reason: a
+	// quarantined line, or a machine-wide corruption-arming pause.
+	WatchesSuppressedQuarantine uint64
+	WatchesSuppressedPaused     uint64
 	// DegradePeriods counts machine-wide corruption-arming pauses.
 	DegradePeriods uint64
 }

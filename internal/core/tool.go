@@ -244,7 +244,8 @@ func (t *Tool) emitTelemetry(emit func(string, float64)) {
 	emit("lines_quarantined", float64(s.LinesQuarantined))
 	emit("watches_rearmed", float64(s.WatchesRearmed))
 	emit("rearms_skipped", float64(s.RearmsSkipped))
-	emit("watches_suppressed", float64(s.WatchesSuppressed))
+	emit("watches_suppressed_quarantine", float64(s.WatchesSuppressedQuarantine))
+	emit("watches_suppressed_paused", float64(s.WatchesSuppressedPaused))
 	emit("degrade_periods", float64(s.DegradePeriods))
 }
 
@@ -370,32 +371,15 @@ func (t *Tool) OnAlloc(b *heap.Block) {
 	}
 
 	if t.opts.DetectCorruption {
-		t.armPad(b.PadBefore(), watchPadBefore, b)
-		t.armPad(b.PadAfter(), watchPadAfter, b)
+		t.arm(b.PadBefore(), PadLineBytes, watchPadBefore, b, -1, "arm-pad-before")
+		t.arm(b.PadAfter(), PadLineBytes, watchPadAfter, b, -1, "arm-pad-after")
 	}
 
 	if t.opts.DetectUninitRead && !t.lineWatched(b.Addr, b.RoundedSize) {
-		if t.corruptionDegraded() || t.lineQuarantined(b.Addr, b.RoundedSize) {
-			t.stats.WatchesSuppressed++
-		} else if _, err := t.watch(b.Addr, b.RoundedSize, watchUninit, b, -1); err != nil {
-			t.degrade("arm-uninit", b.Addr, err.Error())
-		}
+		t.arm(b.Addr, b.RoundedSize, watchUninit, b, -1, "arm-uninit")
 	}
 
 	t.maybeCheckLeaks()
-}
-
-// armPad arms one guard-line watch unless degradation policy suppresses it:
-// a quarantined pad line (its DRAM keeps faulting) or a machine-wide
-// corruption-arming pause. Arming failures degrade instead of panicking.
-func (t *Tool) armPad(base vm.VAddr, kind watchKind, b *heap.Block) {
-	if t.corruptionDegraded() || t.lineQuarantined(base, PadLineBytes) {
-		t.stats.WatchesSuppressed++
-		return
-	}
-	if _, err := t.watch(base, PadLineBytes, kind, b, -1); err != nil {
-		t.degrade("arm-"+kind.String(), base, err.Error())
-	}
 }
 
 // OnFree implements heap.Hook: the free wrapper.
@@ -425,11 +409,7 @@ func (t *Tool) OnFree(b *heap.Block) {
 	// uninit watch), then watch the whole freed extent (Section 4).
 	t.unwatchOverlapping(b.FullAddr, b.FullSize)
 	if t.opts.DetectCorruption {
-		if t.corruptionDegraded() || t.lineQuarantined(b.FullAddr, b.FullSize) {
-			t.stats.WatchesSuppressed++
-		} else if _, err := t.watch(b.FullAddr, b.FullSize, watchFreed, b, -1); err != nil {
-			t.degrade("arm-freed", b.FullAddr, err.Error())
-		}
+		t.arm(b.FullAddr, b.FullSize, watchFreed, b, -1, "arm-freed")
 	}
 
 	t.maybeCheckLeaks()
@@ -437,10 +417,13 @@ func (t *Tool) OnFree(b *heap.Block) {
 
 // scrubBefore / scrubAfter implement the scrub-coordination protocol
 // (Section 2.2.2): all watches are temporarily disabled while the memory
-// controller scrubs, then re-armed.
+// controller scrubs, then re-armed through the arming gate. No program op
+// runs in between, so no saved region goes stale.
 func (t *Tool) scrubBefore() { t.savedForScrub = t.unwatchAll(t.savedForScrub[:0]) }
 func (t *Tool) scrubAfter() {
-	t.rewatchAll(t.savedForScrub)
+	for i := range t.savedForScrub {
+		t.rearm(&t.savedForScrub[i], "rewatch-after-scrub")
+	}
 	t.savedForScrub = t.savedForScrub[:0]
 }
 

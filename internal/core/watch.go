@@ -379,8 +379,8 @@ func (t *Tool) CheckWatchInvariants() error {
 }
 
 // unwatchAll removes every active watch (scrub coordination). It appends
-// copies of the removed regions to dst, in list order, so rewatchAll can
-// restore them.
+// copies of the removed regions to dst, in list order, so scrubAfter can
+// re-arm them.
 func (t *Tool) unwatchAll(dst []watchRegion) []watchRegion {
 	first := len(dst)
 	for _, slot := range t.live {
@@ -390,31 +390,4 @@ func (t *Tool) unwatchAll(dst []watchRegion) []watchRegion {
 		t.unwatchOrDegrade(&t.regions[dst[i].slot], false, "unwatch-for-scrub")
 	}
 	return dst
-}
-
-// rewatchAll re-arms the given regions after a scrub pass, preserving their
-// kinds and associations. Quarantined lines stay unwatched, and corruption
-// watches are not re-armed while arming is degraded — the same policy that
-// governs fresh arms.
-func (t *Tool) rewatchAll(saved []watchRegion) {
-	for i := range saved {
-		old := &saved[i]
-		if t.lineQuarantined(old.base, old.size) {
-			t.stats.RearmsSkipped++
-			continue
-		}
-		if old.kind != watchLeakSuspect && t.corruptionDegraded() {
-			t.stats.WatchesSuppressed++
-			continue
-		}
-		slot, err := t.watch(old.base, old.size, old.kind, &old.block, old.obj)
-		if err != nil {
-			t.degrade("rewatch-after-scrub", old.base, err.Error())
-			continue
-		}
-		t.regions[slot].watchedAt = old.watchedAt // preserve leak-confirmation clocks
-		if old.obj >= 0 {
-			t.objs[old.obj].suspect = slot
-		}
-	}
 }
