@@ -113,8 +113,9 @@ bench:
 # MemBytes grows. For numbers, rerun one with a larger -benchtime:
 # MachineNew reports the ns and host bytes of a cold 32 MiB New (DRAM is
 # sparse, so B/op is far below the simulated size), LoadRunScan (one row
-# per single-stream kind: a 128 KiB pass of 8-byte LoadRun and StoreRun,
-# LoadByteRun, StoreByteRun and Memset) and CopyCompareRun (a 128 KiB copy,
+# per single-stream kind: a 128 KiB pass of 8-byte LoadRun, ScanRun and
+# StoreRun, LoadByteRun, StoreByteRun and Memset; and a 32 KiB LoadRun and
+# ScanRun over lines in ways that vary from set to set) and CopyCompareRun (a 128 KiB copy,
 # then a compare of the two copies) report host ns per 64-byte line and 0
 # allocs/op and fail if they leave the fast lane, ShortCompareRun reports
 # the ns and 0 allocs of one 1-127-byte compare (gzip's match loop) and

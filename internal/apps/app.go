@@ -222,19 +222,6 @@ func checksum(m *machine.Machine, va vm.VAddr, n uint64) uint64 {
 	return sum
 }
 
-// scanWords streams n contiguous 8-byte words at va through page-long
-// batched loads, discarding the values — the resident-table scan idiom
-// (DES tables, TLS record processing, ACL checks).
-func scanWords(m *machine.Machine, va vm.VAddr, n uint64) {
-	var buf [runWords]uint64
-	for n > 0 {
-		k := min(n, runWords)
-		m.LoadRun(va, 8, 8, buf[:k])
-		va += vm.VAddr(k * 8)
-		n -= k
-	}
-}
-
 // fillWords writes n contiguous 8-byte words at va with f(word index) in
 // page-long batched stores — the table-init / stream-fill idiom.
 func fillWords(m *machine.Machine, va vm.VAddr, n uint64, f func(i uint64) uint64) {

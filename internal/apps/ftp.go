@@ -162,7 +162,7 @@ func (s *ftpState) command(sess *ftpSession, tick int, buggy bool) {
 	// Authentication / command parsing load, plus the TLS record
 	// processing every control/data exchange pays.
 	m.Compute(55000)
-	scanWords(m, s.tlsTable, ftpTLSTableBytes/8)
+	m.ScanRun(s.tlsTable, ftpTLSTableBytes/8)
 
 	switch {
 	case tick%6 == 0 || tick%6 == 3:

@@ -300,7 +300,7 @@ func (s *nisState) handleAll(i int) {
 // resident DES table plus ALU work.
 func (s *nisState) desWork() {
 	m := s.m
-	scanWords(m, s.desTable, nisDesTableBytes/8)
+	m.ScanRun(s.desTable, nisDesTableBytes/8)
 	m.Compute(52000)
 }
 

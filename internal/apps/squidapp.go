@@ -245,7 +245,7 @@ func (s *squidState) request(i int, buggy bool, variant int) {
 		passes = 3
 	}
 	for p := 0; p < passes; p++ {
-		scanWords(m, s.aclTable, sqACLTableBytes/8)
+		m.ScanRun(s.aclTable, sqACLTableBytes/8)
 	}
 	url := s.urlFor(i)
 

@@ -21,13 +21,13 @@ type laneCounts struct{ runs, fast, slow uint64 }
 // lost in host noise. A deliberate lane change updates the table.
 func TestAppLaneCountsPinned(t *testing.T) {
 	want := map[string][2]laneCounts{ // [ToolNone, ToolSafeMemBoth]
-		"ypserv1": {{21718, 5178213, 657}, {21718, 5178251, 619}},
-		"proftpd": {{11626, 5675953, 719}, {11626, 5673548, 3124}},
-		"squid1":  {{19824, 9312966, 1018}, {19824, 9310065, 3919}},
-		"ypserv2": {{21718, 5178213, 657}, {21718, 5178251, 619}},
+		"ypserv1": {{13318, 5178213, 657}, {13318, 5178251, 619}},
+		"proftpd": {{1726, 5675953, 719}, {1726, 5673548, 3124}},
+		"squid1":  {{5424, 9312966, 1018}, {5424, 9310065, 3919}},
+		"ypserv2": {{13318, 5178213, 657}, {13318, 5178251, 619}},
 		"gzip":    {{14906, 1226628, 776}, {14906, 1226628, 776}},
 		"tar":     {{10128, 1305276, 7936}, {10128, 1306544, 6668}},
-		"squid2":  {{16116, 7718149, 923}, {16116, 7718120, 952}},
+		"squid2":  {{4116, 7718149, 923}, {4116, 7718120, 952}},
 	}
 	tools := [2]Tool{ToolNone, ToolSafeMemBoth}
 	for _, app := range apps.All() {

@@ -24,11 +24,23 @@
 // this changes simulated semantics: hit/miss decisions, LRU victim choice,
 // write-back order and cycle charges are identical to the straightforward
 // implementation.
+//
+// Whole-line stretches (Lines, the batch lane's resident-table scans) probe
+// hint first: the cache remembers, for each line address modulo its
+// capacity, the way a miss last filled that line into or a stretch last
+// found it in, and the probe checks that way's own identity (line and
+// generation, the first words of the way struct, beside its LRU stamp)
+// before it scans the set's tags. A hinted hit thus touches one host line
+// — the way's — where a tag scan touches two and ends in a branch the host
+// cannot predict. A stale hint just fails that check: the tag scan answers
+// and the hint is refreshed, so the hint can never change an answer and
+// needs no upkeep on evictions, flushes, image restores or recycles.
 package cache
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"safemem/internal/memctrl"
 	"safemem/internal/physmem"
@@ -64,13 +76,14 @@ var _ = [1]struct{}{}[physmem.LineBytes-1<<lineShift]
 
 // way is one cache way. It is valid iff gen equals the cache's current
 // generation; single-way invalidation writes gen 0 (the cache generation
-// starts at 1 and only grows).
+// starts at 1 and only grows). Identity and LRU stamp come first, so a
+// hinted probe and its stamp touch one host line.
 type way struct {
 	gen   uint64
-	dirty bool
 	line  physmem.Addr // line-aligned physical address
-	words [physmem.GroupsPerLine]uint64
 	lru   uint64
+	dirty bool
+	words [physmem.GroupsPerLine]uint64
 }
 
 // Cache is the simulated data cache. Not safe for concurrent use.
@@ -83,9 +96,17 @@ type Cache struct {
 	// tags mirrors ways: uint64(line)|1 for a valid way, 0 for an invalid
 	// one. The probe loop scans only this packed array; every mutation of a
 	// way's identity (fill, invalidate, flush-all, recycle) updates the tag.
-	tags    []uint64
-	setMask uint64 // cfg.Sets-1
-	gen     uint64 // current valid generation, ≥1
+	tags []uint64
+	// hint holds, per line address modulo the cache's capacity (rounded
+	// up to a power of two), the way in its set where a miss last filled a
+	// line with that address or a whole-line stretch (Lines) last found
+	// one. It is only a guess, checked against the way itself. One hint per set would name the
+	// wrong way whenever a stretch comes back to a set for another line,
+	// as every pass longer than Sets lines does.
+	hint     []uint8
+	hintMask uint64 // len(hint)-1
+	setMask  uint64 // cfg.Sets-1
+	gen      uint64 // current valid generation, ≥1
 	// epoch counts residency mutations: every fill, invalidation, flush-all
 	// and recycle. A LineRef obtained while Epoch() returned E is still
 	// resident (and still holds the same line) as long as Epoch() == E. The
@@ -119,15 +140,18 @@ func New(ctrl *memctrl.Controller, clock *simtime.Clock, cfg Config) (*Cache, er
 	if cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cache: ways %d must be positive", cfg.Ways)
 	}
+	hints := cfg.Sets << bits.Len(uint(cfg.Ways-1))
 	return &Cache{
-		ctrl:    ctrl,
-		clock:   clock,
-		cfg:     cfg,
-		ways:    make([]way, cfg.Sets*cfg.Ways),
-		tags:    make([]uint64, cfg.Sets*cfg.Ways),
-		setMask: uint64(cfg.Sets - 1),
-		gen:     1,
-		filled:  make([]int32, 0, cfg.Sets*cfg.Ways),
+		ctrl:     ctrl,
+		clock:    clock,
+		cfg:      cfg,
+		ways:     make([]way, cfg.Sets*cfg.Ways),
+		tags:     make([]uint64, cfg.Sets*cfg.Ways),
+		hint:     make([]uint8, hints),
+		hintMask: uint64(hints - 1),
+		setMask:  uint64(cfg.Sets - 1),
+		gen:      1,
+		filled:   make([]int32, 0, cfg.Sets*cfg.Ways),
 	}, nil
 }
 
@@ -250,6 +274,7 @@ func (c *Cache) lookup(line physmem.Addr) *way {
 	w.lru = c.tick
 	gi := si*c.cfg.Ways + wi
 	c.tags[gi] = uint64(line) | 1
+	c.hint[uint64(line)>>lineShift&c.hintMask] = uint8(wi)
 	if len(c.filled) < cap(c.filled) {
 		c.filled = append(c.filled, int32(gi))
 	} else {
@@ -410,6 +435,7 @@ type LineOp uint8
 
 const (
 	LoadWordLines  LineOp = iota // each line's eight groups into words
+	ScanWordLines                // none: the eight loads' values are discarded
 	StoreWordLines               // words into each line's groups
 	FillWordLines                // fill into every group
 	LoadByteLines                // each line's 64 bytes, little-endian per group, into bytes
@@ -420,21 +446,33 @@ const (
 // consecutive lines from line (at most the rest of a page), each covered
 // completely by a run's elements, eight words or 64 bytes a line, moved by
 // op from or to words or bytes starting at element i. Per line it pays one
-// tag probe, one data move and one stamp — tick advanced by the line's
-// element count and the LRU stamp set to it, as CommitRun would when the
-// run leaves the line — and the hits are counted once at the end. It stops
-// at the first line that is not resident, which the caller sends to its
-// per-access path, and returns the lines served and the last of them (the
-// zero LineRef when none was). CopyLines is its two-stream twin.
+// probe, one data move and one stamp — tick advanced by the line's element
+// count and the LRU stamp set to it, as CommitRun would when the run leaves
+// the line — and the hits are counted once at the end. The probe tries the
+// line's hinted way first and scans the set's tags only when that way does
+// not hold the line. It stops at the first line that is not resident, which
+// the caller sends to its per-access path, and returns the lines served
+// and the last of them (the zero LineRef when none was). CopyLines is its
+// two-stream twin.
 func (c *Cache) Lines(line physmem.Addr, op LineOp, k uint64, words []uint64, bytes []byte, i, fill uint64) (j uint64, last LineRef) {
 	per := uint64(physmem.GroupsPerLine)
 	if op >= LoadByteLines {
 		per = physmem.LineBytes
 	}
+	nw := c.cfg.Ways
 	for ; j < k; j++ {
-		w := c.find(line)
-		if w == nil {
-			break
+		// The probe stays in the loop: through a call the compiler would
+		// not inline, it gives back most of what the hint saves.
+		hi := uint64(line) >> lineShift & c.hintMask
+		base := int(hi&c.setMask) * nw
+		w := &c.ways[base+int(c.hint[hi])]
+		if w.line != line || w.gen != c.gen {
+			wi := c.findIdx(line)
+			if wi < 0 {
+				break
+			}
+			c.hint[hi] = uint8(wi - base)
+			w = &c.ways[wi]
 		}
 		// Group by group: an array assignment between two pointers
 		// compiles to a memmove call.

@@ -28,7 +28,8 @@
 // counted by reason, quarantine first when both hold. Scoping a quarantine to
 // the allocation that earned it is thus a change to the gate alone; it moves
 // the seed-1 campaign, campaign-storm and fleet digests, so it lands with a
-// re-recorded benchmark/digests.json.
+// re-recorded benchmark/digests.json. The gate also ends monitoring: after
+// Shutdown it refuses every arm, uncounted, since that is no degradation.
 
 package safemem
 
@@ -219,10 +220,13 @@ func (t *Tool) refuse(why refusal) {
 }
 
 // arm is the arming gate: it watches [base, base+size) as kind, as watch
-// does, unless the degradation policy refuses. It returns the slot, or -1
-// when refused or when the kernel call fails (recorded as a degradation
-// under op instead of failing).
+// does, unless the tool has shut down or the degradation policy refuses.
+// It returns the slot, or -1 when refused or when the kernel call fails
+// (recorded as a degradation under op instead of failing).
 func (t *Tool) arm(base vm.VAddr, size uint64, kind watchKind, blk *heap.Block, obj int32, op string) int32 {
+	if t.shutDown {
+		return -1
+	}
 	if t.lineQuarantined(base, size) {
 		t.refuse(refusedQuarantine)
 		return -1

@@ -228,6 +228,28 @@ func TestArmingGatePolicy(t *testing.T) {
 	}
 }
 
+// TestSuspectCountedOnce pins that SuspectsFlagged counts objects, not
+// passes: a suspect whose lines are quarantined stays unwatched, so every
+// pass flags it again, and three passes count it once.
+func TestSuspectCountedOnce(t *testing.T) {
+	opts := DefaultOptions()
+	opts.DetectCorruption = false
+	r := newTool(t, opts)
+	p := r.malloc(t, 128)
+	r.quarantineLines(p, 128)
+	for range 3 {
+		r.flag(p)
+	}
+	st := r.tool.Stats()
+	if r.tool.Watched(p, 128) || st.WatchesSuppressedQuarantine != 3 {
+		t.Fatalf("the gate did not refuse all three passes: watched %v, refusals %d",
+			r.tool.Watched(p, 128), st.WatchesSuppressedQuarantine)
+	}
+	if st.SuspectsFlagged != 1 {
+		t.Fatalf("SuspectsFlagged = %d after three passes over one object, want 1", st.SuspectsFlagged)
+	}
+}
+
 // TestScrubRearmRestoresEveryWatch pins the scrub path through the gate: with
 // no quarantine and no pause, every region unwatched for the scrub comes
 // back with its kind, extent, buffer, object and confirmation clock, every

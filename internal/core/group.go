@@ -32,6 +32,10 @@ type object struct {
 	suspect int32
 	// reported marks objects already reported as leaks.
 	reported bool
+	// flagged marks objects SuspectsFlagged has counted: a pass that
+	// flags an object again (its watch refused, or pruned since) does not
+	// count it twice.
+	flagged bool
 }
 
 // group is the per-⟨size,site⟩ lifetime and usage record of Section 3.2.1.

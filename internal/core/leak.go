@@ -92,7 +92,10 @@ func (t *Tool) flagSuspects(g *group, now, minAge simtime.Cycles) {
 			// the lifetime condition, younger ones will too.
 			break
 		}
-		t.stats.SuspectsFlagged++
+		if !obj.flagged {
+			obj.flagged = true
+			t.stats.SuspectsFlagged++
+		}
 		if !t.opts.PruneWithECC {
 			t.reportLeak(g, obj)
 			continue

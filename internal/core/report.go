@@ -95,7 +95,8 @@ type Stats struct {
 	// LeakChecks counts periodic detection passes.
 	LeakChecks uint64
 	// SuspectsFlagged counts objects flagged as leak suspects (the
-	// "before pruning" population of Table 5).
+	// "before pruning" population of Table 5), each object once however
+	// many passes flag it.
 	SuspectsFlagged uint64
 	// SuspectsPruned counts suspects exonerated by an access to their
 	// ECC-watched bytes.

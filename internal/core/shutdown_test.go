@@ -85,3 +85,28 @@ func TestShutdownQuietOnCleanRun(t *testing.T) {
 		t.Fatal("guard watches survived shutdown")
 	}
 }
+
+// TestShutdownEndsArming pins that nothing is watched after Shutdown: the
+// arming gate refuses every arm, so a new buffer's overflow goes unwatched
+// and unreported, and freeing it arms no freed-extent watch either.
+func TestShutdownEndsArming(t *testing.T) {
+	r := newTool(t, DefaultOptions())
+	r.tool.Shutdown()
+	p := r.malloc(t, 64)
+	r.m.Store8(p+64, 1)
+	if st := r.tool.Stats(); st.WatchedLines != 0 {
+		t.Fatalf("%d lines watched after shutdown", st.WatchedLines)
+	}
+	if n := len(r.tool.Reports()); n != 0 {
+		t.Fatalf("%d reports after shutdown: %v", n, kinds(r.tool.Reports()))
+	}
+	if err := r.alloc.Free(p); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.tool.Stats(); st.WatchedLines != 0 {
+		t.Fatalf("%d lines watched after a free past shutdown", st.WatchedLines)
+	}
+	if err := r.tool.CheckWatchInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

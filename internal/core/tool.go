@@ -67,6 +67,9 @@ type Tool struct {
 	savedForScrub []watchRegion
 	confirm       []int32
 
+	// shutDown is set by Shutdown; the arming gate then refuses every arm.
+	shutDown bool
+
 	// Hardware-fault degradation state (degrade.go): per-line quarantine
 	// history, the machine-wide error window, and the arming-pause deadline.
 	quarantine     map[vm.VAddr]quarantineEntry
@@ -324,11 +327,12 @@ func (t *Tool) report(r BugReport) {
 // ECC-watched and has aged past the confirmation window is reported (the
 // program is ending — no future access can exonerate it), and every watch
 // is disabled so memory is left in its natural state. Further allocator
-// activity is no longer monitored for corruption. Returns the newly
-// produced reports.
+// activity arms no watch (the arming gate refuses it), so it is no longer
+// monitored for corruption. Returns the newly produced reports.
 func (t *Tool) Shutdown() []BugReport {
 	sp := t.tr.Begin("safemem", "shutdown")
 	defer sp.End()
+	t.shutDown = true
 	before := len(t.reports)
 	now := t.m.Clock.Now()
 	for _, slot := range t.sortedSuspectRegions(now) {

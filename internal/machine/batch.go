@@ -7,9 +7,12 @@
 // (copy loops, match loops, table scans, checksums) repeat that work for
 // accesses whose outcome is identical.
 //
-// The LoadRun/StoreRun/LoadByteRun/StoreByteRun/CopyRun/CompareRun
+// The LoadRun/ScanRun/StoreRun/LoadByteRun/StoreByteRun/CopyRun/CompareRun
 // conveniences (and Memset and Memcpy, built on them) execute such runs
-// with the checks hoisted to batch granularity:
+// with the checks hoisted to batch granularity. ScanRun is the
+// discard-only kind, the resident-table scan: 8-byte loads whose values
+// the program throws away, so it has no data step at all, and its
+// whole-line stretches only probe and stamp each line:
 //
 //   - translation is resolved once per page window (vm.TranslateRun) and
 //     protection checked against it, instead of a translate call per
@@ -23,9 +26,11 @@
 //     budget's, one loop in the cache probes, moves and stamps each line,
 //     stopping at the first line that is not resident, whose first element
 //     then goes straight to the per-access path (the stretch has probed
-//     it). Stamping a line as the stretch reads it equals stamping it when
-//     the run leaves it: the stretch makes every access to the line before
-//     moving on, and nothing else ticks the cache in between;
+//     it). The probe tries the line's hinted way before the tag scan
+//     (package cache). Stamping a line as the stretch reads it equals
+//     stamping it when the run leaves it: the stretch makes every access
+//     to the line before moving on, and nothing else ticks the cache in
+//     between;
 //   - a word copy whose streams are co-aligned on lines (delta a multiple
 //     of 64) takes the same stretches on both streams (pairLines): from a
 //     line-aligned element, up to either page window's end, the run's last
@@ -192,6 +197,16 @@ func (m *Machine) LoadRun(va vm.VAddr, size int, stride uint64, dst []uint64) {
 	m.spanEnd(&r)
 }
 
+// ScanRun performs n 8-byte loads at consecutive addresses from va whose
+// values the program discards: the resident-table scan idiom. Equivalent
+// to the same Load calls.
+func (m *Machine) ScanRun(va vm.VAddr, n uint64) {
+	var r spanRun
+	m.spanBegin(&r, vm.ProtRead, vm.ProtNone, false)
+	m.span(&r, &span{kind: spanScan, size: 8, width: 8}, va, n)
+	m.spanEnd(&r)
+}
+
 // StoreRun performs len(src) stores of size bytes spaced stride bytes
 // apart starting at va, in index order, values from src.
 func (m *Machine) StoreRun(va vm.VAddr, size int, stride uint64, src []uint64) {
@@ -224,6 +239,7 @@ type spanKind uint8
 
 const (
 	spanLoad       spanKind = iota // element i into words[i]
+	spanScan                       // element i loaded, its value discarded
 	spanLoadBytes                  // byte i into bytes[i]
 	spanStore                      // words[i] into element i
 	spanStoreBytes                 // bytes[i] into byte i
@@ -232,7 +248,7 @@ const (
 	spanCompare                    // byte i of stream a against byte i of stream b, until they differ
 )
 
-// span is one run of size-byte elements: a LoadRun or StoreRun,
+// span is one run of size-byte elements: a LoadRun, ScanRun or StoreRun,
 // LoadByteRun, StoreByteRun, each head, body and tail of a Memset, and
 // each word or byte stretch of a CopyRun or CompareRun. The last two are
 // two-stream spans: element i is an access at va+i·size on stream a, then
@@ -267,6 +283,8 @@ func (sp *span) move(l, lb cache.LineRef, off, boff, i, c uint64) uint64 {
 		for j := uint64(0); j < c; j++ {
 			sp.words[i+j] = l.Load(off+j*size, int(size))
 		}
+	case spanScan:
+		// No data step: the loads' values are discarded.
 	case spanStore:
 		for j := uint64(0); j < c; j++ {
 			l.Store(off+j*size, int(size), sp.words[i+j])
@@ -330,6 +348,7 @@ func (sp *span) move(l, lb cache.LineRef, off, boff, i, c uint64) uint64 {
 // whole-line stretches.
 var lineOps = [...]cache.LineOp{
 	spanLoad:       cache.LoadWordLines,
+	spanScan:       cache.ScanWordLines,
 	spanLoadBytes:  cache.LoadByteLines,
 	spanStore:      cache.StoreWordLines,
 	spanStoreBytes: cache.StoreByteLines,
@@ -342,6 +361,8 @@ func (sp *span) slow(m *Machine, va vm.VAddr, i uint64) {
 	switch sp.kind {
 	case spanLoad:
 		sp.words[i] = m.Load(va, sp.width)
+	case spanScan:
+		_ = m.Load(va, 8)
 	case spanLoadBytes:
 		sp.bytes[i] = uint8(m.Load(va, 1))
 	case spanStore:
@@ -512,7 +533,7 @@ func (m *Machine) span(r *spanRun, sp *span, va vm.VAddr, n uint64) vm.VAddr {
 	// scans about a fifth of their host time.
 	cnt, lineAt, limit := r.n, s.lineAt, r.limit
 	line, lineVA, lineOK := seg.line, seg.lineVA, seg.lineOK
-	// Word loads, stores and fills and byte loads and stores take
+	// Word loads, scans, stores and fills and byte loads and stores take
 	// whole-line stretches. perShift is log2 of a line's elements for
 	// them, and 0 for the rest: a division by the element count would
 	// cost each stretch two hardware divides.

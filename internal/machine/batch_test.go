@@ -71,6 +71,8 @@ func runBatchWorkload(t *testing.T, m *Machine) (batchDigest, [3]uint64) {
 		for _, v := range out {
 			h(v)
 		}
+		// A discard-only scan from mid-line, across lines and pages.
+		m.ScanRun(base+24, 1100)
 
 		// Strided halfword runs (served per access).
 		m.StoreRun(base+4096, 2, 16, buf[:256])
@@ -215,6 +217,46 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestScanRunMatchesLoads pins ScanRun against the Load calls it stands
+// for, issued one by one: a Reference machine cannot, since its ScanRun
+// goes through the same per-access element. Over a resident region with
+// two watched lines and a wake inside the scan, every simulated observable
+// and both faults' in-flight accesses must agree.
+func TestScanRunMatchesLoads(t *testing.T) {
+	const words = 3000
+	scans := [2]func(m *Machine, va vm.VAddr){
+		func(m *Machine, va vm.VAddr) { m.ScanRun(va, words) },
+		func(m *Machine, va vm.VAddr) {
+			for i := vm.VAddr(0); i < words; i++ {
+				m.Load(va+8*i, 8)
+			}
+		},
+	}
+	var d [2]diffDigest
+	for k, scan := range scans {
+		r := newRig(t, Config{MemBytes: 1 << 20})
+		for _, op := range []fuzzOp{
+			{kind: fopStoreRun, a: 0, b: 2047, c: 3},
+			{kind: fopStoreRun, a: 16384, b: 2047, c: 3},
+			{kind: fopWatch, a: 320},
+			{kind: fopWatch, a: 9000},
+			{kind: fopWake, a: 5000},
+		} {
+			r.run(op)
+		}
+		if err := r.m.Run(func() error { scan(r.m, fuzzBase+24); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		d[k] = r.run(fuzzOp{kind: fopCompute, a: 1})
+	}
+	if d[0] != d[1] {
+		t.Errorf("ScanRun diverges from its Load calls\nScanRun: %+v\nLoads:   %+v", d[0], d[1])
+	}
+	if d[0].faults != 2 || d[0].wakes != 1 {
+		t.Errorf("the scan met %d faults and %d wakes, want 2 and 1", d[0].faults, d[0].wakes)
+	}
+}
+
 // TestRecycleResetsBatchLane pins that a pooled machine cannot leak
 // fast-lane state across tenants: counters and persistent windows must all
 // reset, and a Reference machine must stay off the lane after Recycle.
@@ -349,6 +391,7 @@ func TestBatchPathNoAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() {
 		m.StoreRun(0x10000, 8, 8, buf)
 		m.LoadRun(0x10000, 8, 8, buf)
+		m.ScanRun(0x10000, 64)
 		m.StoreByteRun(0x10200, bs)
 		m.LoadByteRun(0x10200, bs)
 		m.CopyRun(0x11000, 0x10000, 256)
@@ -366,7 +409,7 @@ func TestBatchPathNoAllocs(t *testing.T) {
 // on exactly the same ones, not merely produce the same simulated state.
 func TestBatchStatsPinned(t *testing.T) {
 	_, lane := batchWorkload(t, true)
-	if want := [3]uint64{21, 13034, 308}; lane != want {
+	if want := [3]uint64{22, 14134, 308}; lane != want {
 		t.Errorf("BatchStats (runs, fast, slow) = %v, want %v", lane, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"safemem/internal/cache"
 	"safemem/internal/physmem"
 	"safemem/internal/vm"
 )
@@ -102,33 +103,50 @@ func BenchmarkRecycleFewDirtyLines(b *testing.B) {
 
 // BenchmarkLoadRunScan measures the batch lane's span engine on the shape
 // that dominates the server apps' host time (their resident-table scans),
-// one row per single-stream kind: per op, one aligned 8-byte LoadRun or
-// StoreRun, a LoadByteRun, a StoreByteRun or a Memset over 128 KiB of
-// resident lines. ns/line is host time per 64-byte line; allocs/op must
-// stay 0, and a row fails if any access leaves the fast lane.
+// one row per single-stream kind: per op, one aligned 8-byte LoadRun,
+// ScanRun or StoreRun, a LoadByteRun, a StoreByteRun or a Memset over
+// 128 KiB of resident lines. ns/line is host time per 64-byte line;
+// allocs/op must stay 0, and a row fails if any access leaves the fast
+// lane.
+//
+// The 128 KiB region fills each set of the default cache with four of its
+// lines, in ways 0 to 3 in scan order, so a tag probe's exit is as
+// predictable as it can be. The ways=mixed rows scan 32 KiB instead, one
+// line a set like ypserv's DES table, after a second region has filled
+// the same sets to a depth that varies from set to set: the scanned lines
+// land in varying ways, and the probe pays what it pays in the apps.
 func BenchmarkLoadRunScan(b *testing.B) {
 	const (
-		base  = vm.VAddr(0x100000)
-		bytes = 128 << 10
-		lines = bytes / physmem.LineBytes
+		base   = vm.VAddr(0x100000)
+		bytes  = 128 << 10
+		other  = vm.VAddr(0x200000)
+		mixed  = 32 << 10
+		depths = 7 // the second region's lines a set: 7 × 32 KiB
 	)
 	words, bs := make([]uint64, bytes/8), make([]byte, bytes)
 	for _, row := range []struct {
-		name string
-		op   func(m *Machine)
+		name  string
+		bytes uint64
+		op    func(m *Machine)
 	}{
-		{"LoadRun", func(m *Machine) { m.LoadRun(base, 8, 8, words) }},
-		{"StoreRun", func(m *Machine) { m.StoreRun(base, 8, 8, words) }},
-		{"LoadByteRun", func(m *Machine) { m.LoadByteRun(base, bs) }},
-		{"StoreByteRun", func(m *Machine) { m.StoreByteRun(base, bs) }},
-		{"Memset", func(m *Machine) { m.Memset(base, 0x5a, bytes) }},
+		{"LoadRun", bytes, func(m *Machine) { m.LoadRun(base, 8, 8, words) }},
+		{"ScanRun", bytes, func(m *Machine) { m.ScanRun(base, bytes/8) }},
+		{"StoreRun", bytes, func(m *Machine) { m.StoreRun(base, 8, 8, words) }},
+		{"LoadByteRun", bytes, func(m *Machine) { m.LoadByteRun(base, bs) }},
+		{"StoreByteRun", bytes, func(m *Machine) { m.StoreByteRun(base, bs) }},
+		{"Memset", bytes, func(m *Machine) { m.Memset(base, 0x5a, bytes) }},
+		{"LoadRun/ways=mixed", mixed, func(m *Machine) { m.LoadRun(base, 8, 8, words[:mixed/8]) }},
+		{"ScanRun/ways=mixed", mixed, func(m *Machine) { m.ScanRun(base, mixed/8) }},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			m := MustNew(Config{MemBytes: 1 << 20})
-			if err := m.Kern.MapPages(base, bytes/vm.PageBytes); err != nil {
+			if err := m.Kern.MapPages(base, int(row.bytes/vm.PageBytes)); err != nil {
 				b.Fatal(err)
 			}
-			m.StoreRun(base, 8, 8, words)
+			if row.bytes == mixed {
+				fillSetsMixed(b, m, other, depths*mixed)
+			}
+			m.StoreRun(base, 8, 8, words[:row.bytes/8])
 			row.op(m)
 			_, _, slow := m.BatchStats()
 			b.ReportAllocs()
@@ -140,8 +158,27 @@ func BenchmarkLoadRunScan(b *testing.B) {
 			if _, _, s := m.BatchStats(); s != slow {
 				b.Fatalf("scan left the fast lane: %d slow accesses over resident lines", s-slow)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*row.bytes/physmem.LineBytes), "ns/line")
 		})
+	}
+}
+
+// fillSetsMixed maps bytes at va and loads, in each set of m's default
+// cache, a pseudo-random number (0 to 7) of its lines there, so that lines filled
+// after it land in ways that vary from set to set.
+func fillSetsMixed(b *testing.B, m *Machine, va vm.VAddr, bytes uint64) {
+	if err := m.Kern.MapPages(va, int(bytes/vm.PageBytes)); err != nil {
+		b.Fatal(err)
+	}
+	sets := uint64(cache.DefaultConfig.Sets)
+	filled := make([]uint8, sets)
+	for off := uint64(0); off < bytes; off += physmem.LineBytes {
+		frame, _ := m.AS.FrameOf(va + vm.VAddr(off))
+		set := (uint64(frame) + off%vm.PageBytes) / physmem.LineBytes % sets
+		if depth := uint8(set * 0x9e3779b97f4a7c15 >> 61); filled[set] < depth {
+			filled[set]++
+			m.Load(va+vm.VAddr(off), 8)
+		}
 	}
 }
 

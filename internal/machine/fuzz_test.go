@@ -41,6 +41,7 @@ const (
 	fopRecycle
 	fopMemset
 	fopMonitor
+	fopScanRun
 	fopKinds
 )
 
@@ -220,6 +221,8 @@ func (r *diffRig) step(op fuzzOp) {
 		for _, v := range buf {
 			r.h(uint64(v))
 		}
+	case fopScanRun:
+		m.ScanRun(fuzzBase+vm.VAddr(off&^7), fitRun(off&^7, 8, 8, 1+uint64(op.b)%2048, fuzzRegion))
 	case fopMemset:
 		m.Memset(fuzzBase+vm.VAddr(off), op.c, fitRun(off, 1, 1, 1+uint64(op.b)%16384, fuzzRegion))
 	case fopCopyRun, fopCompareRun:
@@ -515,8 +518,10 @@ func fuzzSeeds() [][]byte {
 
 // monitorSeeds cover runs the lane refuses at entry because a monitor is
 // attached: one attached between runs over the same lines, which must not
-// be served from the windows the first run left open, and a detach after
-// which runs over those lines resume the lane.
+// be served from the windows the first run left open, a detach after
+// which runs over those lines resume the lane, and a restore of a snapshot
+// taken with a monitor attached, after a detach: the monitor must see the
+// runs that follow.
 func monitorSeeds() [][]byte {
 	return [][]byte{
 		encodeOps(
@@ -536,6 +541,15 @@ func monitorSeeds() [][]byte {
 			fuzzOp{kind: fopStoreByteRun, a: 5, b: 300, c: 7},
 			fuzzOp{kind: fopCopyRun, a: 8, b: 8, c: 20},
 		),
+		encodeOps(
+			fuzzOp{kind: fopMonitor},
+			fuzzOp{kind: fopSnapshot},
+			fuzzOp{kind: fopMonitor, c: 1},
+			fuzzOp{kind: fopScanRun, a: 0, b: 63},
+			fuzzOp{kind: fopRestore},
+			fuzzOp{kind: fopScanRun, a: 0, b: 63},
+			fuzzOp{kind: fopLoadRun, a: 0, b: 63, c: 3},
+		),
 	}
 }
 
@@ -544,7 +558,7 @@ func monitorSeeds() [][]byte {
 // run under a monitor must show the monitor its accesses and enter no
 // lane, and an unmonitored run must enter the lane.
 func TestMonitorSeedsMatchReference(t *testing.T) {
-	runKinds := map[byte]bool{fopLoadRun: true, fopStoreRun: true, fopLoadByteRun: true,
+	runKinds := map[byte]bool{fopLoadRun: true, fopScanRun: true, fopStoreRun: true, fopLoadByteRun: true,
 		fopStoreByteRun: true, fopCopyRun: true, fopCompareRun: true, fopMemset: true}
 	for i, seed := range monitorSeeds() {
 		fast, ref := newDiffRig(t, false), newDiffRig(t, true)
@@ -602,6 +616,20 @@ func stretchSeeds() [][]byte {
 			{kind: fopLoadRun, a: 0, b: 20, c: 3},
 			{kind: fopLoad, a: 640, c: 3},
 			{kind: fopLoadRun, a: 168, b: 42, c: 3},
+		}, sweep(2048)...)...),
+		// The first program with discard-only scans: the scan resuming
+		// on line 2 must stamp it before its stretch, as the load above
+		// does. Then a scan over lines 0-15 meets watched line 5 (the
+		// watch flushed it), whose fault the slow path takes, and a wake
+		// armed to fall inside the scan's later stretch.
+		encodeOps(append([]fuzzOp{
+			{kind: fopStoreRun, a: 0, b: 127, c: 3},
+			{kind: fopScanRun, a: 0, b: 20},
+			{kind: fopLoad, a: 640, c: 3},
+			{kind: fopScanRun, a: 168, b: 42},
+			{kind: fopWatch, a: 320},
+			{kind: fopWake, a: 700},
+			{kind: fopScanRun, a: 0, b: 127},
 		}, sweep(2048)...)...),
 		// Loading line 22 evicts line 6: the stretch from line 0 meets it
 		// mid-page, serves it by a miss that evicts line 14, and meets

@@ -12,6 +12,8 @@
 package machine
 
 import (
+	"slices"
+
 	"safemem/internal/cache"
 	"safemem/internal/kernel"
 	"safemem/internal/memctrl"
@@ -31,7 +33,7 @@ type Snapshot struct {
 	as    *vm.Image
 	kern  *kernel.Image
 
-	nmonitors  int
+	monitors   []Monitor
 	tracer     Tracer
 	stats      Stats
 	instrs     uint64
@@ -53,7 +55,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		cache:      m.Cache.CaptureImage(),
 		as:         m.AS.CaptureImage(),
 		kern:       m.Kern.CaptureImage(),
-		nmonitors:  len(m.monitors),
+		monitors:   slices.Clone(m.monitors),
 		tracer:     m.tracer,
 		stats:      m.stats,
 		instrs:     m.instrs,
@@ -73,8 +75,8 @@ func (m *Machine) Snapshot() *Snapshot {
 // Telemetry sources registered after the snapshot (per-run injectors and
 // fault models) are truncated away; the registry itself — and everything
 // registered at or before capture — survives, so repeated restores cannot
-// accumulate duplicate emitters. Monitors attached after capture are
-// likewise dropped.
+// accumulate duplicate emitters. The monitors attached at capture are
+// attached again, and any attached since are dropped.
 func (m *Machine) Restore(s *Snapshot) {
 	if s.m != m {
 		panic("machine: Restore with a snapshot captured from a different machine")
@@ -85,7 +87,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.Cache.RestoreImage(s.cache)
 	m.AS.RestoreImage(s.as)
 	m.Kern.RestoreImage(s.kern)
-	m.monitors = m.monitors[:s.nmonitors]
+	m.monitors = append(m.monitors[:0], s.monitors...)
 	m.tracer = s.tracer
 	m.stats = s.stats
 	m.instrs = s.instrs
